@@ -15,7 +15,7 @@ largest, so the naive scaling of the measured average understates the
 wait; the bound should only be trusted in the overlapping regime.
 """
 
-from eraser import OracleConfig, SimParams, estimate_p_uc, run, variant_config
+from eraser import OracleConfig, SimParams, run, variant_config
 from eraser.experiment import grid_workload
 from eraser.theory import (
     TheoryParams,
@@ -42,7 +42,7 @@ for r in (2.5, 5.0, 10.0, 20.0, 25.0):
 
     theory = TheoryParams(n_u, horizon, r)
     formula = expected_wait_sisa(theory)
-    p_uc = estimate_p_uc(dimp)
+    p_uc = dimp.p_uc
     with_p = TheoryParams(n_u, horizon, r, p_uc)
     print(f"{r:5.1f} {formula:13.4f} {sisa.awt:10.4f} "
           f"{abs(sisa.awt - formula) / formula:7.2%} {p_uc:8.4f} "

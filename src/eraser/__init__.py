@@ -20,13 +20,12 @@ from .certify import (
     certify_fine_shared_margin,
     gamma_counts,
 )
-from .ensemble import ShardVersion, aggregate, count_votes, predict_label
+from .ensemble import aggregate, count_votes, predict_label
 from .oracle import (
     OracleConfig,
     PredictionTrace,
     SampleId,
     TraceError,
-    confidence,
     load_trace,
     predict,
     predict_vector,
@@ -43,7 +42,6 @@ from .simulator import (
     Metrics,
     RequestRecord,
     SimParams,
-    estimate_p_uc,
     replay_privacy_check,
     run,
 )

@@ -102,38 +102,41 @@ def gamma_counts(preds, impacted, y_a: int, y_b: int) -> GammaCounts:
     return GammaCounts(g1, g2, idx.size - g1 - g2)
 
 
-def _margin(counts: np.ndarray, winner: int, challenger: int) -> int:
-    return int(counts[winner] - counts[challenger]) - (1 if challenger < winner else 0)
+def _margins(p: np.ndarray, idx: np.ndarray, num_classes: int):
+    """The one place the consistency arithmetic lives.
 
-
-def _verdict(preds, impacted, num_classes, lhs_fn, shared_margin=False):
-    p = np.asarray(preds, dtype=np.int64)
+    Returns ``(winner, imp, lhs, margin)``, arrays indexed by label ``y``:
+    ``imp[y]`` impacted shards voting ``y`` (so ``gamma1 = imp[winner]``
+    and ``gamma2 = imp[y]``), ``lhs[y] = 2*gamma1 + gamma3`` against ``y``
+    and ``margin[y]`` the winner's lead over ``y``, less one where ``y``
+    would win a tie (the smaller label does). At the winner's own index
+    both read 0, so a test over every label passes there.
+    """
     counts = count_votes(p, num_classes)
-    winner = aggregate(counts)
-    idx = _normalize_impacted(impacted, p.size)
-    if idx.size:
-        imp_counts = np.bincount(p[idx], minlength=num_classes)
-    else:
-        imp_counts = np.zeros(num_classes, dtype=np.int64)
-    g1 = int(imp_counts[winner])
-    m = int(idx.size)
+    winner = int(np.argmax(counts))
+    imp = np.bincount(p[idx], minlength=num_classes)
+    lhs = (idx.size + int(imp[winner])) - imp
+    lhs[winner] = 0
+    margin = int(counts[winner]) - counts
+    margin[:winner] -= 1
+    return winner, imp, lhs, margin
 
+
+def _verdict(preds, impacted, num_classes, coarse=False, shared_margin=False):
+    p = np.asarray(preds, dtype=np.int64)
+    idx = _normalize_impacted(impacted, p.size)
+    winner, imp, lhs, margin = _margins(p, idx, num_classes)
+    imp, lhs, margin = imp.tolist(), lhs.tolist(), margin.tolist()
+    g1, m = imp[winner], int(idx.size)
+    challengers = [yb for yb in range(num_classes) if yb != winner]
+    biggest = max(margin[yb] for yb in challengers)
     checks = []
-    margins = {
-        yb: _margin(counts, winner, yb) for yb in range(num_classes) if yb != winner
-    }
-    biggest = max(margins.values()) if margins else 0
-    certified = True
-    for yb in range(num_classes):
-        if yb == winner:
-            continue
-        g2 = int(imp_counts[yb])
-        gammas = GammaCounts(g1, g2, m - g1 - g2)
-        margin = biggest if shared_margin else margins[yb]
-        ok = lhs_fn(gammas, m) <= margin
-        certified = certified and ok
-        checks.append(ChallengerCheck(yb, gammas, margin, ok))
-    return CertificationVerdict(certified, winner, tuple(checks))
+    for yb in challengers:
+        bound = biggest if shared_margin else margin[yb]
+        left = 2 * m if coarse else lhs[yb]
+        gammas = GammaCounts(g1, imp[yb], m - g1 - imp[yb])
+        checks.append(ChallengerCheck(yb, gammas, bound, left <= bound))
+    return CertificationVerdict(all(c.satisfied for c in checks), winner, tuple(checks))
 
 
 def certify_fine(preds, impacted, num_classes: int) -> CertificationVerdict:
@@ -142,7 +145,7 @@ def certify_fine(preds, impacted, num_classes: int) -> CertificationVerdict:
     Certifies exactly when no possible relabeling of the impacted shards
     can change the aggregated winner (see :func:`brute_force_consistent`).
     """
-    return _verdict(preds, impacted, num_classes, lambda g, m: 2 * g.gamma1 + g.gamma3)
+    return _verdict(preds, impacted, num_classes)
 
 
 def certify_coarse(preds, impacted, num_classes: int) -> CertificationVerdict:
@@ -152,7 +155,7 @@ def certify_coarse(preds, impacted, num_classes: int) -> CertificationVerdict:
     instances the fine test certifies; it never certifies an instance the
     fine test rejects.
     """
-    return _verdict(preds, impacted, num_classes, lambda g, m: 2 * m)
+    return _verdict(preds, impacted, num_classes, coarse=True)
 
 
 def certify_fine_shared_margin(preds, impacted, num_classes: int) -> CertificationVerdict:
@@ -163,32 +166,22 @@ def certify_fine_shared_margin(preds, impacted, num_classes: int) -> Certificati
     validation suite can exhibit concrete counterexamples; do not serve
     with this.
     """
-    return _verdict(
-        preds, impacted, num_classes, lambda g, m: 2 * g.gamma1 + g.gamma3,
-        shared_margin=True,
-    )
+    return _verdict(preds, impacted, num_classes, shared_margin=True)
 
 
 def fine_certified(preds, impacted, num_classes: int) -> tuple[bool, int]:
-    """Allocation-light fine check for hot loops: (certified, winner)."""
+    """Fine check for hot loops: (certified, winner), with no verdict built.
+
+    Skips :func:`_normalize_impacted`: callers pass distinct, in-range
+    shard ids.
+    """
     p = np.asarray(preds, dtype=np.int64)
-    counts = count_votes(p, num_classes)
-    winner = int(np.argmax(counts))
     idx = np.asarray(impacted, dtype=np.int64)
     if idx.size == 0:
-        return True, winner
-    imp_counts = np.bincount(p[idx], minlength=num_classes)
-    g1 = int(imp_counts[winner])
-    m = int(idx.size)
-    wc = int(counts[winner])
-    for yb in range(num_classes):
-        if yb == winner:
-            continue
-        g3 = m - g1 - int(imp_counts[yb])
-        margin = wc - int(counts[yb]) - (1 if yb < winner else 0)
-        if 2 * g1 + g3 > margin:
-            return False, winner
-    return True, winner
+        # nothing can move, and the empty case is the common one
+        return True, int(np.argmax(count_votes(p, num_classes)))
+    winner, _, lhs, margin = _margins(p, idx, num_classes)
+    return not np.count_nonzero(lhs > margin), winner
 
 
 _ENUM_CHUNK = 1 << 16

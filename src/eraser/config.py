@@ -9,6 +9,7 @@ in the README.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,31 +39,6 @@ SEED_ENV_VAR = "ERASER_SEED"
 class ConfigError(ValueError):
     pass
 
-
-_SCHEMA = {
-    "experiment": {
-        "variants", "replications", "base_seed",
-    },
-    "workload": {
-        "n_unlearning", "n_inference", "horizon",
-        "distribution_u", "mu_u", "sigma_u", "modes_u",
-        "distribution_i", "mu_i", "sigma_i", "modes_i",
-        "shard_assignment", "noise_fraction",
-    },
-    "oracle": {
-        "num_classes", "num_shards", "accuracy", "backend", "trace_path",
-        "flip_probability",
-    },
-    "scheduler": {
-        "threshold", "parallel_capacity", "retrain_policy", "cert_mode",
-        "context_switch_latency", "shuffle_shards",
-        "detector_enabled", "detector_tpr", "detector_fpr",
-        "confidence_threshold",
-    },
-    "sim": {
-        "retrain_duration", "inference_service_time",
-    },
-}
 
 _DEFAULTS = {
     ("experiment", "variants"): "SISA,DIMP,SUTP,DUTP,STTU,DTTU,STTP,DTTP",
@@ -100,6 +76,7 @@ _DEFAULTS = {
     ("sim", "retrain_duration"): "1.0",
     ("sim", "inference_service_time"): "0.0",
 }
+_SECTIONS = {section for section, _ in _DEFAULTS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -113,7 +90,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -121,7 +98,7 @@ def parse_config_text(text: str) -> dict:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
         if (section, key) in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
@@ -265,10 +242,11 @@ def _distribution(values, kind, horizon):
         if kind != "u":
             raise ConfigError("grid arrivals are only supported for unlearning requests")
         return GRID
-    mu_raw = values[("workload", f"mu_{kind}")]
-    sigma_raw = values[("workload", f"sigma_{kind}")]
-    mu = horizon / 2.0 if mu_raw == "auto" else float(mu_raw)
-    sigma = horizon / 3.0 if sigma_raw == "auto" else float(sigma_raw)
+    mu, sigma = horizon / 2.0, horizon / 3.0
+    if values[("workload", f"mu_{kind}")] != "auto":
+        mu = _to_float(values, "workload", f"mu_{kind}")
+    if values[("workload", f"sigma_{kind}")] != "auto":
+        sigma = _to_float(values, "workload", f"sigma_{kind}")
     if name == "gaussian":
         return Gaussian(mu, sigma)
     if name == "multimodal":
@@ -301,13 +279,14 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     n_u = _to_int(values, "workload", "n_unlearning")
     n_i = _to_int(values, "workload", "n_inference")
     retrain_duration = _to_float(values, "sim", "retrain_duration")
-    horizon_raw = values[("workload", "horizon")]
-    if horizon_raw == "auto":
+    if not (math.isfinite(retrain_duration) and retrain_duration > 0):
+        raise ConfigError("[sim] retrain_duration must be positive and finite")
+    if values[("workload", "horizon")] == "auto":
         horizon = max(n_u, 1) * retrain_duration
     else:
-        horizon = float(horizon_raw)
-    if horizon <= 0:
-        raise ConfigError("[workload] horizon must be positive")
+        horizon = _to_float(values, "workload", "horizon")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigError("[workload] horizon must be positive and finite")
 
     dist_u = _distribution(values, "u", horizon)
     dist_i = _distribution(values, "i", horizon)
@@ -316,11 +295,14 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         dist_u = UNIFORM  # placeholder; grid stream is built separately
 
     num_shards = _to_int(values, "oracle", "num_shards")
-    capacity_raw = values[("scheduler", "parallel_capacity")]
-    capacity = num_shards if capacity_raw == "auto" else int(capacity_raw)
+    if values[("scheduler", "parallel_capacity")] == "auto":
+        capacity = num_shards
+    else:
+        capacity = _to_int(values, "scheduler", "parallel_capacity")
 
-    conf_raw = values[("scheduler", "confidence_threshold")]
-    confidence_threshold = None if conf_raw == "none" else float(conf_raw)
+    confidence_threshold = None
+    if values[("scheduler", "confidence_threshold")] != "none":
+        confidence_threshold = _to_float(values, "scheduler", "confidence_threshold")
     detector_enabled = _to_bool(values, "scheduler", "detector_enabled")
     mitigation = None
     if detector_enabled or confidence_threshold is not None:
@@ -331,8 +313,9 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
             confidence_threshold=confidence_threshold,
         )
 
-    flip_raw = values[("oracle", "flip_probability")]
-    flip = None if flip_raw == "none" else float(flip_raw)
+    flip = None
+    if values[("oracle", "flip_probability")] != "none":
+        flip = _to_float(values, "oracle", "flip_probability")
 
     return ExperimentConfig(
         variants=variants,
@@ -374,7 +357,7 @@ def apply_override(values: dict, dotted_key: str, value: str) -> dict:
     if "." not in dotted_key:
         raise ConfigError(f"override key must look like section.key, got {dotted_key!r}")
     section, key = dotted_key.split(".", 1)
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
+    if (section, key) not in _DEFAULTS:
         raise ConfigError(f"unknown override target {dotted_key!r}")
     out = dict(values)
     out[(section, key)] = value

@@ -9,27 +9,7 @@ fixed for the lifetime of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ShardVersion:
-    """Identity of one constituent model: shard index plus retrain count.
-
-    ``version`` 0 is the initially trained model; each completed retraining
-    increments it by one. Versions never decrease over simulated time.
-    """
-
-    shard: int
-    version: int
-
-    def __post_init__(self):
-        if self.shard < 0:
-            raise ValueError(f"shard must be non-negative, got {self.shard}")
-        if self.version < 0:
-            raise ValueError(f"version must be non-negative, got {self.version}")
 
 
 def count_votes(preds, num_classes: int) -> np.ndarray:

@@ -251,7 +251,7 @@ def compare_theory(cfg: ExperimentConfig, r_values, n_inference: int = 50_000,
 
         sisa = run_sim(workload, cfg.variant("SISA"), oracle_cfg, params, collect_log=False)
         dimp = run_sim(workload, cfg.variant("DIMP"), oracle_cfg, params, collect_log=False)
-        p_uc = simulator.estimate_p_uc(dimp)
+        p_uc = dimp.p_uc
         with_p = TheoryParams(cfg.n_unlearning, horizon, r, p_uc)
         sisa_formula = expected_wait_sisa(theory)
         rows.append({

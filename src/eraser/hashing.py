@@ -18,8 +18,6 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _INIT = 0x8BADF00DDEADBEEF
 
-TWO64 = float(2**64)
-
 
 def mix64_chain(h: int, *parts: int) -> int:
     """Fold further integers into an existing hash chain.
@@ -64,8 +62,3 @@ def mix64_array(*parts) -> np.ndarray:
         h *= m2
         h ^= h >> s31
     return h
-
-
-def unit_float(h: int) -> float:
-    """Map a 64-bit hash to [0, 1)."""
-    return h / TWO64

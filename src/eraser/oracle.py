@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import aggregate, count_votes
 from .hashing import mix64, mix64_array, mix64_chain
 
 _SALT_TRUE = 0xA1
@@ -205,17 +204,6 @@ def predict_vector(cfg: OracleConfig, sample: SampleId, versions) -> np.ndarray:
         wrong = (wrong % np.uint64(cfg.num_classes - 1)).astype(np.int64)
         labels[miss] = np.where(wrong < sample.true_label, wrong, wrong + 1)
     return labels
-
-
-def confidence(cfg: OracleConfig, sample: SampleId, serving_versions) -> float:
-    """Ensemble agreement ratio: shards voting for the winner over K.
-
-    Stands in for a softmax score; always in (0, 1], monotone in how
-    cleanly the ensemble separates the sample.
-    """
-    preds = predict_vector(cfg, sample, serving_versions)
-    counts = count_votes(preds, cfg.num_classes)
-    return int(counts[aggregate(counts)]) / cfg.num_shards
 
 
 def load_trace(path) -> PredictionTrace:

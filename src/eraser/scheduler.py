@@ -113,11 +113,6 @@ class MitigationConfig:
             raise ValueError("confidence_threshold must be in [0, 1]")
 
 
-MITIGATION_PASS = "pass"
-MITIGATION_REJECT = "reject_detected"
-MITIGATION_DISCARD = "discard_low_confidence"
-
-
 @dataclass(frozen=True)
 class VariantConfig:
     name: str
@@ -191,18 +186,10 @@ class PostponeInference:
 
 
 @dataclass(frozen=True)
-class RespondCertified:
+class Respond:
     request: Request
     label: int
-    verdict: str  # "certified" or "plain"
-    versions: tuple
-    hypothetical_versions: tuple
-
-
-@dataclass(frozen=True)
-class RespondUncertified:
-    request: Request
-    label: int
+    verdict: str  # "certified", "uncertified" or "plain"
     versions: tuple
     hypothetical_versions: tuple
 
@@ -219,22 +206,25 @@ class _Eval:
     certified: bool
     label: int
     verdict: str
-    confidence: float
-    preds: np.ndarray
-    versions: tuple
-    hypothetical: tuple
+    preds: np.ndarray | None
+
+
+# outcomes of the control step
+_ANSWER = "answer"
+_WAIT = "wait"
+_TRIGGER = "trigger"
 
 
 class _Entry:
     __slots__ = ("request", "sample", "responded", "release_after", "control_counted")
 
-    def __init__(self, request, sample, release_after=0):
+    def __init__(self, request, sample):
         self.request = request
         self.sample = sample
         self.responded = False
         # certification-free baseline only: answer once this many
         # retraining jobs have completed (= jobs outstanding at arrival)
-        self.release_after = release_after
+        self.release_after = 0
         # threshold variants: this request already fed the window counters;
         # later drains reprocess it for response only, never re-counting it
         self.control_counted = False
@@ -302,48 +292,28 @@ class Scheduler:
             hypo[k] += extra
         return tuple(hypo)
 
-    # -- mitigation ----------------------------------------------------------
-
-    def mitigation_filter(self, request: Request, sample: SampleId, confidence: float) -> str:
-        """Classify a request under the enabled mitigation policies."""
-        mit = self.cfg.mitigation
-        if mit is None:
-            return MITIGATION_PASS
-        if mit.detector_enabled:
-            rate = mit.detector_tpr if sample.is_noise else mit.detector_fpr
-            draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
-            if draw < min(int(round(rate * 2.0**64)), 2**64):
-                return MITIGATION_REJECT
-        if mit.confidence_threshold is not None and confidence < mit.confidence_threshold:
-            return MITIGATION_DISCARD
-        return MITIGATION_PASS
-
     # -- evaluation ----------------------------------------------------------
 
     def _evaluate(self, sample: SampleId, request: Request, apply_mitigation=True) -> _Eval:
-        mit = self.cfg.mitigation
-        if apply_mitigation and mit is not None and mit.detector_enabled:
+        # the certification-free baseline answers with the serving ensemble:
+        # no mitigation, no certification, no judgement counted
+        mit = self.cfg.mitigation if apply_mitigation and self.cfg.certified else None
+        if mit is not None and mit.detector_enabled:
             rate = mit.detector_tpr if sample.is_noise else mit.detector_fpr
             draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
             if draw < min(int(round(rate * 2.0**64)), 2**64):
-                return _Eval("detected", False, -1, "refused", 0.0, None, (), ())
+                return _Eval("detected", False, -1, "refused", None)
         preds = oracle_mod.predict_vector(self.oracle_cfg, sample, self.versions)
         counts = count_votes(preds, self.num_classes)
         winner = aggregate(counts)
-        conf = int(counts[winner]) / self.num_shards
         if (
-            apply_mitigation
-            and mit is not None
+            mit is not None
             and mit.confidence_threshold is not None
-            and conf < mit.confidence_threshold
+            and int(counts[winner]) / self.num_shards < mit.confidence_threshold
         ):
-            return _Eval("low_confidence", False, winner, "refused", conf, preds, (), ())
-        versions = self._versions_tuple
-        if self.cfg.cert_mode == "disabled":
-            return _Eval(
-                None, True, winner, "plain", conf, preds, versions,
-                self._hypothetical_versions(),
-            )
+            return _Eval("low_confidence", False, winner, "refused", preds)
+        if not self.cfg.certified or self.cfg.cert_mode == "disabled":
+            return _Eval(None, True, winner, "plain", preds)
         impacted = self.impacted_shards()
         if self.cfg.cert_mode == "coarse":
             ok = certify_coarse(preds, impacted, self.num_classes).certified
@@ -352,32 +322,48 @@ class Scheduler:
         self.judgements += 1
         if not ok:
             self.judgements_uncertified += 1
-        return _Eval(
-            None, ok, winner, "certified" if ok else "uncertified", conf, preds,
-            versions, self._hypothetical_versions(),
-        )
+        return _Eval(None, ok, winner, "certified" if ok else "uncertified", preds)
 
-    def _plain_eval(self, sample: SampleId) -> _Eval:
-        # SISA answers with the serving ensemble and consults no certification.
-        preds = oracle_mod.predict_vector(self.oracle_cfg, sample, self.versions)
-        counts = count_votes(preds, self.num_classes)
-        winner = aggregate(counts)
-        return _Eval(
-            None, True, winner, "plain", int(counts[winner]) / self.num_shards,
-            preds, self._versions_tuple, self._hypothetical_versions(),
-        )
+    def _answer(self, entry: _Entry, ev: _Eval) -> list:
+        """Respond to, or refuse, a judged request from the current state."""
+        entry.responded = True
+        if ev.refusal is not None:
+            return [RefuseInference(entry.request, ev.refusal)]
+        return [
+            Respond(
+                entry.request, ev.label, ev.verdict, self._versions_tuple,
+                self._hypothetical_versions(),
+            )
+        ]
 
-    def _respond(self, entry_or_none, request, ev) -> list:
-        if entry_or_none is not None:
-            entry_or_none.responded = True
-        if ev.verdict == "uncertified":
-            return [RespondUncertified(request, ev.label, ev.versions, ev.hypothetical)]
-        return [RespondCertified(request, ev.label, ev.verdict, ev.versions, ev.hypothetical)]
+    def _control(self, entry: _Entry, ev: _Eval) -> str:
+        """Control-plane decision for one judged request: answer, wait or trigger.
 
-    def _refuse(self, entry_or_none, request, ev) -> list:
-        if entry_or_none is not None:
-            entry_or_none.responded = True
-        return [RefuseInference(request, ev.refusal)]
+        Feeds the threshold window, once per request; refused requests
+        never count toward it.
+        """
+        if ev.refusal is not None:
+            return _ANSWER
+        threshold = self.cfg.option_ii == THRESHOLD_TRIGGERED
+        if threshold and entry.control_counted:
+            # reprocessing of an already-counted request: answer if the
+            # fresh state certifies it, otherwise keep waiting
+            return _ANSWER if ev.certified else _WAIT
+        if threshold:
+            self.window_inferences += 1
+        if ev.certified:
+            return _ANSWER
+        if self.cfg.option_ii == IMMEDIATE:
+            return _WAIT
+        if self.cfg.option_ii == UNCERT_TRIGGERED:
+            return _TRIGGER
+        self.window_uncertified += 1
+        entry.control_counted = True
+        if self.window_uncertified > self.cfg.threshold * self.window_inferences:
+            return _TRIGGER
+        if self.cfg.option_iii == RESPOND_UNCERTIFIED:
+            return _ANSWER
+        return _WAIT
 
     # -- retraining job plumbing ----------------------------------------------
 
@@ -418,53 +404,30 @@ class Scheduler:
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
         sample = oracle_mod.sample_for(self.oracle_cfg, request.sample, request.is_noise)
-        if not self.cfg.certified:
-            if self.busy():
-                # unlearning-request-first: wait for every retraining that
-                # predates this request, but not for later arrivals
-                self.backlog.append(_Entry(request, sample, self.jobs_created))
-                return [HaltInference(request)]
-            return self._respond(None, request, self._plain_eval(sample))
-        if self.cfg.option_i == SINGLE_CONTEXT and self.busy():
-            self.backlog.append(_Entry(request, sample))
-            return [HaltInference(request)]
-        if self.cfg.option_i == DOUBLE_CONTEXT and self.cfg.option_ii != IMMEDIATE and self.busy():
-            # mid-update: answer what we soundly can; counting waits for the
-            # control pass at update completion
-            entry = _Entry(request, sample)
-            self.backlog.append(entry)
-            ev = self._evaluate(sample, request)
-            if ev.refusal is not None:
-                return self._refuse(entry, request, ev)
-            if ev.certified:
-                return self._respond(entry, request, ev)
-            return [PostponeInference(request)]
-        return self._live_inference(request, sample, now)
-
-    def _live_inference(self, request: Request, sample: SampleId, now: float) -> list:
-        ev = self._evaluate(sample, request)
-        if ev.refusal is not None:
-            return self._refuse(None, request, ev)
-        threshold = self.cfg.option_ii == THRESHOLD_TRIGGERED
-        if threshold:
-            self.window_inferences += 1
-        if ev.certified:
-            return self._respond(None, request, ev)
-        if self.cfg.option_ii == IMMEDIATE:
-            self.backlog.append(_Entry(request, sample))
-            return [PostponeInference(request)]
-        if self.cfg.option_ii == UNCERT_TRIGGERED:
-            self.backlog.append(_Entry(request, sample))
-            return [PostponeInference(request)] + self._trigger_update(now, ev)
-        self.window_uncertified += 1
         entry = _Entry(request, sample)
-        entry.control_counted = True
-        if self.window_uncertified > self.cfg.threshold * self.window_inferences:
-            self.backlog.append(entry)
-            return [PostponeInference(request)] + self._trigger_update(now, ev)
-        if self.cfg.option_iii == RESPOND_UNCERTIFIED:
-            return self._respond(None, request, ev)
+        if self.busy():
+            if not self.cfg.certified or self.cfg.option_i == SINGLE_CONTEXT:
+                # halt; only the certification-free baseline reads
+                # release_after: it is unlearning-request-first and waits for
+                # every retraining that predates this request, not later ones
+                entry.release_after = self.jobs_created
+                self.backlog.append(entry)
+                return [HaltInference(request)]
+            if self.cfg.option_ii != IMMEDIATE:
+                # mid-update: answer what we soundly can; counting waits for
+                # the control pass at update completion
+                self.backlog.append(entry)
+                ev = self._evaluate(sample, request)
+                if ev.refusal is not None or ev.certified:
+                    return self._answer(entry, ev)
+                return [PostponeInference(request)]
+        ev = self._evaluate(sample, request)
+        step = self._control(entry, ev)
+        if step == _ANSWER:
+            return self._answer(entry, ev)
         self.backlog.append(entry)
+        if step == _TRIGGER:
+            return [PostponeInference(request)] + self.trigger_update(now, ev)
         return [PostponeInference(request)]
 
     # -- retraining completion -----------------------------------------------
@@ -489,27 +452,27 @@ class Scheduler:
             self.inflight[nxt.job_id] = nxt
             actions.append(StartRetraining(nxt))
         if not self.cfg.certified:
-            actions += self._release_baseline(now)
+            actions += self._release_baseline()
         elif self.cfg.option_i == DOUBLE_CONTEXT:
-            actions += self._respond_ready(now)
+            actions += self._respond_ready()
         if not self.busy():
             actions += self._on_update_complete(now)
         return actions
 
-    def _release_baseline(self, now: float) -> list:
+    def _release_baseline(self) -> list:
         # jobs finish in creation order, so an entry is safe to answer once
         # the completion count reaches the jobs outstanding at its arrival
         actions = []
         keep = []
         for entry in self.backlog:
             if entry.release_after <= self.retrainings_completed:
-                actions += self._respond(entry, entry.request, self._plain_eval(entry.sample))
+                actions += self._answer(entry, self._evaluate(entry.sample, entry.request))
             else:
                 keep.append(entry)
         self.backlog = keep
         return actions
 
-    def _respond_ready(self, now: float) -> list:
+    def _respond_ready(self) -> list:
         # response plane: every completion shrinks the impacted set, so
         # postponed requests are re-judged and answered as soon as they pass
         actions = []
@@ -518,7 +481,7 @@ class Scheduler:
                 continue
             ev = self._evaluate(entry.sample, entry.request, apply_mitigation=False)
             if ev.certified:
-                actions += self._respond(entry, entry.request, ev)
+                actions += self._answer(entry, ev)
         return actions
 
     def _on_update_complete(self, now: float) -> list:
@@ -533,70 +496,28 @@ class Scheduler:
         """Control pass over the backlog after an update (or at shutdown)."""
         actions: list = []
         remaining: list[_Entry] = []
-        trigger_ev = None
         for i, entry in enumerate(self.backlog):
-            if not self.cfg.certified:
-                if not entry.responded:
-                    actions += self._respond(entry, entry.request, self._plain_eval(entry.sample))
-                continue
             ev = self._evaluate(entry.sample, entry.request)
-            if ev.refusal is not None:
+            step = self._control(entry, ev)
+            if step == _ANSWER:
                 if not entry.responded:
-                    actions += self._refuse(entry, entry.request, ev)
-                continue
-            threshold = self.cfg.option_ii == THRESHOLD_TRIGGERED
-            if threshold and entry.control_counted:
-                # reprocessing of an already-counted request: respond if the
-                # fresh state certifies it, otherwise keep waiting
-                if ev.certified:
-                    if not entry.responded:
-                        actions += self._respond(entry, entry.request, ev)
-                else:
-                    remaining.append(entry)
-                continue
-            if threshold:
-                self.window_inferences += 1
-            if ev.certified:
-                if not entry.responded:
-                    actions += self._respond(entry, entry.request, ev)
-                continue
-            if self.cfg.option_ii == IMMEDIATE:
-                remaining.append(entry)
-                continue
-            if self.cfg.option_ii == UNCERT_TRIGGERED:
-                trigger_ev = ev
-                remaining.append(entry)
-                remaining.extend(self.backlog[i + 1 :])
-                break
-            self.window_uncertified += 1
-            entry.control_counted = True
-            if self.window_uncertified > self.cfg.threshold * self.window_inferences:
-                trigger_ev = ev
-                remaining.append(entry)
-                remaining.extend(self.backlog[i + 1 :])
-                break
-            if self.cfg.option_iii == RESPOND_UNCERTIFIED:
-                if not entry.responded:
-                    actions += self._respond(entry, entry.request, ev)
+                    actions += self._answer(entry, ev)
                 continue
             remaining.append(entry)
-        else:
-            self.backlog = remaining
-            return actions
-        # a trigger fired mid-drain; the rest of the backlog rides along
+            if step == _TRIGGER:
+                # the rest of the backlog rides along to the next update
+                self.backlog = remaining + self.backlog[i + 1 :]
+                actions += self.trigger_update(now, ev)
+                if self.cfg.option_i == DOUBLE_CONTEXT:
+                    actions += self._respond_ready()
+                return actions
         self.backlog = remaining
-        actions += self._trigger_update(now, trigger_ev)
-        if self.cfg.option_i == DOUBLE_CONTEXT:
-            actions += self._respond_ready(now)
         return actions
 
     # -- update triggering -----------------------------------------------------
 
-    def trigger_update(self, now: float) -> list:
+    def trigger_update(self, now: float, trigger_ev=None, cause: str = "uncertified") -> list:
         """Batch-retrain every shard with pending unlearning requests."""
-        return self._trigger_update(now, None)
-
-    def _trigger_update(self, now: float, trigger_ev, cause: str = "uncertified") -> list:
         if self.busy():
             raise RuntimeError("update triggered while retraining is in progress")
         candidates = [k for k in range(self.num_shards) if self.pending[k]]
@@ -648,7 +569,7 @@ class Scheduler:
         if self.busy():
             return []
         if any(self.pending[k] for k in range(self.num_shards)):
-            return self._trigger_update(now, None, cause="final")
+            return self.trigger_update(now, cause="final")
         if self.backlog:
             return self._drain(now)
         return []

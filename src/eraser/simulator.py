@@ -27,8 +27,7 @@ from .scheduler import (
     HaltInference,
     PostponeInference,
     RefuseInference,
-    RespondCertified,
-    RespondUncertified,
+    Respond,
     Scheduler,
     StartRetraining,
     VariantConfig,
@@ -165,14 +164,9 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
             if isinstance(act, StartRetraining):
                 heapq.heappush(heap, (act.job.completion, _PRIO_RETRAIN, seq, act.job))
                 seq += 1
-            elif isinstance(act, RespondCertified):
+            elif isinstance(act, Respond):
                 record_response(
                     act.request, now, act.verdict, act.label,
-                    act.versions, act.hypothetical_versions,
-                )
-            elif isinstance(act, RespondUncertified):
-                record_response(
-                    act.request, now, "uncertified", act.label,
                     act.versions, act.hypothetical_versions,
                 )
             elif isinstance(act, RefuseInference):
@@ -262,10 +256,3 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
         if aggregate(count_votes(preds, oracle_cfg.num_classes)) != rec.label:
             violations += 1
     return violations
-
-
-def estimate_p_uc(metrics: Metrics) -> float:
-    """Fraction of consistency judgements that failed, re-checks included."""
-    if metrics.judgements == 0:
-        return 0.0
-    return metrics.judgements_uncertified / metrics.judgements

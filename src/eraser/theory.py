@@ -83,7 +83,7 @@ def t_d(t_i: float, p: TheoryParams) -> float:
     return rem - phase
 
 
-def _wait_at(phase: float, p: TheoryParams, collapsed: bool) -> float:
+def _wait_at(phase: float, p: TheoryParams) -> float:
     """Expected wait of an arrival at the given phase within a period."""
     k = k_r(phase, p)
     if k == 0:
@@ -91,13 +91,6 @@ def _wait_at(phase: float, p: TheoryParams, collapsed: bool) -> float:
     td = t_d(phase, p)
     period = p.period
     puc = p.p_uc
-    if collapsed:
-        # p_uc * t_d  +  sum_{i=2}^{k-1} (1-p) p^i (i-1) T/n_u  +  p^k (k-1) T/n_u
-        total = puc * td
-        for i in range(2, k):
-            total += (1 - puc) * puc**i * (i - 1) * period
-        total += puc**k * (k - 1) * period
-        return total
     # sum_{i=1}^{k-1} (1-p) p^i (t_d + (i-1) T/n_u)  +  p^k (t_d + (k-1) T/n_u)
     total = 0.0
     for i in range(1, k):
@@ -106,9 +99,7 @@ def _wait_at(phase: float, p: TheoryParams, collapsed: bool) -> float:
     return total
 
 
-def expected_wait_dimp_series(
-    p: TheoryParams, points: int = 10_000, series_form: str = "full"
-) -> float:
+def expected_wait_dimp_series(p: TheoryParams, points: int = 10_000) -> float:
     """Expected immediate-unlearning wait from the per-phase judgement series.
 
     Averages the per-arrival series over one inter-arrival period with a
@@ -116,17 +107,9 @@ def expected_wait_dimp_series(
     the r-mod-period breakpoint, where the number of in-flight
     retrainings changes, so each cell integrates a linear piece and the
     rule is exact up to rounding.
-
-    ``series_form`` selects between the full geometric series ("full") and
-    its collapsed rearrangement ("collapsed"); the two are algebraically
-    identical (the first summand of the full form is zero) and are both
-    kept to document that equivalence.
     """
     if points < 1:
         raise ValueError("points must be positive")
-    if series_form not in ("full", "collapsed"):
-        raise ValueError(f"unknown series_form {series_form!r}")
-    collapsed = series_form == "collapsed"
     period = p.period
     rem = p.retrain_duration % period
     segments = [(0.0, rem), (rem, period)] if 0.0 < rem < period else [(0.0, period)]
@@ -139,7 +122,7 @@ def expected_wait_dimp_series(
         step = width / cells
         acc = 0.0
         for j in range(cells):
-            acc += _wait_at(lo + (j + 0.5) * step, p, collapsed)
+            acc += _wait_at(lo + (j + 0.5) * step, p)
         total += acc * step
     return total / period
 

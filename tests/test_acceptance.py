@@ -14,7 +14,7 @@ from eraser.experiment import grid_workload, run_experiment, verify_cert
 from eraser.config import build_experiment_config, parse_config_text
 from eraser.oracle import OracleConfig
 from eraser.scheduler import MitigationConfig, variant_config
-from eraser.simulator import SimParams, estimate_p_uc, replay_privacy_check, run
+from eraser.simulator import SimParams, replay_privacy_check, run
 from eraser.theory import TheoryParams, expected_wait_sisa
 from eraser.workload import WorkloadSpec, generate
 
@@ -112,7 +112,7 @@ def test_criterion_4_immediate_unlearning_speedup_bound():
             workload = grid_workload(n_u, horizon, n_i, K, seed=17)
             m = run(workload, variant_config("DIMP", parallel_capacity=K), oracle,
                     SimParams(r, horizon), collect_log=False)
-            p_uc = estimate_p_uc(m)
+            p_uc = m.p_uc
             bound = p_uc * expected_wait_sisa(TheoryParams(n_u, horizon, r))
             ok = ok and p_uc > 0.0 and m.awt <= bound * 1.05
             if bound > 0:

@@ -14,6 +14,7 @@ from eraser.certify import (
     certify_coarse,
     certify_fine,
     certify_fine_shared_margin,
+    fine_certified,
     gamma_counts,
 )
 from eraser.ensemble import predict_label
@@ -148,6 +149,18 @@ def test_fine_certification_sound_and_exact(inst):
     # sound: a certificate implies no enumeration counterexample; for this
     # per-challenger condition the converse holds as well
     assert fine == brute_force_consistent(preds, impacted, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances)
+def test_hot_path_check_matches_the_verdict(inst):
+    # C=2, an empty impacted set and vote ties are all in the strategy
+    k, c, raw, impacted = inst
+    preds = [label % c for label in raw]
+    ok, winner = fine_certified(preds, sorted(impacted), c)
+    v = certify_fine(preds, impacted, c)
+    assert (ok, winner) == (v.certified, v.winner)
+    assert ok == brute_force_consistent(preds, impacted, c)
 
 
 @settings(max_examples=300, deadline=None)

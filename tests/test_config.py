@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from eraser.config import (
@@ -62,6 +64,28 @@ def test_bad_value_types_are_reported():
         build("[experiment]\nreplications = many\n")
     with pytest.raises(ConfigError, match="variants"):
         build("[experiment]\nvariants = DIMP,NOPE\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, extra",
+    [
+        ("scheduler", "parallel_capacity", "x", ""),
+        ("scheduler", "confidence_threshold", "x", ""),
+        ("oracle", "flip_probability", "x", ""),
+        ("workload", "horizon", "x", ""),
+        ("workload", "horizon", "nan", ""),
+        ("workload", "horizon", "inf", ""),
+        ("sim", "retrain_duration", "nan", ""),
+        ("sim", "retrain_duration", "inf", ""),
+        ("workload", "mu_u", "x", "distribution_u = gaussian"),
+        ("workload", "sigma_u", "x", "distribution_u = gaussian"),
+        ("workload", "mu_i", "x", "distribution_i = gaussian"),
+        ("workload", "sigma_i", "x", "distribution_i = gaussian"),
+    ],
+)
+def test_bad_numbers_are_reported_with_their_key(section, key, value, extra):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        build(f"[{section}]\n{extra}\n{key} = {value}\n")
 
 
 def test_gaussian_distribution_with_auto_moments():

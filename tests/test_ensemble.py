@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eraser.ensemble import ShardVersion, aggregate, count_votes, predict_label
+from eraser.ensemble import aggregate, count_votes, predict_label
 
 
 def test_count_votes_basic():
@@ -72,11 +72,3 @@ def test_winner_count_not_smaller_than_any_other(labels):
     assert all(counts[winner] >= counts[y] for y in range(6))
     # among equal counts the winner is the smallest label
     assert all(y >= winner for y in range(6) if counts[y] == counts[winner])
-
-
-def test_shard_version_validation():
-    ShardVersion(0, 0)
-    with pytest.raises(ValueError):
-        ShardVersion(-1, 0)
-    with pytest.raises(ValueError):
-        ShardVersion(0, -2)

@@ -1,0 +1,106 @@
+"""Golden artifacts: the bytes of metrics.csv and requests.csv are pinned.
+
+Each config runs all eight variants on a small input (K=10, 60 unlearning
++ 600 inference requests) and takes one option path that the benchmark's
+desk and flood workloads never take, so any change of simulated behaviour
+on those paths shows here as a changed hash. When behaviour is meant to
+change, print fresh constants with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import os
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from eraser.config import build_experiment_config, parse_config_text
+from eraser.experiment import run_experiment
+
+BASE = """
+[experiment]
+base_seed = 7
+[workload]
+n_unlearning = 60
+n_inference = 600
+noise_fraction = 0.3
+[oracle]
+num_shards = 10
+num_classes = 4
+accuracy = 0.75
+[scheduler]
+parallel_capacity = 3
+"""
+
+# name -> extra [scheduler] lines
+OPTION_PATHS = {
+    "cert_coarse": "cert_mode = coarse",
+    "cert_disabled": "cert_mode = disabled",
+    "detector": "detector_enabled = true\ndetector_tpr = 0.8\ndetector_fpr = 0.1",
+    "confidence_threshold": "confidence_threshold = 0.5",
+    "retrain_minimal": "retrain_policy = retrain_minimal",
+    "context_switch_latency": "context_switch_latency = 0.5",
+    "shuffle_shards": "shuffle_shards = true",
+}
+
+# name -> (sha256 of metrics.csv, sha256 of requests.csv)
+GOLDEN = {
+    "cert_coarse": (
+        "f7a3b06ecd68c0a968c1c1b387a46048a28f4469f1f491232397929d2719ca9f",
+        "465971a5f897d047512f5f064332de4c45373ed8df8086dca0c1cdc62b0601a2",
+    ),
+    "cert_disabled": (
+        "7ab6c8e2aa7feb1dbcd26287cc9082743efa1ef52a52ff87f10ee2b558e0b10f",
+        "77e3320889f77668f2dad77390ec73e77fe6e47a61ca11a315ad45edbbe49262",
+    ),
+    "confidence_threshold": (
+        "1411b8888d19ced7ffda237481e3d4893ce0e1f6459281353b6c4c3f0d44feef",
+        "8197a7fb8828c28c160bb7afaa4c54f71f08b02ddbe682e533a799f64c5b05ec",
+    ),
+    "context_switch_latency": (
+        "d762b6d95f7965e6a3a8bbc46942f85522e4d3a365d4f3c988cd003cd0a7791c",
+        "4299c8a9d68c694d1daeeddd84e489089737bbd7febd87849d07b19f17d538cb",
+    ),
+    "detector": (
+        "27b35ead7c87c191ec9f4f48deec806df54f4e494fbde9fdcc2cd7c9785854bf",
+        "0877d2f3a8c96866c40f8935d2b0a565551dbfe007b05a6d3ae7a2669580a636",
+    ),
+    "retrain_minimal": (
+        "99a01e1ddc6b0945434ef0a5b5531fac98642723e966b462ec582e76d0d77d14",
+        "95bd48f5256f7da727b7c3f04729e450ab0d06f26f90bc39646f5e4ba7a3c1a6",
+    ),
+    "shuffle_shards": (
+        "4d736db927b079c1911edbb43480cb60e85d3bcc157f4491061b3d37db189fb2",
+        "b0861011b4dcb965c177fef2088e84558c8d2d2967f6558570a8de0585371a55",
+    ),
+}
+
+
+def _artifact_hashes(name, out_dir):
+    cfg = build_experiment_config(parse_config_text(BASE + OPTION_PATHS[name] + "\n"))
+    run_experiment(cfg, out_dir)
+    return tuple(
+        hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+        for f in ("metrics.csv", "requests.csv")
+    )
+
+
+@pytest.fixture(autouse=True)
+def _no_env_seed(monkeypatch):
+    monkeypatch.delenv("ERASER_SEED", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(OPTION_PATHS))
+def test_artifacts_match_the_recorded_bytes(name, tmp_path):
+    assert _artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    os.environ.pop("ERASER_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        for key in sorted(OPTION_PATHS):
+            out = pathlib.Path(tmp) / key
+            metrics, requests = _artifact_hashes(key, out)
+            sys.stdout.write(f'    "{key}": (\n        "{metrics}",\n        "{requests}",\n    ),\n')

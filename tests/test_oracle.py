@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from eraser.ensemble import count_votes
 from eraser.hashing import mix64, mix64_array, mix64_chain
 from eraser.oracle import (
     OracleConfig,
     TraceError,
-    confidence,
     load_trace,
     predict,
     predict_vector,
@@ -120,10 +120,16 @@ def test_true_labels_roughly_balanced():
     assert stats.chisquare(counts).pvalue > 0.01
 
 
+def agreement(cfg, sample, versions):
+    """Share of shards voting for the ensemble's winner."""
+    counts = count_votes(predict_vector(cfg, sample, versions), cfg.num_classes)
+    return int(counts.max()) / cfg.num_shards
+
+
 def test_confidence_definition():
     cfg = _cfg(accuracy=1.0, num_shards=5, num_classes=3)
     s = sample_for(cfg, 0)
-    assert confidence(cfg, s, [0] * 5) == 1.0
+    assert agreement(cfg, s, [0] * 5) == 1.0
 
 
 def test_confidence_agreement_ratio():
@@ -135,16 +141,16 @@ def test_confidence_agreement_ratio():
     trace = load_trace(path)
     cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
     s = sample_for(cfg, 0)
-    assert confidence(cfg, s, [0] * 5) == pytest.approx(0.6)
+    assert agreement(cfg, s, [0] * 5) == pytest.approx(0.6)
 
 
 def test_noise_confidence_well_below_clean_confidence():
     cfg = _cfg(accuracy=0.95, num_classes=10, num_shards=20)
     clean = np.mean(
-        [confidence(cfg, sample_for(cfg, v), [0] * 20) for v in range(300)]
+        [agreement(cfg, sample_for(cfg, v), [0] * 20) for v in range(300)]
     )
     noisy = np.mean(
-        [confidence(cfg, sample_for(cfg, v, True), [0] * 20) for v in range(300)]
+        [agreement(cfg, sample_for(cfg, v, True), [0] * 20) for v in range(300)]
     )
     assert noisy < clean - 0.3
 

@@ -4,13 +4,11 @@ Scheduler directly for the single-step contracts."""
 
 import pytest
 
-from eraser.oracle import OracleConfig, sample_for
+from eraser.oracle import OracleConfig, PredictionTrace, sample_for
 from eraser.scheduler import (
-    MITIGATION_DISCARD,
-    MITIGATION_PASS,
-    MITIGATION_REJECT,
     MitigationConfig,
-    RespondCertified,
+    RefuseInference,
+    Respond,
     Scheduler,
     StartRetraining,
     VARIANT_TABLE,
@@ -103,7 +101,7 @@ def test_certified_inference_with_no_impacted_shards_responds_at_once():
     s = make_sched("DIMP")
     acts = s.on_inference_arrival(infer(0, 5, 1.0), 1.0)
     (resp,) = acts
-    assert isinstance(resp, RespondCertified)
+    assert isinstance(resp, Respond)
     assert resp.verdict == "certified"
 
 
@@ -132,7 +130,8 @@ def test_threshold_within_budget_answers_uncertified():
     s.on_unlearning_arrival(unlearn(1, 1, 0.0), 0.0)
     sample = _find_uncertain_sample(s)
     acts = s.on_inference_arrival(infer(99, sample, 1.0), 1.0)
-    assert [type(a).__name__ for a in acts] == ["RespondUncertified"]
+    assert [type(a).__name__ for a in acts] == ["Respond"]
+    assert acts[0].verdict == "uncertified"
 
 
 def test_postpone_variant_without_trigger_just_postpones():
@@ -167,18 +166,24 @@ def test_unknown_completion_is_an_internal_error():
 def test_detector_degenerate_rates():
     mit = MitigationConfig(detector_enabled=True, detector_tpr=1.0, detector_fpr=0.0)
     s = make_sched("DUTP", mitigation=mit)
-    noise = sample_for(s.oracle_cfg, 1, is_noise=True)
-    clean = sample_for(s.oracle_cfg, 2, is_noise=False)
-    assert s.mitigation_filter(infer(0, 1, 0.0, True), noise, 1.0) == MITIGATION_REJECT
-    assert s.mitigation_filter(infer(1, 2, 0.0), clean, 1.0) == MITIGATION_PASS
+    (refusal,) = s.on_inference_arrival(infer(0, 1, 0.0, True), 0.0)
+    assert isinstance(refusal, RefuseInference) and refusal.reason == "detected"
+    (resp,) = s.on_inference_arrival(infer(1, 2, 0.0), 0.0)
+    assert isinstance(resp, Respond) and resp.verdict == "certified"
+    assert s.judgements == 1  # a refused request is never judged
 
 
 def test_confidence_discard_threshold():
-    mit = MitigationConfig(confidence_threshold=0.5)
-    s = make_sched("DUTP", mitigation=mit)
-    sample = sample_for(s.oracle_cfg, 1)
-    assert s.mitigation_filter(infer(0, 1, 0.0), sample, 1.0) == MITIGATION_PASS
-    assert s.mitigation_filter(infer(0, 1, 0.0), sample, 0.4) == MITIGATION_DISCARD
+    # the winner is backed by 3 of 5 shards: agreement 0.6, via a hand-built trace
+    votes = [0, 0, 0, 1, 1]
+    trace = PredictionTrace(2, 5, {(0, k, 0): (votes[k], 1.0) for k in range(5)})
+    oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
+    for threshold, expect in ((0.6, Respond), (0.61, RefuseInference)):
+        mit = MitigationConfig(confidence_threshold=threshold)
+        s = Scheduler(variant_config("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)
+        (act,) = s.on_inference_arrival(infer(0, 0, 0.0), 0.0)
+        assert isinstance(act, expect)
+    assert act.reason == "low_confidence"
 
 
 def test_shard_shuffle_remaps_round_robin_targets():

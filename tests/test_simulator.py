@@ -4,7 +4,6 @@ import pytest
 from eraser.oracle import OracleConfig, PredictionTrace
 from eraser.simulator import (
     SimParams,
-    estimate_p_uc,
     replay_privacy_check,
     run,
 )
@@ -175,14 +174,15 @@ def test_disabled_certification_emulation_leaks():
     assert replay_privacy_check(m.per_request_log, cfg) > 0
 
 
-def test_estimate_p_uc():
+def test_metrics_p_uc():
     spec = WorkloadSpec(40, 300, 40.0, seed=4)
     wl = generate(spec, 8)
     cfg = oc(K=8, C=4, accuracy=0.7, seed=4)
     m = run(wl, variant_config("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
-    assert estimate_p_uc(m) == pytest.approx(m.judgements_uncertified / m.judgements)
+    assert m.judgements > 0
+    assert m.p_uc == pytest.approx(m.judgements_uncertified / m.judgements)
     empty = run([], variant_config("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
-    assert estimate_p_uc(empty) == 0.0
+    assert empty.p_uc == 0.0
 
 
 def test_at_most_capacity_jobs_in_flight():

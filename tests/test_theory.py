@@ -3,7 +3,7 @@ import pytest
 from eraser.experiment import grid_workload
 from eraser.oracle import OracleConfig
 from eraser.scheduler import variant_config
-from eraser.simulator import SimParams, estimate_p_uc, run
+from eraser.simulator import SimParams, run
 from eraser.theory import (
     TheoryParams,
     dimp_upper_bound,
@@ -76,13 +76,39 @@ def test_k_r_and_t_d_match_direct_window_counting(r):
         assert t_d(t, p) == pytest.approx(_next_completion_gap(t, 10, 100.0, r))
 
 
+def _collapsed_series(p, points=10_000):
+    """Reference: the series with its zero first summand dropped.
+
+    p_uc * t_d + sum_{i=2}^{k-1} (1-p) p^i (i-1) T/n_u + p^k (k-1) T/n_u,
+    averaged over one period on the same cells as the full form.
+    """
+    period = p.period
+    rem = p.retrain_duration % period
+    segments = [(0.0, rem), (rem, period)] if 0.0 < rem < period else [(0.0, period)]
+    total = 0.0
+    for lo, hi in segments:
+        cells = max(1, round(points * (hi - lo) / period))
+        step = (hi - lo) / cells
+        for j in range(cells):
+            phase = lo + (j + 0.5) * step
+            k = k_r(phase, p)
+            if k == 0:
+                continue
+            puc = p.p_uc
+            wait = puc * t_d(phase, p)
+            for i in range(2, k):
+                wait += (1 - puc) * puc**i * (i - 1) * period
+            wait += puc**k * (k - 1) * period
+            total += wait * step
+    return total / period
+
+
 def test_series_forms_are_identical():
     for r in (2.5, 5.0, 10.0, 25.0, 60.0):
         for p_uc in (0.0, 0.01, 0.3, 1.0):
             tp = TheoryParams(10, 100.0, r, p_uc)
-            full = expected_wait_dimp_series(tp, series_form="full")
-            collapsed = expected_wait_dimp_series(tp, series_form="collapsed")
-            assert full == pytest.approx(collapsed, rel=1e-12, abs=1e-15)
+            full = expected_wait_dimp_series(tp)
+            assert full == pytest.approx(_collapsed_series(tp), rel=1e-12, abs=1e-15)
 
 
 def test_series_zero_when_never_uncertified():
@@ -117,7 +143,7 @@ def test_series_tracks_a_dimp_simulation():
     wl = grid_workload(n_u, horizon, 100_000, 20, seed=29)
     m = run(wl, variant_config("DIMP", parallel_capacity=20), cfg,
             SimParams(r, horizon), collect_log=False)
-    p_uc = estimate_p_uc(m)
+    p_uc = m.p_uc
     assert p_uc > 0.001
     series = expected_wait_dimp_series(TheoryParams(n_u, horizon, r, p_uc))
     assert m.awt <= dimp_upper_bound(TheoryParams(n_u, horizon, r, p_uc)) * 1.05
@@ -140,5 +166,3 @@ def test_param_validation():
         TheoryParams(10, 100.0, -1.0)
     with pytest.raises(ValueError):
         TheoryParams(10, 100.0, 5.0, 1.5)
-    with pytest.raises(ValueError):
-        expected_wait_dimp_series(TheoryParams(1, 1.0, 1.0), series_form="other")
