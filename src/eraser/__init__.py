@@ -19,6 +19,7 @@ from .certify import (
     certify_fine,
     certify_fine_shared_margin,
     gamma_counts,
+    judge,
 )
 from .ensemble import aggregate, count_votes, predict_label
 from .oracle import (
@@ -28,6 +29,7 @@ from .oracle import (
     TraceError,
     load_trace,
     predict,
+    predict_matrix,
     predict_vector,
     sample_for,
 )

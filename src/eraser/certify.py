@@ -22,6 +22,9 @@ Three checks are provided:
   variant is UNSOUND and exists only so the fuzz suite can demonstrate
   why the margin must be per-challenger; never use it for serving.
 
+:func:`judge` runs the fine or the coarse test on many samples at once,
+all against one impacted set, and returns arrays in place of verdicts.
+
 :func:`brute_force_consistent` is the independent ground-truth oracle: it
 enumerates every possible post-unlearning label assignment of the
 impacted shards and checks the winner directly.
@@ -102,40 +105,77 @@ def gamma_counts(preds, impacted, y_a: int, y_b: int) -> GammaCounts:
     return GammaCounts(g1, g2, idx.size - g1 - g2)
 
 
-def _margins(p: np.ndarray, idx: np.ndarray, num_classes: int):
-    """The one place the consistency arithmetic lives.
+def _margins(p: np.ndarray, idx: np.ndarray, num_classes: int, coarse: bool = False):
+    """The one place the consistency arithmetic lives, for B rows at once.
 
-    Returns ``(winner, imp, lhs, margin)``, arrays indexed by label ``y``:
-    ``imp[y]`` impacted shards voting ``y`` (so ``gamma1 = imp[winner]``
-    and ``gamma2 = imp[y]``), ``lhs[y] = 2*gamma1 + gamma3`` against ``y``
-    and ``margin[y]`` the winner's lead over ``y``, less one where ``y``
+    ``p`` holds B rows of K predicted labels and ``idx`` the impacted
+    shards, shared by every row. Returns ``(winner, top, imp, lhs,
+    margin)``: ``winner[b]`` the row's plurality label (ties to the smaller
+    label) with ``top[b]`` votes, and ``(B, C)`` arrays indexed by label
+    ``y``: ``imp[b, y]`` impacted shards voting ``y`` (so ``gamma1 =
+    imp[b, winner]`` and ``gamma2 = imp[b, y]``), ``lhs[b, y] = 2*gamma1 +
+    gamma3`` against ``y`` (``2*|impacted|`` with ``coarse``) and
+    ``margin[b, y]`` the winner's lead over ``y``, less one where ``y``
     would win a tie (the smaller label does). At the winner's own index
     both read 0, so a test over every label passes there.
     """
-    counts = count_votes(p, num_classes)
-    winner = int(np.argmax(counts))
-    imp = np.bincount(p[idx], minlength=num_classes)
-    lhs = (idx.size + int(imp[winner])) - imp
-    lhs[winner] = 0
-    margin = int(counts[winner]) - counts
-    margin[:winner] -= 1
-    return winner, imp, lhs, margin
+    counts, imp, winner = _votes(p, idx, num_classes)
+    labels = np.arange(num_classes)
+    w = winner[:, None]
+    is_winner = labels == w
+    top = counts[is_winner]
+    if coarse:
+        lhs = np.where(is_winner, 0, 2 * idx.size)
+    else:
+        lhs = (idx.size + imp[is_winner])[:, None] - imp
+        lhs[is_winner] = 0
+    margin = top[:, None] - counts
+    margin -= labels < w
+    return winner, top, imp, lhs, margin
+
+
+def _votes(p: np.ndarray, idx: np.ndarray, num_classes: int):
+    """``(counts, imp, winner)`` of B rows of labels.
+
+    The votes are tallied by ``bincount`` over ``row*C + label``, all
+    shards for ``counts`` and the impacted ones for ``imp``.
+    """
+    b, k = p.shape
+    c = num_classes
+    # a negative label wraps to a huge unsigned one, so one bound covers both
+    if p.view(np.uint64).max() >= c:
+        bad = int(np.flatnonzero((p < 0) | (p >= c))[0])
+        raise ValueError(
+            f"shard {bad % k} predicts label {int(p.flat[bad])}, outside [0, {c})"
+        )
+    if b > 1:
+        p = p + np.arange(0, b * c, c)[:, None]
+    counts = np.bincount(p.ravel(), minlength=b * c).reshape(b, c)
+    if idx.size:
+        imp = np.bincount(p[:, idx].ravel(), minlength=b * c).reshape(b, c)
+    else:
+        imp = np.zeros_like(counts)
+    return counts, imp, counts.argmax(axis=1)
 
 
 def _verdict(preds, impacted, num_classes, coarse=False, shared_margin=False):
     p = np.asarray(preds, dtype=np.int64)
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("preds must be a non-empty 1-d sequence of labels")
     idx = _normalize_impacted(impacted, p.size)
-    winner, imp, lhs, margin = _margins(p, idx, num_classes)
-    imp, lhs, margin = imp.tolist(), lhs.tolist(), margin.tolist()
+    winner, _, imp, lhs, margin = _margins(p[None, :], idx, num_classes, coarse)
+    winner = int(winner[0])
+    imp, lhs, margin = imp[0].tolist(), lhs[0].tolist(), margin[0].tolist()
     g1, m = imp[winner], int(idx.size)
     challengers = [yb for yb in range(num_classes) if yb != winner]
     biggest = max(margin[yb] for yb in challengers)
     checks = []
     for yb in challengers:
         bound = biggest if shared_margin else margin[yb]
-        left = 2 * m if coarse else lhs[yb]
         gammas = GammaCounts(g1, imp[yb], m - g1 - imp[yb])
-        checks.append(ChallengerCheck(yb, gammas, bound, left <= bound))
+        checks.append(ChallengerCheck(yb, gammas, bound, lhs[yb] <= bound))
     return CertificationVerdict(all(c.satisfied for c in checks), winner, tuple(checks))
 
 
@@ -169,19 +209,24 @@ def certify_fine_shared_margin(preds, impacted, num_classes: int) -> Certificati
     return _verdict(preds, impacted, num_classes, shared_margin=True)
 
 
-def fine_certified(preds, impacted, num_classes: int) -> tuple[bool, int]:
-    """Fine check for hot loops: (certified, winner), with no verdict built.
+def judge(preds, impacted, num_classes: int, coarse: bool = False):
+    """Row-wise check for hot loops, with no verdict built.
 
-    Skips :func:`_normalize_impacted`: callers pass distinct, in-range
-    shard ids.
+    ``preds`` holds B rows of K predicted labels, all judged against one
+    impacted set. Returns ``(certified, winner, top)``, arrays of length
+    B: the fine test's outcome (the coarse test's with ``coarse``), the
+    plurality label and its vote count. An empty impacted set certifies
+    every row. Skips :func:`_normalize_impacted`: callers pass distinct,
+    in-range shard ids.
     """
     p = np.asarray(preds, dtype=np.int64)
     idx = np.asarray(impacted, dtype=np.int64)
     if idx.size == 0:
         # nothing can move, and the empty case is the common one
-        return True, int(np.argmax(count_votes(p, num_classes)))
-    winner, _, lhs, margin = _margins(p, idx, num_classes)
-    return not np.count_nonzero(lhs > margin), winner
+        counts, _, winner = _votes(p, idx, num_classes)
+        return np.ones(p.shape[0], dtype=bool), winner, counts.max(axis=1)
+    winner, top, _, lhs, margin = _margins(p, idx, num_classes, coarse)
+    return ~(lhs > margin).any(axis=1), winner, top
 
 
 _ENUM_CHUNK = 1 << 16

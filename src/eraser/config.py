@@ -123,6 +123,13 @@ def _to_float(values, section, key):
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
 
 
+def _to_nonnegative(values, section, key):
+    x = _to_float(values, section, key)
+    if not (math.isfinite(x) and x >= 0):
+        raise ConfigError(f"[{section}] {key} must be finite and >= 0, got {x!r}")
+    return x
+
+
 def _to_bool(values, section, key):
     raw = values[(section, key)].lower()
     if raw in ("true", "1", "yes"):
@@ -338,11 +345,11 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         parallel_capacity=capacity,
         retrain_policy=values[("scheduler", "retrain_policy")],
         cert_mode=values[("scheduler", "cert_mode")],
-        context_switch_latency=_to_float(values, "scheduler", "context_switch_latency"),
+        context_switch_latency=_to_nonnegative(values, "scheduler", "context_switch_latency"),
         shuffle_shards=_to_bool(values, "scheduler", "shuffle_shards"),
         mitigation=mitigation,
         retrain_duration=retrain_duration,
-        inference_service_time=_to_float(values, "sim", "inference_service_time"),
+        inference_service_time=_to_nonnegative(values, "sim", "inference_service_time"),
         unlearning_on_grid=on_grid,
     )
 

@@ -4,8 +4,8 @@ Everything random in the synthetic prediction oracle and the mitigation
 detector is a pure function of integer coordinates (seed, sample, shard,
 version, ...). A splitmix64-style avalanche chain gives uniform 64-bit
 outputs that are reproducible across runs, independent of call order, and
-cheap enough for the simulator hot path. A vectorized variant covers the
-per-shard prediction case.
+cheap enough for the simulator hot path. Vectorized variants cover
+predictions over many shards and samples at once.
 """
 
 from __future__ import annotations
@@ -49,13 +49,25 @@ def mix64_array(*parts) -> np.ndarray:
     """
     arrs = [np.asarray(p, dtype=np.uint64) for p in parts]
     shape = np.broadcast_shapes(*(a.shape for a in arrs))
-    h = np.full(shape, _INIT, dtype=np.uint64)
+    return mix64_array_chain(np.full(shape, _INIT, dtype=np.uint64), *arrs)
+
+
+def mix64_array_chain(h, *parts) -> np.ndarray:
+    """Vectorized :func:`mix64_chain`: fold integer arrays into hash state ``h``.
+
+    ``h`` is an int (a scalar prefix such as ``mix64(seed, salt)``, folded
+    once) or a uint64 ndarray; each part is an integer ndarray, and the
+    parts broadcast against each other and ``h``, so a part of shape
+    ``(B, 1)`` is folded over B elements before a ``(K,)`` part widens the
+    state to ``(B, K)``.
+    """
     gamma = np.uint64(_GAMMA)
     m1 = np.uint64(_MUL1)
     m2 = np.uint64(_MUL2)
     s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
-    for a in arrs:
-        h = h + gamma + a
+    for a in parts:
+        h = np.asarray(a, dtype=np.uint64) + h
+        h += gamma
         h ^= h >> s30
         h *= m1
         h ^= h >> s27

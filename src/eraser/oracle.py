@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import mix64, mix64_array, mix64_chain
+from .hashing import mix64, mix64_array_chain, mix64_chain
 
 _SALT_TRUE = 0xA1
 _SALT_ACCEPT = 0xA2
@@ -131,79 +131,135 @@ def predict(cfg: OracleConfig, sample: SampleId, shard: int, version: int) -> in
                 f"shard={shard} version={version}"
             ) from None
     if cfg.flip_probability is not None:
-        flip_threshold = min(int(round(cfg.flip_probability * 2.0**64)), 2**64)
-        v = version
-        while v > 0:
-            if mix64(cfg.seed, _SALT_FLIP, sample.value, shard, v) < flip_threshold:
-                break
-            v -= 1
-        return _fresh_label(cfg, sample, shard, v)
+        version = _last_flip(cfg, sample.value, shard, version)
     return _fresh_label(cfg, sample, shard, version)
 
 
-_VECTOR_CUTOVER = 48  # ndarray hashing only pays off for wide ensembles
+_FLIP_BLOCK = 256  # candidate versions hashed per array call
 
 
-def _predict_small(cfg, sample, versions) -> np.ndarray:
+def _last_flip(cfg, value, shard, version) -> int:
+    """Latest retraining at or below ``version`` that resampled the prediction.
+
+    Version v >= 1 flips when its flip hash falls under the threshold; the
+    model at ``version`` predicts what the last flip drew, or version 0's
+    label when none did. Candidates are hashed a block at a time from the
+    top down, so the cost grows with the distance to the last flip only.
+    """
+    thr = min(int(round(cfg.flip_probability * 2.0**64)), 2**64)
+    if thr > _MASK or version == 0:
+        return version
+    base = mix64(cfg.seed, _SALT_FLIP, value, shard)
+    hi = version
+    while hi > 0:
+        lo = max(hi - _FLIP_BLOCK, 0)
+        candidates = np.arange(hi, lo, -1, dtype=np.uint64)
+        hits = np.flatnonzero(mix64_array_chain(base, candidates) < np.uint64(thr))
+        if hits.size:
+            return hi - int(hits[0])
+        hi = lo
+    return 0
+
+
+# Up to this many shard predictions per call the per-shard Python chain beats
+# the fixed cost of the array path.
+_VECTOR_CUTOVER = 48
+
+
+def _predict_small(cfg, value, is_noise, versions) -> list:
     # shared (seed, salt, sample) hash prefix, extended per shard
-    out = [0] * cfg.num_shards
-    if sample.is_noise:
-        base = mix64(cfg.seed, _SALT_NOISE, sample.value)
+    if is_noise:
+        base = mix64(cfg.seed, _SALT_NOISE, value)
         c = cfg.num_classes
-        for k in range(cfg.num_shards):
-            out[k] = mix64_chain(base, k, int(versions[k])) % c
-        return np.asarray(out, dtype=np.int64)
-    base_accept = mix64(cfg.seed, _SALT_ACCEPT, sample.value)
-    base_wrong = mix64(cfg.seed, _SALT_WRONG, sample.value)
+        return [mix64_chain(base, k, v) % c for k, v in enumerate(versions)]
+    out = []
+    base_accept = mix64(cfg.seed, _SALT_ACCEPT, value)
+    base_wrong = mix64(cfg.seed, _SALT_WRONG, value)
     thr = cfg.accept_threshold
-    true = sample.true_label
+    true = true_label_for(cfg, value)
     c1 = cfg.num_classes - 1
-    for k in range(cfg.num_shards):
-        v = int(versions[k])
+    for k, v in enumerate(versions):
         if mix64_chain(base_accept, k, v) < thr:
-            out[k] = true
+            out.append(true)
         else:
             wrong = mix64_chain(base_wrong, k, v) % c1
-            out[k] = wrong if wrong < true else wrong + 1
-    return np.asarray(out, dtype=np.int64)
+            out.append(wrong if wrong < true else wrong + 1)
+    return out
+
+
+def _predict_array(cfg, samples, noise, versions) -> np.ndarray:
+    # (seed, salt) hashed once; sample, shard and version folded as arrays,
+    # each row taking only the chains it needs
+    out = np.empty(versions.shape, dtype=np.int64)
+    shards = np.arange(cfg.num_shards, dtype=np.uint64)
+    vers = versions.astype(np.uint64)
+    c = np.uint64(cfg.num_classes)
+    rows = np.flatnonzero(noise)
+    if rows.size:
+        h = mix64_array_chain(
+            mix64(cfg.seed, _SALT_NOISE), samples[rows, None], shards, vers[rows]
+        )
+        out[rows] = h % c
+    rows = np.flatnonzero(~noise)
+    if not rows.size:
+        return out
+    vals, vers = samples[rows], vers[rows]
+    true = (mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), vals) % c).astype(np.int64)
+    labels = np.repeat(true[:, None], cfg.num_shards, axis=1)
+    thr = cfg.accept_threshold
+    if thr <= _MASK:
+        accept = mix64_array_chain(mix64(cfg.seed, _SALT_ACCEPT), vals[:, None], shards, vers)
+        r, k = np.nonzero(accept >= np.uint64(thr))
+        if r.size:
+            wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), vals[r], shards[k], vers[r, k])
+            wrong = (wrong % (c - np.uint64(1))).astype(np.int64)
+            labels[r, k] = np.where(wrong < true[r], wrong, wrong + 1)
+    out[rows] = labels
+    return out
+
+
+def predict_matrix(cfg: OracleConfig, samples, noise, versions) -> np.ndarray:
+    """Predictions of all K shards for B samples: an int64 ``(B, K)`` array.
+
+    ``samples`` holds B raw sample ids, ``noise`` their noise flags and
+    ``versions`` B rows of K serving versions; ``out[b, k]`` equals
+    :func:`predict` for sample b on shard k at ``versions[b][k]``. Up to
+    ``_VECTOR_CUTOVER`` shard predictions in all are hash-chained per shard
+    in Python, larger batches hashed as arrays; the trace backend and the
+    flip extension fall back to per-shard :func:`predict`.
+    """
+    k = cfg.num_shards
+    b = len(samples)
+    versions = np.asarray(versions, dtype=np.int64)
+    if len(noise) != b or versions.shape != (b, k):
+        raise ValueError(
+            f"expected {b} noise flags and {b} rows of {k} versions, "
+            f"got {len(noise)} flags and versions of shape {versions.shape}"
+        )
+    if cfg.backend == "trace" or cfg.flip_probability is not None:
+        rows = [
+            (sample_for(cfg, int(s), bool(n)), row)
+            for s, n, row in zip(samples, noise, versions.tolist())
+        ]
+        return np.array(
+            [[predict(cfg, sample, j, v) for j, v in enumerate(row)] for sample, row in rows],
+            dtype=np.int64,
+        ).reshape(b, k)
+    if b * k <= _VECTOR_CUTOVER:
+        rows = [
+            _predict_small(cfg, int(s), n, row)
+            for s, n, row in zip(samples, noise, versions.tolist())
+        ]
+        return np.array(rows, dtype=np.int64).reshape(b, k)
+    return _predict_array(
+        cfg, np.asarray(samples, dtype=np.uint64), np.asarray(noise, dtype=bool), versions
+    )
 
 
 def predict_vector(cfg: OracleConfig, sample: SampleId, versions) -> np.ndarray:
-    """Predictions of all K shards at the given serving versions.
-
-    Hash-chained per shard at desk scale, vectorized for wide ensembles;
-    falls back to per-shard :func:`predict` for the trace backend and the
-    flip extension. All paths agree element-for-element.
-    """
-    if len(versions) != cfg.num_shards:
-        raise ValueError(
-            f"expected {cfg.num_shards} versions, got {len(versions)}"
-        )
-    if cfg.backend == "trace" or cfg.flip_probability is not None:
-        return np.array(
-            [predict(cfg, sample, k, int(versions[k])) for k in range(cfg.num_shards)],
-            dtype=np.int64,
-        )
-    if cfg.num_shards <= _VECTOR_CUTOVER:
-        return _predict_small(cfg, sample, versions)
-    versions = np.asarray(versions, dtype=np.int64)
-    shards = np.arange(cfg.num_shards, dtype=np.uint64)
-    vers = versions.astype(np.uint64)
-    if sample.is_noise:
-        h = mix64_array(cfg.seed, _SALT_NOISE, sample.value, shards, vers)
-        return (h % np.uint64(cfg.num_classes)).astype(np.int64)
-    accept = mix64_array(cfg.seed, _SALT_ACCEPT, sample.value, shards, vers)
-    labels = np.full(cfg.num_shards, sample.true_label, dtype=np.int64)
-    thr = cfg.accept_threshold
-    if thr > _MASK:
-        miss = np.zeros(cfg.num_shards, dtype=bool)
-    else:
-        miss = accept >= np.uint64(thr)
-    if miss.any():
-        wrong = mix64_array(cfg.seed, _SALT_WRONG, sample.value, shards[miss], vers[miss])
-        wrong = (wrong % np.uint64(cfg.num_classes - 1)).astype(np.int64)
-        labels[miss] = np.where(wrong < sample.true_label, wrong, wrong + 1)
-    return labels
+    """Predictions of all K shards at the given serving versions: one row
+    of :func:`predict_matrix`."""
+    return predict_matrix(cfg, [sample.value], [sample.is_noise], [versions])[0]
 
 
 def load_trace(path) -> PredictionTrace:

@@ -49,16 +49,16 @@ answer-uncertified siblings.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .certify import certify_coarse, fine_certified
-from .ensemble import aggregate, count_votes
+from .certify import judge
 from .hashing import mix64
-from .oracle import OracleConfig, SampleId
+from .oracle import OracleConfig
 from .workload import INFERENCE, UNLEARNING, Request
 
 SINGLE_CONTEXT = "single_context"
@@ -140,8 +140,8 @@ class VariantConfig:
             raise ValueError(f"unknown retrain_policy {self.retrain_policy!r}")
         if self.cert_mode not in ("fine", "coarse", "disabled"):
             raise ValueError(f"unknown cert_mode {self.cert_mode!r}")
-        if self.context_switch_latency < 0:
-            raise ValueError("context_switch_latency must be >= 0")
+        if not (math.isfinite(self.context_switch_latency) and self.context_switch_latency >= 0):
+            raise ValueError("context_switch_latency must be finite and >= 0")
 
 
 def variant_config(name: str, **overrides) -> VariantConfig:
@@ -216,11 +216,10 @@ _TRIGGER = "trigger"
 
 
 class _Entry:
-    __slots__ = ("request", "sample", "responded", "release_after", "control_counted")
+    __slots__ = ("request", "responded", "release_after", "control_counted")
 
-    def __init__(self, request, sample):
+    def __init__(self, request):
         self.request = request
-        self.sample = sample
         self.responded = False
         # certification-free baseline only: answer once this many
         # retraining jobs have completed (= jobs outstanding at arrival)
@@ -234,8 +233,8 @@ class Scheduler:
     """Deterministic policy state machine for one simulation run."""
 
     def __init__(self, cfg: VariantConfig, oracle_cfg: OracleConfig, retrain_duration: float):
-        if retrain_duration <= 0:
-            raise ValueError("retrain_duration must be positive")
+        if not (math.isfinite(retrain_duration) and retrain_duration > 0):
+            raise ValueError("retrain_duration must be positive and finite")
         self.cfg = cfg
         self.oracle_cfg = oracle_cfg
         self.retrain_duration = retrain_duration
@@ -259,6 +258,7 @@ class Scheduler:
         self.final_triggers = 0
         self._job_counter = 0
         self._versions_tuple = tuple(self.versions)
+        self._versions_array = np.zeros(k, dtype=np.int64)
         self._impacted_cache: np.ndarray | None = np.empty(0, dtype=np.int64)
 
     # -- state inspection --------------------------------------------------
@@ -294,35 +294,64 @@ class Scheduler:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, sample: SampleId, request: Request, apply_mitigation=True) -> _Eval:
+    def _evaluate(self, entries, apply_mitigation=True) -> list[_Eval]:
+        """Judge the entries' samples against the current state in one batch.
+
+        Every entry shares the serving versions and the impacted set, so
+        the predictions and the checks run as one array pass. Counting
+        the judgements is left to the caller's per-entry loop
+        (:meth:`_tally`), which may stop before the last entry.
+        """
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
         mit = self.cfg.mitigation if apply_mitigation and self.cfg.certified else None
-        if mit is not None and mit.detector_enabled:
-            rate = mit.detector_tpr if sample.is_noise else mit.detector_fpr
-            draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
-            if draw < min(int(round(rate * 2.0**64)), 2**64):
-                return _Eval("detected", False, -1, "refused", None)
-        preds = oracle_mod.predict_vector(self.oracle_cfg, sample, self.versions)
-        counts = count_votes(preds, self.num_classes)
-        winner = aggregate(counts)
-        if (
-            mit is not None
-            and mit.confidence_threshold is not None
-            and int(counts[winner]) / self.num_shards < mit.confidence_threshold
-        ):
-            return _Eval("low_confidence", False, winner, "refused", preds)
-        if not self.cfg.certified or self.cfg.cert_mode == "disabled":
-            return _Eval(None, True, winner, "plain", preds)
-        impacted = self.impacted_shards()
-        if self.cfg.cert_mode == "coarse":
-            ok = certify_coarse(preds, impacted, self.num_classes).certified
-        else:
-            ok, _ = fine_certified(preds, impacted, self.num_classes)
-        self.judgements += 1
-        if not ok:
-            self.judgements_uncertified += 1
-        return _Eval(None, ok, winner, "certified" if ok else "uncertified", preds)
+        evals: list = [None] * len(entries)
+        todo = []
+        for i, entry in enumerate(entries):
+            if mit is not None and mit.detector_enabled:
+                rate = mit.detector_tpr if entry.request.is_noise else mit.detector_fpr
+                draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, entry.request.request_id)
+                if draw < min(int(round(rate * 2.0**64)), 2**64):
+                    evals[i] = _Eval("detected", False, -1, "refused", None)
+                    continue
+            todo.append(i)
+        if not todo:
+            return evals
+        preds = oracle_mod.predict_matrix(
+            self.oracle_cfg,
+            [entries[i].request.sample for i in todo],
+            [entries[i].request.is_noise for i in todo],
+            self._versions_array[None, :].repeat(len(todo), axis=0),
+        )
+        certifying = self.cfg.certified and self.cfg.cert_mode != "disabled"
+        certified, winner, top = judge(
+            preds,
+            self.impacted_shards() if certifying else (),
+            self.num_classes,
+            coarse=self.cfg.cert_mode == "coarse",
+        )
+        threshold = mit.confidence_threshold if mit is not None else None
+        rows = zip(todo, preds, certified.tolist(), winner.tolist(), top.tolist())
+        for i, row, ok, label, votes in rows:
+            if threshold is not None and votes / self.num_shards < threshold:
+                evals[i] = _Eval("low_confidence", False, label, "refused", row)
+            elif not certifying:
+                evals[i] = _Eval(None, True, label, "plain", row)
+            else:
+                evals[i] = _Eval(None, ok, label, "certified" if ok else "uncertified", row)
+        return evals
+
+    def _evaluate_one(self, entry: _Entry) -> _Eval:
+        [ev] = self._evaluate([entry])
+        self._tally(ev)
+        return ev
+
+    def _tally(self, ev: _Eval) -> None:
+        """Count one judgement the control or response plane acted on."""
+        if ev.verdict in ("certified", "uncertified"):
+            self.judgements += 1
+            if not ev.certified:
+                self.judgements_uncertified += 1
 
     def _answer(self, entry: _Entry, ev: _Eval) -> list:
         """Respond to, or refuse, a judged request from the current state."""
@@ -403,8 +432,7 @@ class Scheduler:
     def on_inference_arrival(self, request: Request, now: float) -> list:
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
-        sample = oracle_mod.sample_for(self.oracle_cfg, request.sample, request.is_noise)
-        entry = _Entry(request, sample)
+        entry = _Entry(request)
         if self.busy():
             if not self.cfg.certified or self.cfg.option_i == SINGLE_CONTEXT:
                 # halt; only the certification-free baseline reads
@@ -417,11 +445,11 @@ class Scheduler:
                 # mid-update: answer what we soundly can; counting waits for
                 # the control pass at update completion
                 self.backlog.append(entry)
-                ev = self._evaluate(sample, request)
+                ev = self._evaluate_one(entry)
                 if ev.refusal is not None or ev.certified:
                     return self._answer(entry, ev)
                 return [PostponeInference(request)]
-        ev = self._evaluate(sample, request)
+        ev = self._evaluate_one(entry)
         step = self._control(entry, ev)
         if step == _ANSWER:
             return self._answer(entry, ev)
@@ -439,6 +467,7 @@ class Scheduler:
         shard = job.shard
         self.versions[shard] += 1
         self._versions_tuple = tuple(self.versions)
+        self._versions_array[shard] += 1
         for _ in range(job.covered):
             self.pending[shard].popleft()
         self.covered[shard] -= job.covered
@@ -462,24 +491,20 @@ class Scheduler:
     def _release_baseline(self) -> list:
         # jobs finish in creation order, so an entry is safe to answer once
         # the completion count reaches the jobs outstanding at its arrival
+        ready = [e for e in self.backlog if e.release_after <= self.retrainings_completed]
+        self.backlog = [e for e in self.backlog if e.release_after > self.retrainings_completed]
         actions = []
-        keep = []
-        for entry in self.backlog:
-            if entry.release_after <= self.retrainings_completed:
-                actions += self._answer(entry, self._evaluate(entry.sample, entry.request))
-            else:
-                keep.append(entry)
-        self.backlog = keep
+        for entry, ev in zip(ready, self._evaluate(ready)):
+            actions += self._answer(entry, ev)
         return actions
 
     def _respond_ready(self) -> list:
         # response plane: every completion shrinks the impacted set, so
         # postponed requests are re-judged and answered as soon as they pass
+        waiting = [e for e in self.backlog if not e.responded]
         actions = []
-        for entry in self.backlog:
-            if entry.responded:
-                continue
-            ev = self._evaluate(entry.sample, entry.request, apply_mitigation=False)
+        for entry, ev in zip(waiting, self._evaluate(waiting, apply_mitigation=False)):
+            self._tally(ev)
             if ev.certified:
                 actions += self._answer(entry, ev)
         return actions
@@ -496,8 +521,8 @@ class Scheduler:
         """Control pass over the backlog after an update (or at shutdown)."""
         actions: list = []
         remaining: list[_Entry] = []
-        for i, entry in enumerate(self.backlog):
-            ev = self._evaluate(entry.sample, entry.request)
+        for i, (entry, ev) in enumerate(zip(self.backlog, self._evaluate(self.backlog))):
+            self._tally(ev)
             step = self._control(entry, ev)
             if step == _ANSWER:
                 if not entry.responded:
@@ -550,8 +575,7 @@ class Scheduler:
         need = len(order)
         for j in range(1, len(order) + 1):
             rest = np.array(sorted(set(candidates) - set(order[:j])), dtype=np.int64)
-            ok, _ = fine_certified(trigger_ev.preds, rest, self.num_classes)
-            if ok:
+            if judge(trigger_ev.preds[None, :], rest, self.num_classes)[0][0]:
                 need = j
                 break
         take = min(max(need, self.cfg.parallel_capacity), len(order))

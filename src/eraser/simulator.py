@@ -16,12 +16,13 @@ full toward the average waiting time.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .ensemble import aggregate, count_votes
+from .certify import judge
 from .scheduler import (
     CompleteUpdate,
     HaltInference,
@@ -47,12 +48,12 @@ class SimParams:
     inference_service_time: float = 0.0
 
     def __post_init__(self):
-        if self.retrain_duration <= 0:
-            raise ValueError("retrain_duration must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.inference_service_time < 0:
-            raise ValueError("inference_service_time must be >= 0")
+        if not (math.isfinite(self.retrain_duration) and self.retrain_duration > 0):
+            raise ValueError("retrain_duration must be positive and finite")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be positive and finite")
+        if not (math.isfinite(self.inference_service_time) and self.inference_service_time >= 0):
+            raise ValueError("inference_service_time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,9 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     )
 
 
+_REPLAY_CHUNK = 1024  # records replayed per array pass; bounds its memory
+
+
 def replay_privacy_check(per_request_log, oracle_cfg) -> int:
     """Re-derive each answered label under executed-unlearning state.
 
@@ -245,14 +249,21 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
     then-pending unlearning already applied (shard versions advanced past
     their outstanding retrainings) and count disagreements. Uncertified
     and refused responses are excluded: they were never claimed
-    consistent.
+    consistent. The records are replayed in batches: one
+    :func:`~eraser.oracle.predict_matrix` call and one row-wise plurality
+    vote per batch.
     """
+    records = [rec for rec in per_request_log if rec.verdict in ("certified", "plain")]
     violations = 0
-    for rec in per_request_log:
-        if rec.verdict not in ("certified", "plain"):
-            continue
-        sample = oracle_mod.sample_for(oracle_cfg, rec.sample, rec.is_noise)
-        preds = oracle_mod.predict_vector(oracle_cfg, sample, rec.hypothetical_versions)
-        if aggregate(count_votes(preds, oracle_cfg.num_classes)) != rec.label:
-            violations += 1
+    for start in range(0, len(records), _REPLAY_CHUNK):
+        batch = records[start:start + _REPLAY_CHUNK]
+        preds = oracle_mod.predict_matrix(
+            oracle_cfg,
+            [rec.sample for rec in batch],
+            [rec.is_noise for rec in batch],
+            [rec.hypothetical_versions for rec in batch],
+        )
+        _, winner, _ = judge(preds, (), oracle_cfg.num_classes)
+        labels = np.fromiter((rec.label for rec in batch), dtype=np.int64, count=len(batch))
+        violations += int(np.count_nonzero(winner != labels))
     return violations

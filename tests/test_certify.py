@@ -14,8 +14,8 @@ from eraser.certify import (
     certify_coarse,
     certify_fine,
     certify_fine_shared_margin,
-    fine_certified,
     gamma_counts,
+    judge,
 )
 from eraser.ensemble import predict_label
 
@@ -157,10 +157,50 @@ def test_hot_path_check_matches_the_verdict(inst):
     # C=2, an empty impacted set and vote ties are all in the strategy
     k, c, raw, impacted = inst
     preds = [label % c for label in raw]
-    ok, winner = fine_certified(preds, sorted(impacted), c)
+    ok, winner, top = judge([preds], sorted(impacted), c)
     v = certify_fine(preds, impacted, c)
-    assert (ok, winner) == (v.certified, v.winner)
-    assert ok == brute_force_consistent(preds, impacted, c)
+    assert (bool(ok[0]), int(winner[0])) == (v.certified, v.winner)
+    assert ok[0] == brute_force_consistent(preds, impacted, c)
+    assert top[0] == preds.count(v.winner)
+
+
+_batches = st.tuples(st.integers(1, 9), st.integers(2, 5)).flatmap(
+    lambda kc: st.tuples(
+        st.just(kc[0]),
+        st.just(kc[1]),
+        st.lists(
+            st.lists(st.integers(0, kc[1] - 1), min_size=kc[0], max_size=kc[0]),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sets(st.integers(0, kc[0] - 1)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches)
+def test_row_wise_judgement_matches_the_verdicts_row_by_row(batch):
+    k, c, rows, impacted = batch
+    fine, winner, top = judge(rows, sorted(impacted), c)
+    coarse, coarse_winner, _ = judge(rows, sorted(impacted), c, coarse=True)
+    assert (coarse_winner == winner).all()
+    for b, preds in enumerate(rows):
+        v = certify_fine(preds, impacted, c)
+        assert (bool(fine[b]), int(winner[b])) == (v.certified, v.winner)
+        assert top[b] == preds.count(v.winner)
+        assert bool(coarse[b]) == certify_coarse(preds, impacted, c).certified
+        if len(impacted) <= 6:
+            assert fine[b] == brute_force_consistent(preds, impacted, c)
+
+
+def test_row_wise_judgement_rejects_labels_out_of_range():
+    with pytest.raises(ValueError, match="shard 2 predicts label 3"):
+        judge([[0, 1, 1], [0, 1, 3]], [], 3)
+    with pytest.raises(ValueError, match="shard 0 predicts label -1"):
+        judge([[0, 1, 1], [-1, 1, 2]], [1], 3)
+    with pytest.raises(ValueError):
+        certify_fine([0, 3], set(), 3)
 
 
 @settings(max_examples=300, deadline=None)

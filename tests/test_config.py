@@ -105,6 +105,15 @@ def test_grid_for_inference_rejected():
         build("[workload]\ndistribution_i = grid\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "section,key", [("scheduler", "context_switch_latency"), ("sim", "inference_service_time")]
+)
+def test_non_finite_or_negative_times_are_reported_with_their_key(section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        build(f"[{section}]\n{key} = {value}\n")
+
+
 def test_mitigation_block():
     cfg = build(
         "[scheduler]\ndetector_enabled = true\ndetector_tpr = 0.9\n"

@@ -3,8 +3,10 @@
 Each config runs all eight variants on a small input (K=10, 60 unlearning
 + 600 inference requests) and takes one option path that the benchmark's
 desk and flood workloads never take, so any change of simulated behaviour
-on those paths shows here as a changed hash. When behaviour is meant to
-change, print fresh constants with
+on those paths shows here as a changed hash. The wide case runs a K=64
+ensemble (above the oracle's per-shard cutover) under a noise flood and
+also pins each variant's judgement counts, which neither CSV carries.
+When behaviour is meant to change, print fresh constants with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -17,7 +19,7 @@ import tempfile
 import pytest
 
 from eraser.config import build_experiment_config, parse_config_text
-from eraser.experiment import run_experiment
+from eraser.experiment import run_experiment, run_one
 
 BASE = """
 [experiment]
@@ -77,14 +79,62 @@ GOLDEN = {
     ),
 }
 
+# K=64, half noise, round-robin unlearning: the wide oracle path and a heavy
+# backlog, 40 unlearning + 400 inference requests
+WIDE = """
+[experiment]
+base_seed = 7
+[workload]
+n_unlearning = 40
+n_inference = 400
+noise_fraction = 0.5
+shard_assignment = scattered_round_robin
+[oracle]
+num_shards = 64
+num_classes = 10
+accuracy = 0.6
+[scheduler]
+parallel_capacity = 64
+"""
 
-def _artifact_hashes(name, out_dir):
-    cfg = build_experiment_config(parse_config_text(BASE + OPTION_PATHS[name] + "\n"))
+WIDE_GOLDEN = (
+    "92c1768e007f1d7a0c8f75b34bbabd4b4fe917a68c9f04036a5063920e87ec5d",
+    "edb85cf97b5eb3e56635f240b0a35e364e371f767064f2208c5fc0a8df25b89e",
+)
+
+# variant -> (Metrics.judgements, Metrics.judgements_uncertified)
+WIDE_JUDGEMENTS = {
+    "SISA": (0, 0),
+    "DIMP": (644, 173),
+    "SUTP": (427, 27),
+    "DUTP": (1025, 354),
+    "STTU": (449, 62),
+    "DTTU": (1036, 411),
+    "STTP": (477, 77),
+    "DTTP": (1126, 475),
+}
+
+
+def _hashes(cfg, out_dir):
     run_experiment(cfg, out_dir)
     return tuple(
         hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
         for f in ("metrics.csv", "requests.csv")
     )
+
+
+def _artifact_hashes(name, out_dir):
+    cfg = build_experiment_config(parse_config_text(BASE + OPTION_PATHS[name] + "\n"))
+    return _hashes(cfg, out_dir)
+
+
+def _wide_judgements():
+    cfg = build_experiment_config(parse_config_text(WIDE))
+    return {
+        v: (m.judgements, m.judgements_uncertified)
+        for v in cfg.variants
+        for m in [run_one(cfg, v, cfg.base_seed, collect_log=False)]
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +147,11 @@ def test_artifacts_match_the_recorded_bytes(name, tmp_path):
     assert _artifact_hashes(name, tmp_path) == GOLDEN[name]
 
 
+def test_wide_ensemble_matches_the_recorded_bytes_and_judgements(tmp_path):
+    assert _hashes(build_experiment_config(parse_config_text(WIDE)), tmp_path) == WIDE_GOLDEN
+    assert _wide_judgements() == WIDE_JUDGEMENTS
+
+
 if __name__ == "__main__":
     os.environ.pop("ERASER_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,3 +159,8 @@ if __name__ == "__main__":
             out = pathlib.Path(tmp) / key
             metrics, requests = _artifact_hashes(key, out)
             sys.stdout.write(f'    "{key}": (\n        "{metrics}",\n        "{requests}",\n    ),\n')
+        metrics, requests = _hashes(
+            build_experiment_config(parse_config_text(WIDE)), pathlib.Path(tmp) / "wide"
+        )
+        sys.stdout.write(f'WIDE_GOLDEN = (\n    "{metrics}",\n    "{requests}",\n)\n')
+        sys.stdout.write(f"WIDE_JUDGEMENTS = {_wide_judgements()!r}\n")

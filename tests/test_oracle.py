@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from eraser.ensemble import count_votes
-from eraser.hashing import mix64, mix64_array, mix64_chain
+from eraser.hashing import mix64, mix64_array, mix64_array_chain, mix64_chain
 from eraser.oracle import (
     OracleConfig,
+    PredictionTrace,
     TraceError,
     load_trace,
     predict,
+    predict_matrix,
     predict_vector,
     sample_for,
     true_label_for,
@@ -27,6 +30,17 @@ def test_mix64_array_matches_scalar():
     vec = mix64_array(7, a, b, 13)
     for i in range(200):
         assert int(vec[i]) == mix64(7, int(a[i]), int(b[i]), 13)
+
+
+def test_mix64_array_chain_extends_a_scalar_prefix():
+    rng = np.random.default_rng(1)
+    a = rng.integers(0, 2**60, 6, dtype=np.uint64)
+    b = rng.integers(0, 2**60, 4, dtype=np.uint64)
+    vec = mix64_array_chain(mix64(9, 2), a[:, None], b)
+    assert vec.shape == (6, 4)
+    for i in range(6):
+        for j in range(4):
+            assert int(vec[i, j]) == mix64(9, 2, int(a[i]), int(b[j]))
 
 
 def _cfg(**kw):
@@ -63,6 +77,85 @@ def test_predict_vector_matches_scalar_predict():
         versions = rng.integers(0, 6, 20)
         vec = predict_vector(cfg, s, versions)
         assert list(vec) == [predict(cfg, s, k, int(versions[k])) for k in range(20)]
+
+
+def _trace_cfg(num_classes, num_shards, samples, versions):
+    """A trace backend holding a deterministic label for every needed triple."""
+    entries = {
+        (int(s), k, int(v)): (mix64(int(s), k, int(v)) % num_classes, 1.0)
+        for s, row in zip(samples, versions)
+        for k, v in enumerate(row)
+    }
+    trace = PredictionTrace(num_classes, num_shards, entries)
+    return OracleConfig(num_classes, num_shards, 0.5, seed=0, backend="trace", trace=trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([1, 7, 20, 48, 49, 64]),
+    st.integers(2, 10),
+    st.sampled_from([0.0, 1.0, 0.6]),
+    st.sampled_from([None, 0.05, 0.5, 1.0, "trace"]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_predict_matrix_matches_per_shard_predict(b, k, c, accuracy, extension, seed, data):
+    samples = data.draw(st.lists(st.integers(0, 2**40), min_size=b, max_size=b))
+    noise = data.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    rows = st.lists(st.integers(0, 2**20), min_size=k, max_size=k)
+    versions = data.draw(st.lists(rows, min_size=b, max_size=b))
+    if extension == "trace":
+        cfg = _trace_cfg(c, k, samples, versions)
+    else:
+        cfg = OracleConfig(c, k, accuracy, seed=seed, flip_probability=extension)
+    out = predict_matrix(cfg, samples, noise, versions)
+    assert out.dtype == np.int64 and out.shape == (b, k)
+    expected = [
+        [predict(cfg, sample_for(cfg, s, n), j, v) for j, v in enumerate(row)]
+        for s, n, row in zip(samples, noise, versions)
+    ]
+    assert out.tolist() == expected
+    assert predict_vector(cfg, sample_for(cfg, samples[0], noise[0]), versions[0]).tolist() == (
+        expected[0]
+    )
+
+
+@pytest.mark.parametrize("k", [20, 64])
+def test_versions_of_the_wrong_length_are_rejected(k):
+    cfg = _cfg(num_shards=k)
+    with pytest.raises(ValueError):
+        predict_vector(cfg, sample_for(cfg, 1), [0] * (k - 1))
+    with pytest.raises(ValueError):
+        predict_vector(cfg, sample_for(cfg, 1), [0] * (k + 1))
+    with pytest.raises(ValueError):
+        predict_matrix(cfg, [1, 2], [False, True], [[0] * k, [0] * (k - 1)])
+    with pytest.raises(ValueError):
+        predict_matrix(cfg, [1, 2], [False], [[0] * k, [0] * k])
+
+
+def _reference_flip_walk(cfg, value, shard, version):
+    # one hash per version, from the top down to the last flip
+    thr = min(int(round(cfg.flip_probability * 2.0**64)), 2**64)
+    v = version
+    while v > 0:
+        if mix64(cfg.seed, 0xA5, value, shard, v) < thr:
+            break
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("flip", [0.0, 0.01, 0.2, 1.0])
+def test_flip_walk_matches_the_scalar_reference(flip):
+    cfg = _cfg(accuracy=0.5, num_shards=2, flip_probability=flip)
+    plain = _cfg(accuracy=0.5, num_shards=2)
+    for value in (0, 123):
+        clean, noisy = sample_for(cfg, value), sample_for(cfg, value, True)
+        for shard in range(2):
+            for version in range(401):
+                last = _reference_flip_walk(cfg, value, shard, version)
+                for s in (clean, noisy):
+                    assert predict(cfg, s, shard, version) == predict(plain, s, shard, last)
 
 
 def test_perfect_accuracy_always_returns_true_label():

@@ -4,8 +4,9 @@ Scheduler directly for the single-step contracts."""
 
 import pytest
 
-from eraser.oracle import OracleConfig, PredictionTrace, sample_for
+from eraser.oracle import OracleConfig, PredictionTrace
 from eraser.scheduler import (
+    _Entry,
     MitigationConfig,
     RefuseInference,
     Respond,
@@ -147,11 +148,9 @@ def test_postpone_variant_without_trigger_just_postpones():
 
 
 def _find_uncertain_sample(s):
-    for value in range(500):
-        sample = sample_for(s.oracle_cfg, value)
-        ev = s._evaluate(sample, infer(10_000 + value, value, 0.0))
-        s.judgements -= 1
-        s.judgements_uncertified -= not ev.certified
+    # one batch over 500 candidate samples; _evaluate counts no judgement
+    entries = [_Entry(infer(10_000 + value, value, 0.0)) for value in range(500)]
+    for value, ev in enumerate(s._evaluate(entries)):
         if not ev.certified:
             return value
     raise AssertionError("no uncertifiable sample found for this oracle seed")

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from eraser.oracle import OracleConfig, PredictionTrace
+from eraser import simulator
+from eraser.ensemble import predict_label
+from eraser.oracle import OracleConfig, PredictionTrace, predict_vector, sample_for
 from eraser.simulator import (
     SimParams,
     replay_privacy_check,
     run,
 )
-from eraser.scheduler import variant_config
+from eraser.scheduler import MitigationConfig, Scheduler, variant_config
 from eraser.workload import Request, WorkloadSpec, generate
 
 
@@ -159,6 +163,68 @@ def test_replay_counts_only_authoritative_answers():
     certified = [rec for rec in m.per_request_log if rec.verdict == "certified"]
     assert replay_privacy_check(m.per_request_log, cfg) == 0
     assert replay_privacy_check(certified, cfg) == 0
+
+
+def _replay_one_by_one(log, cfg):
+    # per-record reference: one prediction vector and one plurality vote each
+    return sum(
+        predict_label(
+            predict_vector(cfg, sample_for(cfg, rec.sample, rec.is_noise),
+                           rec.hypothetical_versions),
+            cfg.num_classes,
+        ) != rec.label
+        for rec in log
+        if rec.verdict in ("certified", "plain")
+    )
+
+
+def test_replay_of_an_empty_log():
+    assert replay_privacy_check([], oc()) == 0
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+@pytest.mark.parametrize(
+    "name,overrides",
+    [
+        ("STTU", {"mitigation": MitigationConfig(True, 0.7, 0.1)}),
+        ("DTTU", {"cert_mode": "disabled"}),
+        ("SISA", {}),
+    ],
+)
+def test_batched_replay_matches_the_record_by_record_replay(monkeypatch, chunk, name, overrides):
+    monkeypatch.setattr(simulator, "_REPLAY_CHUNK", chunk)
+    cfg = oc(K=10, C=5, accuracy=0.6, seed=13)
+    spec = WorkloadSpec(60, 400, 60.0, seed=13,
+                        shard_assignment="scattered_round_robin", noise_fraction=0.5)
+    wl = generate(spec, 10)
+    v = variant_config(name, parallel_capacity=3, **overrides)
+    log = run(wl, v, cfg, SimParams(1.0, 60.0)).per_request_log
+    verdicts = {rec.verdict for rec in log}
+    if name == "STTU":
+        assert {"certified", "uncertified", "refused_detected"} <= verdicts
+    if name == "DTTU":
+        assert replay_privacy_check(log, cfg) > 0  # nothing holds stale answers back
+    assert replay_privacy_check(log, cfg) == _replay_one_by_one(log, cfg)
+    subset = [rec for rec in log if rec.verdict == "certified"]
+    assert replay_privacy_check(subset, cfg) == _replay_one_by_one(subset, cfg)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: variant_config("SUTP", context_switch_latency=x),
+        lambda x: SimParams(retrain_duration=x, horizon=10.0),
+        lambda x: SimParams(retrain_duration=1.0, horizon=x),
+        lambda x: SimParams(1.0, 10.0, inference_service_time=x),
+        lambda x: Scheduler(variant_config("SUTP"), oc(), retrain_duration=x),
+    ],
+    ids=["context_switch_latency", "retrain_duration", "horizon",
+         "inference_service_time", "scheduler_retrain_duration"],
+)
+def test_non_finite_parameters_are_rejected(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
 
 
 def test_disabled_certification_emulation_leaks():
