@@ -16,7 +16,7 @@ wait; the bound should only be trusted in the overlapping regime.
 """
 
 from eraser import OracleConfig, SimParams, run, variant_config
-from eraser.experiment import grid_workload
+from eraser.workload import grid_workload
 from eraser.theory import (
     TheoryParams,
     dimp_upper_bound,

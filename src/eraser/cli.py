@@ -15,7 +15,9 @@ Subcommands:
 * ``gen-workload --spec <path> --out <csv>`` — generate the workload
   described by a config file's [workload]/[oracle] sections.
 
-The ``ERASER_SEED`` environment variable overrides every config seed.
+The ``ERASER_SEED`` environment variable overrides every config seed. A
+config error is reported on one line, ``eraser: <message>``, with exit
+status 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config, parse_config_text
+from .config import ConfigError, build_experiment_config, load_config, parse_config_text
 from .experiment import compare_theory, run_experiment, run_sweep, verify_cert
 from .theory import TheoryParams, dimp_upper_bound, expected_wait_dimp_series, expected_wait_sisa
 from .workload import export_csv
@@ -106,9 +108,7 @@ def _cmd_theory(args) -> int:
     print(f"dimp_series            {expected_wait_dimp_series(params)!r}")
     if not args.grid:
         return 0
-    from .config import build_experiment_config, parse_config_text as _parse
-
-    base = build_experiment_config(_parse(
+    base = build_experiment_config(parse_config_text(
         f"[workload]\nn_unlearning = {args.n_u}\nhorizon = {args.t}\n"
         f"[sim]\nretrain_duration = {args.r}\n"
     ))
@@ -148,7 +148,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"eraser: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,15 +3,18 @@
 Plain UTF-8 text, ``[section]`` headers and ``key = value`` lines; ``#``
 starts a comment. Every key must belong to the documented schema —
 unknown sections or keys are hard errors (no silent defaults for
-misspellings), reported with their line number. The full key list lives
-in the README.
+misspellings), reported with their line number. Each key is one
+``ExperimentConfig`` field declared with its section, default and parser;
+the README lists them. Building a config parses every key and checks the
+values with each layer's own validated objects, so a value out of range
+is a ``ConfigError`` naming its ``[section] key``.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 from .oracle import OracleConfig, load_trace
 from .scheduler import (
@@ -23,13 +26,12 @@ from .scheduler import (
 )
 from .simulator import SimParams
 from .workload import (
+    GRID,
     UNIFORM,
     UNIFORM_RANDOM,
     Gaussian,
     WorkloadSpec,
-    deterministic_unlearning_grid,
     generate,
-    merge_streams,
     symmetric_multimodal,
 )
 
@@ -40,142 +42,78 @@ class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    ("experiment", "variants"): "SISA,DIMP,SUTP,DUTP,STTU,DTTU,STTP,DTTP",
-    ("experiment", "replications"): "1",
-    ("experiment", "base_seed"): "42",
-    ("workload", "n_unlearning"): "500",
-    ("workload", "n_inference"): "4500",
-    ("workload", "horizon"): "auto",
-    ("workload", "distribution_u"): "uniform",
-    ("workload", "mu_u"): "auto",
-    ("workload", "sigma_u"): "auto",
-    ("workload", "modes_u"): "2",
-    ("workload", "distribution_i"): "uniform",
-    ("workload", "mu_i"): "auto",
-    ("workload", "sigma_i"): "auto",
-    ("workload", "modes_i"): "2",
-    ("workload", "shard_assignment"): UNIFORM_RANDOM,
-    ("workload", "noise_fraction"): "0.0",
-    ("oracle", "num_classes"): "10",
-    ("oracle", "num_shards"): "20",
-    ("oracle", "accuracy"): "0.9",
-    ("oracle", "backend"): "synthetic",
-    ("oracle", "trace_path"): "",
-    ("oracle", "flip_probability"): "none",
-    ("scheduler", "threshold"): "0.05",
-    ("scheduler", "parallel_capacity"): "auto",
-    ("scheduler", "retrain_policy"): RETRAIN_ALL_PENDING,
-    ("scheduler", "cert_mode"): "fine",
-    ("scheduler", "context_switch_latency"): "0.0",
-    ("scheduler", "shuffle_shards"): "false",
-    ("scheduler", "detector_enabled"): "false",
-    ("scheduler", "detector_tpr"): "1.0",
-    ("scheduler", "detector_fpr"): "0.0",
-    ("scheduler", "confidence_threshold"): "none",
-    ("sim", "retrain_duration"): "1.0",
-    ("sim", "inference_service_time"): "0.0",
-}
-_SECTIONS = {section for section, _ in _DEFAULTS}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse key=value text into {(section, key): value} with validation."""
-    values = dict(_DEFAULTS)
-    seen = set()
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if (section, key) not in _DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        if (section, key) in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        seen.add((section, key))
-        values[(section, key)] = value
-    return values
-
-
-def _to_int(values, section, key):
-    raw = values[(section, key)]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _to_float(values, section, key):
-    raw = values[(section, key)]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _to_nonnegative(values, section, key):
-    x = _to_float(values, section, key)
-    if not (math.isfinite(x) and x >= 0):
-        raise ConfigError(f"[{section}] {key} must be finite and >= 0, got {x!r}")
-    return x
-
-
-def _to_bool(values, section, key):
-    raw = values[(section, key)].lower()
-    if raw in ("true", "1", "yes"):
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
         return True
-    if raw in ("false", "0", "no"):
+    if raw.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected true/false, got {raw!r}")
+    raise ValueError(raw)
 
 
-GRID = "grid"
+def _names(raw: str) -> tuple:
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+_EXPECTED = {int: "an integer", float: "a number", _bool: "true/false"}
+
+
+def _key(section: str, default: str, parse=str, unset: str | None = None):
+    """A config key's section, default text and parser; ``unset`` parses to None."""
+    return field(metadata={"section": section, "default": default, "parse": parse, "unset": unset})
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description: an ``auto`` horizon and capacity
+    filled in, and arrival profiles in place of the distribution names.
+    """
 
-    variants: tuple
-    replications: int
-    base_seed: int
-    n_unlearning: int
-    n_inference: int
-    horizon: float
-    distribution_u: object
-    distribution_i: object
-    shard_assignment: str
-    noise_fraction: float
-    num_classes: int
-    num_shards: int
-    accuracy: float
-    backend: str
-    trace_path: str
-    flip_probability: float | None
-    threshold: float
-    parallel_capacity: int
-    retrain_policy: str
-    cert_mode: str
-    context_switch_latency: float
-    shuffle_shards: bool
-    mitigation: MitigationConfig | None
-    retrain_duration: float
-    inference_service_time: float
-    unlearning_on_grid: bool = False
+    variants: tuple = _key("experiment", "SISA,DIMP,SUTP,DUTP,STTU,DTTU,STTP,DTTP", _names)
+    replications: int = _key("experiment", "1", int)
+    base_seed: int = _key("experiment", "42", int)
+    n_unlearning: int = _key("workload", "500", int)
+    n_inference: int = _key("workload", "4500", int)
+    horizon: float = _key("workload", "auto", float, "auto")
+    distribution_u: object = _key("workload", UNIFORM)
+    mu_u: float | None = _key("workload", "auto", float, "auto")
+    sigma_u: float | None = _key("workload", "auto", float, "auto")
+    modes_u: int = _key("workload", "2", int)
+    distribution_i: object = _key("workload", UNIFORM)
+    mu_i: float | None = _key("workload", "auto", float, "auto")
+    sigma_i: float | None = _key("workload", "auto", float, "auto")
+    modes_i: int = _key("workload", "2", int)
+    shard_assignment: str = _key("workload", UNIFORM_RANDOM)
+    noise_fraction: float = _key("workload", "0.0", float)
+    num_classes: int = _key("oracle", "10", int)
+    num_shards: int = _key("oracle", "20", int)
+    accuracy: float = _key("oracle", "0.9", float)
+    backend: str = _key("oracle", "synthetic")
+    trace_path: str = _key("oracle", "")
+    flip_probability: float | None = _key("oracle", "none", float, "none")
+    threshold: float = _key("scheduler", "0.05", float)
+    parallel_capacity: int = _key("scheduler", "auto", int, "auto")
+    retrain_policy: str = _key("scheduler", RETRAIN_ALL_PENDING)
+    cert_mode: str = _key("scheduler", "fine")
+    context_switch_latency: float = _key("scheduler", "0.0", float)
+    shuffle_shards: bool = _key("scheduler", "false", _bool)
+    detector_enabled: bool = _key("scheduler", "false", _bool)
+    detector_tpr: float = _key("scheduler", "1.0", float)
+    detector_fpr: float = _key("scheduler", "0.0", float)
+    confidence_threshold: float | None = _key("scheduler", "none", float, "none")
+    retrain_duration: float = _key("sim", "1.0", float)
+    inference_service_time: float = _key("sim", "0.0", float)
     _trace_cache: object = field(default=None, repr=False, compare=False)
 
     def seeds(self) -> list[int]:
         return [self.base_seed + i for i in range(self.replications)]
+
+    @property
+    def mitigation(self) -> MitigationConfig | None:
+        if not (self.detector_enabled or self.confidence_threshold is not None):
+            return None
+        return MitigationConfig(
+            self.detector_enabled, self.detector_tpr, self.detector_fpr, self.confidence_threshold
+        )
 
     def oracle_config(self, seed: int) -> OracleConfig:
         trace = None
@@ -213,145 +151,123 @@ class ExperimentConfig:
             context_switch_latency=self.context_switch_latency,
         )
 
-    def build_workload(self, seed: int):
-        if self.unlearning_on_grid:
-            streams = []
-            if self.n_unlearning:
-                streams.append(
-                    deterministic_unlearning_grid(
-                        self.n_unlearning, self.horizon, self.num_shards, seed,
-                        self.shard_assignment,
-                    )
-                )
-            if self.n_inference:
-                spec = WorkloadSpec(
-                    0, self.n_inference, self.horizon, seed,
-                    distribution_i=self.distribution_i,
-                    noise_fraction=self.noise_fraction,
-                )
-                streams.append(generate(spec, self.num_shards))
-            return merge_streams(*streams) if streams else []
-        spec = WorkloadSpec(
+    def _workload_spec(self, seed: int) -> WorkloadSpec:
+        return WorkloadSpec(
             self.n_unlearning, self.n_inference, self.horizon, seed,
             distribution_u=self.distribution_u,
             distribution_i=self.distribution_i,
             shard_assignment=self.shard_assignment,
             noise_fraction=self.noise_fraction,
         )
-        return generate(spec, self.num_shards)
+
+    def build_workload(self, seed: int):
+        return generate(self._workload_spec(seed), self.num_shards)
 
 
-def _distribution(values, kind, horizon):
-    name = values[("workload", f"distribution_{kind}")]
-    if name == UNIFORM:
-        return UNIFORM
-    if name == GRID:
-        if kind != "u":
-            raise ConfigError("grid arrivals are only supported for unlearning requests")
-        return GRID
-    mu, sigma = horizon / 2.0, horizon / 3.0
-    if values[("workload", f"mu_{kind}")] != "auto":
-        mu = _to_float(values, "workload", f"mu_{kind}")
-    if values[("workload", f"sigma_{kind}")] != "auto":
-        sigma = _to_float(values, "workload", f"sigma_{kind}")
+_KEYS = {(f.metadata["section"], f.name): f for f in fields(ExperimentConfig) if f.metadata}
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse key=value text into {(section, key): value} with validation."""
+    values = {k: f.metadata["default"] for k, f in _KEYS.items()}
+    sections = {s for s, _ in _KEYS}
+    seen = set()
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in sections:
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if section is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (section, key) not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+        seen.add((section, key))
+        values[(section, key)] = value
+    return values
+
+
+def _parse(f, raw: str):
+    section, parse, unset = (f.metadata[m] for m in ("section", "parse", "unset"))
+    if raw == unset:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        expected = _EXPECTED[parse] + (f" or {unset}" if unset else "")
+        raise ConfigError(f"[{section}] {f.name}: expected {expected}, got {raw!r}") from None
+
+
+def _checked(build, *args, key: str | None = None):
+    """Build a layer's own validated object; what it refuses is a ConfigError.
+
+    The error names the key the layer's message opens with, else ``key``.
+    An unreadable trace file (``OSError``) is refused too.
+    """
+    try:
+        return build(*args)
+    except (ValueError, OSError) as exc:
+        msg = str(exc)
+        opening = re.findall(r"\w+", msg)[:2]
+        named = [k for k in _KEYS if k[1] in opening] or [k for k in _KEYS if k[1] == key]
+        if not named:
+            raise ConfigError(msg) from None
+        section, name = named[0]
+        raise ConfigError(f"[{section}] " + (msg if msg.startswith(name) else f"{name}: {msg}")) from None
+
+
+def _distribution(cfg: ExperimentConfig, kind: str):
+    """The arrival profile ``distribution_<kind>`` names, auto moments filled in."""
+    name = getattr(cfg, f"distribution_{kind}")
+    if name in (UNIFORM, GRID):
+        return name
     if name == "gaussian":
-        return Gaussian(mu, sigma)
+        mu, sigma = getattr(cfg, f"mu_{kind}"), getattr(cfg, f"sigma_{kind}")
+        mu = cfg.horizon / 2.0 if mu is None else mu
+        sigma = cfg.horizon / 3.0 if sigma is None else sigma
+        return _checked(Gaussian, mu, sigma, key=f"sigma_{kind}")
     if name == "multimodal":
-        return symmetric_multimodal(_to_int(values, "workload", f"modes_{kind}"), horizon)
+        modes = getattr(cfg, f"modes_{kind}")
+        return _checked(symmetric_multimodal, modes, cfg.horizon, key=f"modes_{kind}")
     raise ConfigError(f"[workload] distribution_{kind}: unknown distribution {name!r}")
 
 
 def build_experiment_config(values: dict) -> ExperimentConfig:
-    variants = tuple(
-        v.strip() for v in values[("experiment", "variants")].split(",") if v.strip()
-    )
-    for v in variants:
-        if v not in VARIANT_NAMES:
-            raise ConfigError(f"[experiment] variants: unknown variant {v!r}")
-    if not variants:
+    cfg = ExperimentConfig(**{f.name: _parse(f, values[k]) for k, f in _KEYS.items()})
+    if not cfg.variants:
         raise ConfigError("[experiment] variants: need at least one variant")
-    replications = _to_int(values, "experiment", "replications")
-    if replications < 1:
+    if cfg.replications < 1:
         raise ConfigError("[experiment] replications must be >= 1")
-    base_seed = _to_int(values, "experiment", "base_seed")
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            base_seed = int(env_seed)
+            cfg.base_seed = int(env_seed)
         except ValueError:
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from None
-
-    n_u = _to_int(values, "workload", "n_unlearning")
-    n_i = _to_int(values, "workload", "n_inference")
-    retrain_duration = _to_float(values, "sim", "retrain_duration")
-    if not (math.isfinite(retrain_duration) and retrain_duration > 0):
-        raise ConfigError("[sim] retrain_duration must be positive and finite")
-    if values[("workload", "horizon")] == "auto":
-        horizon = max(n_u, 1) * retrain_duration
-    else:
-        horizon = _to_float(values, "workload", "horizon")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError("[workload] horizon must be positive and finite")
-
-    dist_u = _distribution(values, "u", horizon)
-    dist_i = _distribution(values, "i", horizon)
-    on_grid = dist_u == GRID
-    if on_grid:
-        dist_u = UNIFORM  # placeholder; grid stream is built separately
-
-    num_shards = _to_int(values, "oracle", "num_shards")
-    if values[("scheduler", "parallel_capacity")] == "auto":
-        capacity = num_shards
-    else:
-        capacity = _to_int(values, "scheduler", "parallel_capacity")
-
-    confidence_threshold = None
-    if values[("scheduler", "confidence_threshold")] != "none":
-        confidence_threshold = _to_float(values, "scheduler", "confidence_threshold")
-    detector_enabled = _to_bool(values, "scheduler", "detector_enabled")
-    mitigation = None
-    if detector_enabled or confidence_threshold is not None:
-        mitigation = MitigationConfig(
-            detector_enabled=detector_enabled,
-            detector_tpr=_to_float(values, "scheduler", "detector_tpr"),
-            detector_fpr=_to_float(values, "scheduler", "detector_fpr"),
-            confidence_threshold=confidence_threshold,
-        )
-
-    flip = None
-    if values[("oracle", "flip_probability")] != "none":
-        flip = _to_float(values, "oracle", "flip_probability")
-
-    return ExperimentConfig(
-        variants=variants,
-        replications=replications,
-        base_seed=base_seed,
-        n_unlearning=n_u,
-        n_inference=n_i,
-        horizon=horizon,
-        distribution_u=dist_u,
-        distribution_i=dist_i,
-        shard_assignment=values[("workload", "shard_assignment")],
-        noise_fraction=_to_float(values, "workload", "noise_fraction"),
-        num_classes=_to_int(values, "oracle", "num_classes"),
-        num_shards=num_shards,
-        accuracy=_to_float(values, "oracle", "accuracy"),
-        backend=values[("oracle", "backend")],
-        trace_path=values[("oracle", "trace_path")],
-        flip_probability=flip,
-        threshold=_to_float(values, "scheduler", "threshold"),
-        parallel_capacity=capacity,
-        retrain_policy=values[("scheduler", "retrain_policy")],
-        cert_mode=values[("scheduler", "cert_mode")],
-        context_switch_latency=_to_nonnegative(values, "scheduler", "context_switch_latency"),
-        shuffle_shards=_to_bool(values, "scheduler", "shuffle_shards"),
-        mitigation=mitigation,
-        retrain_duration=retrain_duration,
-        inference_service_time=_to_nonnegative(values, "sim", "inference_service_time"),
-        unlearning_on_grid=on_grid,
-    )
+    if cfg.horizon is None:
+        cfg.horizon = max(cfg.n_unlearning, 1) * cfg.retrain_duration
+    if cfg.parallel_capacity is None:
+        cfg.parallel_capacity = cfg.num_shards
+    _checked(cfg.sim_params, cfg.base_seed)
+    cfg.distribution_u = _distribution(cfg, "u")
+    cfg.distribution_i = _distribution(cfg, "i")
+    _checked(cfg._workload_spec, cfg.base_seed)
+    _checked(cfg.oracle_config, cfg.base_seed, key="trace_path")
+    # Every variant, so a key that only some variants read is checked too.
+    for name in cfg.variants + VARIANT_NAMES:
+        _checked(cfg.variant, name, key="variants")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -364,7 +280,7 @@ def apply_override(values: dict, dotted_key: str, value: str) -> dict:
     if "." not in dotted_key:
         raise ConfigError(f"override key must look like section.key, got {dotted_key!r}")
     section, key = dotted_key.split(".", 1)
-    if (section, key) not in _DEFAULTS:
+    if (section, key) not in _KEYS:
         raise ConfigError(f"unknown override target {dotted_key!r}")
     out = dict(values)
     out[(section, key)] = value

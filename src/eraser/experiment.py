@@ -31,7 +31,7 @@ from .theory import (
     expected_wait_sisa,
     require_grid_workload,
 )
-from .workload import WorkloadSpec, deterministic_unlearning_grid, generate, merge_streams
+from .workload import grid_workload
 
 METRICS_COLUMNS = (
     "variant", "seed", "awt", "nor", "uncertified_responses", "p_uc",
@@ -226,15 +226,6 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
 
 
 # --- theory vs simulation ----------------------------------------------------
-
-
-def grid_workload(n_u, horizon, n_i, num_shards, seed):
-    """Fixed-interval unlearning grid merged with uniform inference arrivals."""
-    streams = [deterministic_unlearning_grid(n_u, horizon, num_shards, seed)]
-    if n_i:
-        spec = WorkloadSpec(0, n_i, horizon, seed)
-        streams.append(generate(spec, num_shards))
-    return merge_streams(*streams)
 
 
 def compare_theory(cfg: ExperimentConfig, r_values, n_inference: int = 50_000,

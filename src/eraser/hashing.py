@@ -40,18 +40,6 @@ def mix64(*parts: int) -> int:
     return mix64_chain(_INIT, *parts)
 
 
-def mix64_array(*parts) -> np.ndarray:
-    """Vectorized :func:`mix64`.
-
-    Each part is a scalar int or an integer ndarray; arrays broadcast
-    against each other. Returns a uint64 ndarray, elementwise identical to
-    calling ``mix64`` on the scalar tuples.
-    """
-    arrs = [np.asarray(p, dtype=np.uint64) for p in parts]
-    shape = np.broadcast_shapes(*(a.shape for a in arrs))
-    return mix64_array_chain(np.full(shape, _INIT, dtype=np.uint64), *arrs)
-
-
 def mix64_array_chain(h, *parts) -> np.ndarray:
     """Vectorized :func:`mix64_chain`: fold integer arrays into hash state ``h``.
 

@@ -104,9 +104,10 @@ class MitigationConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
-        for rate in (self.detector_tpr, self.detector_fpr):
+        for name in ("detector_tpr", "detector_fpr"):
+            rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"detector rates must be in [0, 1], got {rate}")
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.confidence_threshold is not None and not (
             0.0 <= self.confidence_threshold <= 1.0
         ):

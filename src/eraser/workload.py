@@ -3,9 +3,11 @@
 A workload is a time-sorted list of inference and unlearning requests over
 a horizon [0, T]. Arrival times follow uniform, (truncated) Gaussian, or
 multimodal-Gaussian profiles; samples falling outside [0, T] are re-drawn
-until they land inside. Unlearning requests target shards either uniformly
-at random or in the adversarial round-robin pattern that maximizes how
-scattered the pending set is. A configurable fraction of inference samples
+until they land inside. Unlearning arrivals can instead sit on a
+fixed-interval grid, the arrival model of the waiting-time formulas.
+Unlearning requests target shards either uniformly at random or in the
+adversarial round-robin pattern that maximizes how scattered the pending
+set is. A configurable fraction of inference samples
 is flagged as noise (the hard-to-classify attack inputs).
 
 Streams round-trip through CSV (schema:
@@ -87,6 +89,7 @@ def symmetric_multimodal(num_modes: int, horizon: float) -> Multimodal:
 
 
 UNIFORM = "uniform"
+GRID = "grid"  # unlearning only: see grid_workload
 
 
 @dataclass(frozen=True)
@@ -101,16 +104,19 @@ class WorkloadSpec:
     noise_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.n_unlearning < 0 or self.n_inference < 0:
-            raise ValueError("request counts must be non-negative")
+        for name in ("n_unlearning", "n_inference"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.shard_assignment not in (UNIFORM_RANDOM, SCATTERED_ROUND_ROBIN):
             raise ValueError(f"unknown shard_assignment {self.shard_assignment!r}")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ValueError("noise_fraction must be in [0, 1]")
+        if self.distribution_i == GRID:
+            raise ValueError("distribution_i cannot be grid: the grid is for unlearning arrivals")
         for dist in (self.distribution_u, self.distribution_i):
-            if dist != UNIFORM and not isinstance(dist, (Gaussian, Multimodal)):
+            if dist not in (UNIFORM, GRID) and not isinstance(dist, (Gaussian, Multimodal)):
                 raise ValueError(f"unknown distribution {dist!r}")
 
 
@@ -151,10 +157,15 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
 
     The result is a pure function of (spec, num_shards). Exactly
     ``round(noise_fraction * n_inference)`` inference samples carry the
-    noise flag.
+    noise flag. Unlearning on the ``GRID`` takes :func:`grid_workload`.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if spec.distribution_u == GRID:
+        return grid_workload(
+            spec.n_unlearning, spec.horizon, spec.n_inference, num_shards, spec.seed,
+            spec.shard_assignment, spec.distribution_i, spec.noise_fraction,
+        )
     rng = np.random.default_rng(spec.seed)
     u_arrivals = np.sort(_sample_arrivals(rng, spec.distribution_u, spec.n_unlearning, spec.horizon))
     i_arrivals = np.sort(_sample_arrivals(rng, spec.distribution_i, spec.n_inference, spec.horizon))
@@ -209,6 +220,28 @@ def deterministic_unlearning_grid(
             for i in range(n_unlearning)
         ]
     )
+
+
+def grid_workload(n_unlearning: int, horizon: float, n_inference: int, num_shards: int,
+                  seed: int, shard_assignment: str = UNIFORM_RANDOM,
+                  distribution_i: object = UNIFORM, noise_fraction: float = 0.0) -> list[Request]:
+    """Fixed-interval unlearning grid merged with generated inference arrivals.
+
+    The grid's shard draws and the inference stream each take their own
+    generator seeded with ``seed``.
+    """
+    streams = []
+    if n_unlearning:
+        streams.append(
+            deterministic_unlearning_grid(n_unlearning, horizon, num_shards, seed, shard_assignment)
+        )
+    if n_inference:
+        spec = WorkloadSpec(
+            0, n_inference, horizon, seed,
+            distribution_i=distribution_i, noise_fraction=noise_fraction,
+        )
+        streams.append(generate(spec, num_shards))
+    return merge_streams(*streams)
 
 
 def merge_streams(*streams) -> list[Request]:

@@ -10,13 +10,13 @@ time.
 import numpy as np
 import pytest
 
-from eraser.experiment import grid_workload, run_experiment, verify_cert
+from eraser.experiment import run_experiment, verify_cert
 from eraser.config import build_experiment_config, parse_config_text
 from eraser.oracle import OracleConfig
 from eraser.scheduler import MitigationConfig, variant_config
 from eraser.simulator import SimParams, replay_privacy_check, run
 from eraser.theory import TheoryParams, expected_wait_sisa
-from eraser.workload import WorkloadSpec, generate
+from eraser.workload import WorkloadSpec, generate, grid_workload
 
 SEEDS = list(range(42, 47))
 POSTPONE_VARIANTS = ("DIMP", "SUTP", "DUTP", "STTP", "DTTP")

@@ -72,6 +72,15 @@ def test_sweep_emits_one_block_per_value(config_file, tmp_path):
     assert len(lines) == 1 + 2 * 3 * 2  # values x variants x replications
 
 
+def test_config_error_is_reported_on_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[oracle]\naccuracy = 1.5\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eraser: [oracle] accuracy") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_cert_exit_status_and_report(capsys):
     assert main(["verify-cert", "--trials", "2000", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
+import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from eraser.config import (
     build_experiment_config,
     parse_config_text,
 )
+from eraser.scheduler import VARIANT_NAMES
 from eraser.workload import Gaussian
 
 
@@ -88,6 +91,38 @@ def test_bad_numbers_are_reported_with_their_key(section, key, value, extra):
         build(f"[{section}]\n{extra}\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("oracle", "accuracy", "1.5"),
+        ("oracle", "num_shards", "0"),
+        ("scheduler", "cert_mode", "bogus"),
+        ("scheduler", "retrain_policy", "bogus"),
+        ("scheduler", "threshold", "1.5"),
+        ("scheduler", "parallel_capacity", "0"),
+        ("workload", "noise_fraction", "2"),
+        ("workload", "shard_assignment", "bogus"),
+    ],
+)
+def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+        build(f"[{section}]\n{key} = {value}\n")
+
+
+def test_every_key_is_parsed_even_where_unused():
+    with pytest.raises(ConfigError, match=re.escape("[workload] mu_u")):
+        build("[workload]\ndistribution_u = uniform\nmu_u = x\n")
+
+
+def test_readme_lists_every_key_once_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("All keys with their defaults:", 1)[1].split("```")[1]
+    assignments = [line for line in block.splitlines() if "=" in line.split("#", 1)[0]]
+    defaults = parse_config_text("")
+    assert len(assignments) == len(defaults) == 34
+    assert parse_config_text(block) == defaults
+
+
 def test_gaussian_distribution_with_auto_moments():
     cfg = build("[workload]\ndistribution_i = gaussian\nhorizon = 120\n")
     assert cfg.distribution_i == Gaussian(60.0, 40.0)
@@ -150,3 +185,113 @@ def test_workload_seeds_follow_base_seed():
     a = cfg.build_workload(10)
     b = cfg.build_workload(10)
     assert a == b
+
+
+# Config texts that together set every key, each resolved on all its seeds.
+RESOLUTION_TEXTS = {
+    "gaussian": """
+[experiment]
+variants = DIMP,STTU
+replications = 2
+base_seed = 5
+[workload]
+n_unlearning = 12
+n_inference = 40
+horizon = 30
+distribution_u = gaussian
+mu_u = 10
+sigma_u = 4
+distribution_i = gaussian
+noise_fraction = 0.25
+[oracle]
+num_classes = 4
+num_shards = 6
+accuracy = 0.7
+backend = synthetic
+trace_path = unused.trace
+flip_probability = 0.05
+[scheduler]
+threshold = 0.2
+parallel_capacity = 3
+retrain_policy = retrain_minimal
+cert_mode = coarse
+context_switch_latency = 0.5
+shuffle_shards = true
+detector_enabled = true
+detector_tpr = 0.8
+detector_fpr = 0.1
+[sim]
+retrain_duration = 2.5
+inference_service_time = 0.125
+""",
+    "multimodal": """
+[experiment]
+base_seed = 11
+[workload]
+n_unlearning = 15
+n_inference = 35
+distribution_u = multimodal
+modes_u = 3
+distribution_i = multimodal
+mu_i = 4
+sigma_i = 2
+modes_i = 1
+shard_assignment = scattered_round_robin
+[scheduler]
+confidence_threshold = 0.6
+""",
+    "grid": """
+[experiment]
+variants = SISA
+[workload]
+n_unlearning = 8
+n_inference = 30
+horizon = 40
+distribution_u = grid
+shard_assignment = scattered_round_robin
+distribution_i = gaussian
+noise_fraction = 0.5
+[oracle]
+num_shards = 5
+""",
+    "grid_without_inference": """
+[workload]
+n_unlearning = 6
+n_inference = 0
+distribution_u = grid
+""",
+    "no_unlearning": """
+[workload]
+n_unlearning = 0
+n_inference = 25
+distribution_u = gaussian
+sigma_u = 3
+""",
+}
+
+RESOLUTION_DIGESTS = {
+    "gaussian": "62f0f31f0dbd0e3fade706c862b0af7d04165fcfb3ec4bdb9c3b4a941a4871c6",
+    "grid": "b3c34b40b7b5090895c38c90eeaa6d44f25ef90e932aac9c36a821a15c8ffb4e",
+    "grid_without_inference": "0e4dee1eb87bd260b3f62800ac47d72078279082c98dd7fa392aa238b5f8aa87",
+    "multimodal": "002886ba6d4860576c690dbbdd0c40ad4bd54f41a3d8370d19839edcc7fe3d68",
+    "no_unlearning": "33878b064e72e9260c869117e47acd2c3978c87105c785b37dc3168231c7d5e9",
+}
+
+
+def resolution_digest(text):
+    cfg = build(text)
+    h = hashlib.sha256(repr((cfg.variants, cfg.seeds(), cfg.num_shards)).encode())
+    for s in cfg.seeds():
+        h.update(repr(cfg.oracle_config(s)).encode())
+        h.update(repr(cfg.sim_params(s)).encode())
+        for v in VARIANT_NAMES:
+            h.update(repr(cfg.variant(v)).encode())
+        for request in cfg.build_workload(s):
+            h.update(repr(request).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_TEXTS))
+def test_configs_resolve_to_the_recorded_objects(name, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert resolution_digest(RESOLUTION_TEXTS[name]) == RESOLUTION_DIGESTS[name]

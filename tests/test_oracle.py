@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from eraser.ensemble import count_votes
-from eraser.hashing import mix64, mix64_array, mix64_array_chain, mix64_chain
+from eraser.hashing import mix64, mix64_array_chain, mix64_chain
 from eraser.oracle import (
     OracleConfig,
     PredictionTrace,
@@ -21,15 +21,6 @@ from eraser.oracle import (
 def test_mix64_chain_extends_the_flat_hash():
     assert mix64(3, 5, 7) == mix64_chain(mix64(3, 5), 7)
     assert mix64(1) == mix64_chain(mix64(), 1)
-
-
-def test_mix64_array_matches_scalar():
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 2**60, 200)
-    b = rng.integers(0, 2**60, 200)
-    vec = mix64_array(7, a, b, 13)
-    for i in range(200):
-        assert int(vec[i]) == mix64(7, int(a[i]), int(b[i]), 13)
 
 
 def test_mix64_array_chain_extends_a_scalar_prefix():

@@ -154,6 +154,19 @@ def test_replay_clean_for_postpone_variants():
         assert replay_privacy_check(m.per_request_log, cfg) == 0
 
 
+# Known fault: SISA releases a halted inference once the retraining jobs
+# that predate it finish, while unlearning that arrived during the halt is
+# still pending, so its plain answer can disagree with the replay (6, 3 and
+# 3 answers at these capacities). Strict: the test fails once that is fixed.
+@pytest.mark.xfail(strict=True, reason="SISA answers before unlearning that arrived mid-halt")
+@pytest.mark.parametrize("capacity", [1, 2, 8])
+def test_sisa_plain_answers_replay_clean(capacity):
+    wl = generate(WorkloadSpec(40, 30, 50.0, seed=899), 8)
+    cfg = oc(K=8, C=3, accuracy=0.3, seed=899)
+    m = run(wl, variant_config("SISA", parallel_capacity=capacity), cfg, SimParams(1.0, 50.0))
+    assert replay_privacy_check(m.per_request_log, cfg) == 0
+
+
 def test_replay_counts_only_authoritative_answers():
     spec = WorkloadSpec(60, 500, 60.0, seed=22)
     wl = generate(spec, 12)

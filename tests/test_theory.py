@@ -1,6 +1,5 @@
 import pytest
 
-from eraser.experiment import grid_workload
 from eraser.oracle import OracleConfig
 from eraser.scheduler import variant_config
 from eraser.simulator import SimParams, run
@@ -13,7 +12,7 @@ from eraser.theory import (
     require_grid_workload,
     t_d,
 )
-from eraser.workload import WorkloadSpec, generate
+from eraser.workload import WorkloadSpec, generate, grid_workload
 
 
 def test_expected_wait_sisa_both_branches():
