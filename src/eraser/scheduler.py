@@ -261,6 +261,8 @@ class Scheduler:
         self._versions_tuple = tuple(self.versions)
         self._versions_array = np.zeros(k, dtype=np.int64)
         self._impacted_cache: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._hypo_cache: tuple | None = None
+        self._kept: deque = deque()  # (request, verdict) judged ahead, in arrival order
 
     # -- state inspection --------------------------------------------------
 
@@ -282,16 +284,16 @@ class Scheduler:
 
     def _hypothetical_versions(self) -> tuple:
         """Versions each shard will reach once all pending work executes."""
-        impacted = self.impacted_shards()
-        if impacted.size == 0 and not any(self.jobs_scheduled):
-            return self._versions_tuple
-        hypo = list(self.versions)
-        for k in range(self.num_shards):
-            extra = self.jobs_scheduled[k]
-            if len(self.pending[k]) > self.covered[k]:
-                extra += 1
-            hypo[k] += extra
-        return tuple(hypo)
+        if self._hypo_cache is None:
+            self._hypo_cache = tuple(
+                v + self.jobs_scheduled[k] + (len(self.pending[k]) > self.covered[k])
+                for k, v in enumerate(self.versions)
+            )
+        return self._hypo_cache
+
+    def _state_changed(self) -> None:
+        self._impacted_cache = self._hypo_cache = None
+        self._kept.clear()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -342,8 +344,16 @@ class Scheduler:
                 evals[i] = _Eval(None, ok, label, "certified" if ok else "uncertified", row)
         return evals
 
-    def _evaluate_one(self, entry: _Entry) -> _Eval:
-        [ev] = self._evaluate([entry])
+    def _evaluate_one(self, entry: _Entry, upcoming) -> _Eval:
+        kept = self._kept
+        while kept and kept[0][0] is not entry.request:
+            kept.popleft()
+        if kept:
+            ev = kept.popleft()[1]
+        else:
+            ahead = list(upcoming())
+            ev, *rest = self._evaluate([entry] + [_Entry(r) for r in ahead])
+            kept.extend(zip(ahead, rest))
         self._tally(ev)
         return ev
 
@@ -399,6 +409,7 @@ class Scheduler:
 
     def _start_or_enqueue(self, job: Job, now: float, delay: float = 0.0) -> list:
         self.jobs_scheduled[job.shard] += 1
+        self._hypo_cache = None
         if len(self.inflight) < self.cfg.parallel_capacity:
             job.completion = now + delay + self.retrain_duration
             self.inflight[job.job_id] = job
@@ -422,7 +433,7 @@ class Scheduler:
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
         self.pending[shard].append(request.request_id)
-        self._impacted_cache = None
+        self._state_changed()
         if self.cfg.option_ii != IMMEDIATE:
             return []
         # one retraining per request, even when the shard already has jobs
@@ -430,7 +441,10 @@ class Scheduler:
         self.covered[shard] += 1
         return self._start_or_enqueue(job, now)
 
-    def on_inference_arrival(self, request: Request, now: float) -> list:
+    def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list:
+        """Handle one inference arrival. ``upcoming``, a hint, returns the arrivals
+        expected next under the same state; on a miss they are judged in one batch
+        with this one and their verdicts kept. It never changes a decision."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
         entry = _Entry(request)
@@ -446,11 +460,11 @@ class Scheduler:
                 # mid-update: answer what we soundly can; counting waits for
                 # the control pass at update completion
                 self.backlog.append(entry)
-                ev = self._evaluate_one(entry)
+                ev = self._evaluate_one(entry, upcoming)
                 if ev.refusal is not None or ev.certified:
                     return self._answer(entry, ev)
                 return [PostponeInference(request)]
-        ev = self._evaluate_one(entry)
+        ev = self._evaluate_one(entry, upcoming)
         step = self._control(entry, ev)
         if step == _ANSWER:
             return self._answer(entry, ev)
@@ -473,7 +487,7 @@ class Scheduler:
             self.pending[shard].popleft()
         self.covered[shard] -= job.covered
         self.jobs_scheduled[shard] -= 1
-        self._impacted_cache = None
+        self._state_changed()
         self.retrainings_completed += 1
         actions = []
         if self.queue:

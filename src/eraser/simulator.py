@@ -1,11 +1,17 @@
 """Deterministic discrete-event engine.
 
 Feeds a sorted request stream into a scheduler plus prediction oracle and
-collects latency/retraining metrics. Events are totally ordered by
-(time, kind priority, insertion sequence); at equal timestamps retraining
+collects latency/retraining metrics. Events come from two sources: the
+workload's requests, sorted once by (arrival, kind, position), and a heap
+of scheduled retraining completions. At equal timestamps retraining
 completions are processed first, then unlearning arrivals, then inference
 arrivals, which keeps hand-traces unambiguous and maximizes certified
 responses.
+
+An inference arrival offers the scheduler the run that follows it: at most
+``_RUN_CHUNK`` inference arrivals, up to the next unlearning arrival and
+strictly before the earliest scheduled completion. The versions and the
+pending unlearning stay fixed over such a run, so one batch judges it.
 
 After the last workload event the engine drains to quiescence: leftover
 pending unlearning requests are executed by a final update and every
@@ -18,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -35,9 +42,7 @@ from .scheduler import (
 )
 from .workload import INFERENCE, UNLEARNING
 
-_PRIO_RETRAIN = 0
-_PRIO_UNLEARN = 1
-_PRIO_INFER = 2
+_RUN_CHUNK = 256  # arrivals offered to the scheduler as one batch, at most
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,10 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     _validate_workload(workload, params.horizon)
     sched = Scheduler(variant, oracle_cfg, params.retrain_duration)
 
-    heap = []
+    requests = sorted(workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
+    heap = []  # (completion, seq, job) of started retrainings
     seq = 0
-    for r in workload:
-        prio = _PRIO_UNLEARN if r.kind == UNLEARNING else _PRIO_INFER
-        heapq.heappush(heap, (r.arrival, prio, seq, r))
-        seq += 1
+    nxt = 0  # index of the next request to arrive
 
     records: list[RequestRecord] = []
     waits: list[float] = []
@@ -163,7 +166,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         nonlocal seq
         for act in actions:
             if isinstance(act, StartRetraining):
-                heapq.heappush(heap, (act.job.completion, _PRIO_RETRAIN, seq, act.job))
+                heapq.heappush(heap, (act.job.completion, seq, act.job))
                 seq += 1
             elif isinstance(act, Respond):
                 record_response(
@@ -179,26 +182,36 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
             else:
                 raise SimulationError(f"unknown scheduler action {act!r}")
 
-    def drain_heap():
-        nonlocal now
-        while heap:
-            time, prio, _, payload = heapq.heappop(heap)
-            now = time
-            if prio == _PRIO_RETRAIN:
-                apply(sched.on_retraining_complete(payload.job_id, now), now)
-            elif prio == _PRIO_UNLEARN:
-                apply(sched.on_unlearning_arrival(payload, now), now)
-            else:
-                apply(sched.on_inference_arrival(payload, now), now)
+    def upcoming():
+        # the inference arrivals after requests[nxt] that share its state
+        limit = heap[0][0] if heap else math.inf
+        return list(takewhile(lambda r: r.kind == INFERENCE and r.arrival < limit,
+                              requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]))
 
-    drain_heap()
+    def drain_events():
+        nonlocal now, nxt
+        while nxt < len(requests) or heap:
+            if heap and (nxt == len(requests) or heap[0][0] <= requests[nxt].arrival):
+                now, _, job = heapq.heappop(heap)
+                apply(sched.on_retraining_complete(job.job_id, now), now)
+                continue
+            r = requests[nxt]
+            now = r.arrival
+            if r.kind == UNLEARNING:
+                actions = sched.on_unlearning_arrival(r, now)
+            else:
+                actions = sched.on_inference_arrival(r, now, upcoming)
+            nxt += 1
+            apply(actions, now)
+
+    drain_events()
     now = max(now, params.horizon)
     while not sched.quiet():
         actions = sched.finalize(now)
         if not actions and not heap:
             raise SimulationError("simulation cannot make progress toward quiescence")
         apply(actions, now)
-        drain_heap()
+        drain_events()
         now = max(now, params.horizon)
 
     if len(terminal) != n_inferences:

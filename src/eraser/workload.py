@@ -17,6 +17,7 @@ workload can be fed to every scheduler variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ UNLEARNING = "unlearning"
 
 # Merge order at equal arrival times: unlearning ahead of inference.
 _KIND_PRIORITY = {UNLEARNING: 0, INFERENCE: 1}
+
+# Least share of a profile's draws inside [0, horizon]; below it re-drawing never ends.
+_MIN_MASS_INSIDE = 1e-6
 
 UNIFORM_RANDOM = "uniform_random"
 SCATTERED_ROUND_ROBIN = "scattered_round_robin"
@@ -115,9 +119,22 @@ class WorkloadSpec:
             raise ValueError("noise_fraction must be in [0, 1]")
         if self.distribution_i == GRID:
             raise ValueError("distribution_i cannot be grid: the grid is for unlearning arrivals")
-        for dist in (self.distribution_u, self.distribution_i):
+        for key in ("distribution_u", "distribution_i"):
+            dist = getattr(self, key)
             if dist not in (UNIFORM, GRID) and not isinstance(dist, (Gaussian, Multimodal)):
                 raise ValueError(f"unknown distribution {dist!r}")
+            if dist not in (UNIFORM, GRID) and _mass_inside(dist, self.horizon) < _MIN_MASS_INSIDE:
+                raise ValueError(f"{key} puts almost no arrival mass inside [0, {self.horizon}]")
+
+
+def _mass_inside(dist, horizon) -> float:
+    """Share of a Gaussian or multimodal profile's draws that land in [0, horizon]."""
+    if isinstance(dist, Gaussian):
+        dist = Multimodal((dist.mu,), (dist.sigma,), (1.0,))
+    return sum(
+        w * (math.erf((horizon - m) / (s * math.sqrt(2))) + math.erf(m / (s * math.sqrt(2)))) / 2
+        for m, s, w in zip(dist.means, dist.sigmas, dist.weights)
+    )
 
 
 def _sample_arrivals(rng, dist, n, horizon):

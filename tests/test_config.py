@@ -135,6 +135,14 @@ def test_grid_unlearning_arrivals():
     assert arrivals == [0.0, 25.0, 50.0, 75.0]
 
 
+@pytest.mark.parametrize("kind", ["i", "u"])
+def test_profile_with_no_mass_inside_the_horizon_is_reported_at_load_time(kind):
+    text = (f"[workload]\nhorizon = 10\ndistribution_{kind} = gaussian\n"
+            f"mu_{kind} = 1e6\nsigma_{kind} = 1\n")
+    with pytest.raises(ConfigError, match=rf"^\[workload\] distribution_{kind} "):
+        build(text)
+
+
 def test_grid_for_inference_rejected():
     with pytest.raises(ConfigError):
         build("[workload]\ndistribution_i = grid\n")

@@ -2,6 +2,8 @@
 re-checks) is covered end to end in test_simulator; these drive the
 Scheduler directly for the single-step contracts."""
 
+import heapq
+
 import pytest
 
 from eraser.oracle import OracleConfig, PredictionTrace
@@ -233,3 +235,87 @@ def test_threshold_counters_read_zero_after_an_update_completes():
     (start,) = s.trigger_update(1.0)
     s.on_retraining_complete(start.job.job_id, 6.0)
     assert s.window_inferences == 0 and s.window_uncertified == 0
+
+
+def _hint_script():
+    # inference arrivals every 0.25 with unlearning for shards 0-3 at
+    # intervals, so runs of arrivals are cut by arrivals and completions
+    script = []
+    for step in range(80):
+        t = step * 0.25
+        if step % 9 == 4:
+            script.append(unlearn(len(script), step % 4, t))
+        script.append(infer(len(script), step, t))
+    return script
+
+
+def _drive(name, hint):
+    """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i."""
+    s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2,
+                   threshold=0.2)
+    evaluated, batch = [], s._evaluate
+
+    def counting(entries, *args, **kwargs):
+        evaluated.append(len(entries))
+        return batch(entries, *args, **kwargs)
+
+    s._evaluate = counting
+    script, heap, log = _hint_script(), [], []
+
+    def apply(actions):
+        for act in actions:
+            if isinstance(act, StartRetraining):
+                heapq.heappush(heap, (act.job.completion, act.job.job_id))
+        log.append(actions)
+
+    def complete(t, job_id):
+        apply(s.on_retraining_complete(job_id, t))
+        assert not s._kept  # no verdict outlives a completion
+
+    for i, req in enumerate(script):
+        while heap and heap[0][0] <= req.arrival:
+            complete(*heapq.heappop(heap))
+        if req.kind == "unlearning":
+            apply(s.on_unlearning_arrival(req, req.arrival))
+            assert not s._kept  # nor an unlearning arrival
+        else:
+            apply(s.on_inference_arrival(req, req.arrival, lambda: hint(script, i)))
+    for _ in range(50):  # bounded, so a scheduler that cannot quiesce fails, not hangs
+        if s.quiet():
+            break
+        apply(s.finalize(100.0))
+        while heap:
+            complete(*heapq.heappop(heap))
+    assert s.quiet()
+    return log, s.judgements, s.judgements_uncertified, evaluated
+
+
+def _same_state_run(script, i):
+    run = []
+    for req in script[i + 1:]:
+        if req.kind != "inference":
+            break
+        run.append(req)
+    return run
+
+
+HINTS = {
+    "truncated": lambda script, i: _same_state_run(script, i)[:2],
+    "past_a_state_change": lambda script, i: [r for r in script[i + 1:] if r.kind == "inference"],
+    # same request ids as the real arrivals, other samples: never arrive
+    "never_arrive": lambda script, i: [
+        infer(r.request_id, r.sample + 1_000, r.arrival) for r in _same_state_run(script, i)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+@pytest.mark.parametrize("hint", sorted(HINTS))
+def test_the_upcoming_hint_never_changes_a_decision(name, hint):
+    log, judgements, uncertified, plain_batches = _drive(name, lambda script, i: ())
+    hinted_log, *counts, batches = _drive(name, HINTS[hint])
+    assert hinted_log == log
+    assert counts == [judgements, uncertified]
+    assert judgements > 0 or name == "SISA"
+    if hint != "never_arrive":  # the kept verdicts were used, in fewer batches
+        assert len(batches) < len(plain_batches)

@@ -10,6 +10,7 @@ from eraser.workload import (
     Multimodal,
     Request,
     WorkloadSpec,
+    _mass_inside,
     deterministic_unlearning_grid,
     export_csv,
     generate,
@@ -143,3 +144,27 @@ def test_request_validation():
         Request(INFERENCE, 0.0, 0)  # missing sample
     with pytest.raises(ValueError):
         Request(UNLEARNING, 0.0, 0)  # missing shard
+
+
+@pytest.mark.parametrize("key", ["distribution_u", "distribution_i"])
+@pytest.mark.parametrize(
+    "dist", [Gaussian(1e6, 1.0), Gaussian(-50.0, 1.0), Multimodal((-40.0, 60.0), (2.0, 2.0), (0.5, 0.5))]
+)
+def test_profile_with_no_mass_inside_the_horizon_is_rejected(key, dist):
+    # re-drawing until the arrivals land in [0, 10] would never end
+    with pytest.raises(ValueError, match=f"^{key} "):
+        WorkloadSpec(5, 5, 10.0, seed=1, **{key: dist})
+
+
+def test_profile_mass_inside_the_horizon_matches_the_normal_cdf():
+    for dist, horizon in ((Gaussian(-3.0, 1.0), 10.0), (Gaussian(5.0, 40.0), 10.0),
+                          (Multimodal((-2.0, 12.0), (1.0, 3.0), (0.3, 0.7)), 10.0)):
+        parts = ([(dist.mu, dist.sigma, 1.0)] if isinstance(dist, Gaussian)
+                 else zip(dist.means, dist.sigmas, dist.weights))
+        want = sum(w * (stats.norm.cdf(horizon, m, s) - stats.norm.cdf(0.0, m, s))
+                   for m, s, w in parts)
+        assert _mass_inside(dist, horizon) == pytest.approx(want, rel=1e-9)
+    # a thin tail inside the horizon is still accepted and drawn from
+    spec = WorkloadSpec(0, 50, 10.0, seed=4, distribution_i=Gaussian(-3.0, 1.0))
+    times = arrivals(generate(spec, 2))
+    assert len(times) == 50 and all(0.0 <= t <= 10.0 for t in times) and np.mean(times) < 1.0
