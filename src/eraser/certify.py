@@ -23,11 +23,14 @@ Three checks are provided:
   why the margin must be per-challenger; never use it for serving.
 
 :func:`judge` runs the fine or the coarse test on many samples at once,
-all against one impacted set, and returns arrays in place of verdicts.
+all against one impacted set, and returns arrays in place of verdicts;
+:func:`certify_rows` returns all three tests' outcomes the same way.
 
-:func:`brute_force_consistent` is the independent ground-truth oracle: it
+:func:`brute_force_consistent` is the independent ground-truth oracle: a
+one-row call of the row-wise enumerator :func:`consistent_rows`, which
 enumerates every possible post-unlearning label assignment of the
-impacted shards and checks the winner directly.
+impacted shards and checks the winner directly. The enumerator keeps its
+own vote tally and argmax, sharing no code with the margin core.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ensemble import aggregate, count_votes
 
 
 class EnumerationCapError(ValueError):
@@ -229,40 +230,77 @@ def judge(preds, impacted, num_classes: int, coarse: bool = False):
     return ~(lhs > margin).any(axis=1), winner, top
 
 
+def certify_rows(preds, impacted, num_classes: int):
+    """``(fine, coarse, shared)`` of B rows against one impacted set.
+
+    The outcomes of :func:`certify_fine`, :func:`certify_coarse` and
+    :func:`certify_fine_shared_margin` from one :func:`_margins` pass; the
+    row's largest margin is a challenger's, as the winner's reads 0. Like
+    :func:`judge`, skips :func:`_normalize_impacted`.
+    """
+    idx = np.asarray(impacted, dtype=np.int64)
+    winner, _, _, lhs, margin = _margins(np.asarray(preds, dtype=np.int64), idx, num_classes)
+    is_winner = np.arange(num_classes) == winner[:, None]
+    return (
+        (lhs <= margin).all(axis=1),
+        ((2 * idx.size <= margin) | is_winner).all(axis=1),
+        (lhs <= margin.max(axis=1, keepdims=True)).all(axis=1),
+    )
+
+
 _ENUM_CHUNK = 1 << 16
 
 
-def brute_force_consistent(preds, impacted, num_classes: int, cap: int = 12) -> bool:
-    """Ground truth: does every relabeling of impacted shards keep the winner?
+def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndarray:
+    """Ground truth for B rows against one impacted set, as a boolean array.
 
     Enumerates all ``num_classes ** len(impacted)`` assignments of labels to
-    the impacted shards and recomputes the aggregate for each; returns True
-    iff the winner never changes. Raises :class:`EnumerationCapError` when
-    ``len(impacted) > cap`` (the enumeration grows exponentially).
+    the impacted shards in chunks of codes, at most ``_ENUM_CHUNK`` (rows x
+    assignments) a step for B up to that, re-tallies every live row under
+    each, and keeps a row only while its argmax (ties to the smaller label)
+    never moves. The tally is its own, not the margin core's. Raises
+    :class:`EnumerationCapError` when ``len(impacted) > cap``.
     """
     p = np.asarray(preds, dtype=np.int64)
-    counts = count_votes(p, num_classes)
-    winner = aggregate(counts)
-    idx = _normalize_impacted(impacted, p.size)
-    m = int(idx.size)
+    idx = np.asarray(impacted, dtype=np.int64)
+    (b, k), c, m = p.shape, num_classes, int(idx.size)
+    if c < 2 or k == 0 or p.min(initial=0) < 0 or p.max(initial=0) >= c:
+        raise ValueError(f"need num_classes >= 2, K >= 1 and labels in [0, {c})")
+    offsets = np.arange(0, b * c, c)[:, None]
+    counts = np.bincount((p + offsets).ravel(), minlength=b * c).reshape(b, c)
+    winner = counts.argmax(axis=1)
+    ok = np.ones(b, dtype=bool)
     if m == 0:
-        return True
+        return ok
     if m > cap:
         raise EnumerationCapError(
             f"{m} impacted shards exceed the enumeration cap of {cap}; "
             f"reduce the instance size or raise the cap"
         )
-    base = counts - np.bincount(p[idx], minlength=num_classes)
-    total = num_classes**m
-    radix = num_classes ** np.arange(m, dtype=np.int64)
-    for start in range(0, total, _ENUM_CHUNK):
-        codes = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // radix[None, :]) % num_classes
-        trial = np.broadcast_to(base, (codes.size, num_classes)).copy()
-        rows = np.arange(codes.size)
-        for j in range(m):
-            trial[rows, digits[:, j]] += 1
-        # argmax keeps the smallest label on ties, matching aggregate().
-        if not (np.argmax(trial, axis=1) == winner).all():
-            return False
-    return True
+    base = counts - np.bincount((p[:, idx] + offsets).ravel(), minlength=b * c).reshape(b, c)
+    # steps grow eightfold from a small one, so a flip near code 0 ends early
+    start, total, step = 0, c**m, 1 << 9
+    while start < total and ok.any():
+        live = np.flatnonzero(ok)
+        codes = np.arange(start, min(start + max(1, step // live.size), total))
+        start, step = start + codes.size, min(8 * step, _ENUM_CHUNK)
+        added = np.zeros((codes.size, c), dtype=np.int64)
+        for _ in range(m):
+            added[np.arange(codes.size), codes % c] += 1
+            codes //= c
+        trial = base[live, None, :] + added
+        ok[live] = (trial.argmax(axis=2) == winner[live, None]).all(axis=1)
+    return ok
+
+
+def brute_force_consistent(preds, impacted, num_classes: int, cap: int = 12) -> bool:
+    """Ground truth: does every relabeling of impacted shards keep the winner?
+
+    A one-row call of :func:`consistent_rows`: True iff no assignment of
+    labels to the impacted shards changes the plurality winner. Raises
+    :class:`EnumerationCapError` when ``len(impacted) > cap`` (the
+    enumeration grows exponentially).
+    """
+    p = np.asarray(preds, dtype=np.int64)
+    idx = _normalize_impacted(impacted, p.size)
+    return bool(consistent_rows(p[None, :], idx, num_classes, cap)[0])

@@ -7,8 +7,8 @@ Subcommands:
 * ``sweep --config <path> --param <section.key> --values <comma list>
   --out <dir> [--jobs N]`` — rerun the experiment per value, emit sweep.csv.
 * ``verify-cert --trials N [--max-shards K] [--max-classes C] [--seed S]``
-  — fuzz the consistency checks against the brute-force oracle; exits
-  nonzero on any soundness or dominance violation.
+  — fuzz the consistency checks against the brute-force oracle; exits 1
+  on any soundness or dominance violation, 2 on a bad argument.
 * ``theory --n-u N --t T --r R [--p-uc P] [--grid]`` — print the
   closed-form waiting times; with ``--grid``, also simulate over a grid
   of retrain durations and report relative errors as CSV.
@@ -88,7 +88,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_cert(args) -> int:
-    report = verify_cert(args.trials, args.max_shards, args.max_classes, args.seed)
+    try:
+        report = verify_cert(args.trials, args.max_shards, args.max_classes, args.seed)
+    except ValueError as exc:  # bad arguments, the enumeration cap among them
+        print(f"eraser: {exc}", file=sys.stderr)
+        return 2
     print(f"trials                         {report.trials}")
     print(f"soundness violations           {report.soundness_violations}")
     print(f"dominance violations           {report.dominance_violations}")

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator
-from .certify import (
-    brute_force_consistent,
-    certify_coarse,
-    certify_fine,
-    certify_fine_shared_margin,
-)
+from .certify import certify_rows, consistent_rows
 from .config import ExperimentConfig, apply_override, build_experiment_config
 from .scheduler import VARIANT_NAMES
 from .simulator import Metrics, run as run_sim
@@ -183,6 +178,9 @@ class FuzzReport:
         return self.soundness_violations == 0 and self.dominance_violations == 0
 
 
+_FUZZ_CELLS = 1 << 17
+
+
 def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
                 seed: int = 0, enumeration_cap: int = 12) -> FuzzReport:
     """Fuzz the consistency checks against the brute-force oracle.
@@ -191,38 +189,43 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
     winner flip. Dominance: a coarse certificate must imply a fine one.
     The shared-margin variant is expected to produce brute-force-refuted
     certificates; their count documents why it must not be used.
+
+    Trials are drawn one at a time and judged in blocks of
+    ``_FUZZ_CELLS // max_shards`` (at least one), so memory is bounded.
+    Storing a trial's predictions with its impacted shards first leaves its
+    votes unchanged, so a (K, C, m) group shares the impacted set
+    ``arange(m)`` and takes one call of each row-wise check.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if max_shards < 1 or max_classes < 2:
         raise ValueError("need max_shards >= 1 and max_classes >= 2")
     rng = np.random.default_rng(seed)
     start = time.monotonic()
-    sound = dom = shared_bad = 0
-    fine_n = coarse_n = brute_n = gap = 0
-    for _ in range(trials):
-        k = int(rng.integers(1, max_shards + 1))
-        c = int(rng.integers(2, max_classes + 1))
-        preds = rng.integers(0, c, k)
-        m = int(rng.integers(0, k + 1))
-        impacted = np.sort(rng.choice(k, size=m, replace=False))
-        fine = certify_fine(preds, impacted, c).certified
-        coarse = certify_coarse(preds, impacted, c).certified
-        shared = certify_fine_shared_margin(preds, impacted, c).certified
-        brute = brute_force_consistent(preds, impacted, c, cap=enumeration_cap)
-        fine_n += fine
-        coarse_n += coarse
-        brute_n += brute
-        if fine and not brute:
-            sound += 1
-        if coarse and not fine:
-            dom += 1
-        if shared and not brute:
-            shared_bad += 1
-        if brute and not fine:
-            gap += 1
-    return FuzzReport(
-        trials, sound, dom, shared_bad, fine_n, coarse_n, brute_n, gap,
-        time.monotonic() - start,
-    )
+    # soundness, dominance, shared-margin, fine, coarse, brute, gap
+    totals = np.zeros(7, dtype=np.int64)
+    block = max(1, _FUZZ_CELLS // max_shards)
+    for first in range(0, trials, block):
+        size = min(block, trials - first)
+        drawn = np.zeros((size, max_shards), dtype=np.int64)
+        later = np.ones((size, max_shards), dtype=bool)
+        groups = {}
+        for i in range(size):
+            k = int(rng.integers(1, max_shards + 1))
+            c = int(rng.integers(2, max_classes + 1))
+            drawn[i, :k] = rng.integers(0, c, k)
+            m = int(rng.integers(0, k + 1))
+            later[i, rng.choice(k, size=m, replace=False)] = False
+            groups.setdefault((k, c, m), []).append(i)
+        # in order of first appearance, so the first over-cap draw raises
+        for (k, c, m), sel in groups.items():
+            first_impacted = np.argsort(later[sel, :k], axis=1, kind="stable")
+            rows = np.take_along_axis(drawn[sel, :k], first_impacted, axis=1)
+            fine, coarse, shared = certify_rows(rows, np.arange(m), c)
+            brute = consistent_rows(rows, np.arange(m), c, cap=enumeration_cap)
+            totals += np.count_nonzero([fine & ~brute, coarse & ~fine, shared & ~brute,
+                                        fine, coarse, brute, brute & ~fine], axis=1)
+    return FuzzReport(trials, *totals.tolist(), time.monotonic() - start)
 
 
 # --- theory vs simulation ----------------------------------------------------

@@ -3,6 +3,7 @@ other checks are judged against, so it gets its own independent sanity
 checks first (plain itertools enumeration, no shared code path)."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from eraser.certify import (
     certify_coarse,
     certify_fine,
     certify_fine_shared_margin,
+    certify_rows,
+    consistent_rows,
     gamma_counts,
     judge,
 )
@@ -164,18 +167,23 @@ def test_hot_path_check_matches_the_verdict(inst):
     assert top[0] == preds.count(v.winner)
 
 
-_batches = st.tuples(st.integers(1, 9), st.integers(2, 5)).flatmap(
-    lambda kc: st.tuples(
-        st.just(kc[0]),
-        st.just(kc[1]),
-        st.lists(
-            st.lists(st.integers(0, kc[1] - 1), min_size=kc[0], max_size=kc[0]),
-            min_size=1,
-            max_size=12,
-        ),
-        st.sets(st.integers(0, kc[0] - 1)),
+def _row_batches(max_k, max_rows):
+    """(K, C, rows, impacted): up to ``max_rows`` rows sharing one impacted set."""
+    return st.tuples(st.integers(1, max_k), st.integers(2, 5)).flatmap(
+        lambda kc: st.tuples(
+            st.just(kc[0]),
+            st.just(kc[1]),
+            st.lists(
+                st.lists(st.integers(0, kc[1] - 1), min_size=kc[0], max_size=kc[0]),
+                min_size=1,
+                max_size=max_rows,
+            ),
+            st.sets(st.integers(0, kc[0] - 1)),
+        )
     )
-)
+
+
+_batches = _row_batches(9, 12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,3 +239,44 @@ def test_growing_impacted_set_never_rescues_certification(inst, extra):
         return
     larger = set(impacted) | {extra % k}
     assert not certify_fine(preds, larger, c).certified
+
+
+_shared_sets = _row_batches(8, 20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_sets)
+def test_row_wise_enumeration_matches_each_row_alone(batch):
+    k, c, rows, impacted = batch
+    got = consistent_rows(rows, sorted(impacted), c)
+    assert got.shape == (len(rows),)
+    for b, preds in enumerate(rows):
+        assert bool(got[b]) == brute_force_consistent(preds, impacted, c)
+        # the itertools walk is slow; above 625 assignments the one-row call
+        # stands in, checked against it by the reference-enumeration test
+        if c ** len(impacted) <= 625:
+            assert bool(got[b]) == slow_consistent(preds, impacted, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_sets)
+def test_row_wise_certificates_match_the_verdicts_row_by_row(batch):
+    k, c, rows, impacted = batch
+    fine, coarse, shared = certify_rows(rows, sorted(impacted), c)
+    for b, preds in enumerate(rows):
+        assert bool(fine[b]) == certify_fine(preds, impacted, c).certified
+        assert bool(coarse[b]) == certify_coarse(preds, impacted, c).certified
+        assert bool(shared[b]) == certify_fine_shared_margin(preds, impacted, c).certified
+
+
+def test_enumeration_memory_stays_bounded():
+    # C=6, m=8: 1,679,616 assignments, all enumerated (20 untouched votes for
+    # label 0 outlast any 8 movers); a full (C^m, C) int64 table is 80 MB
+    preds = [0] * 20 + [1, 2, 3, 4, 5, 1, 2, 3]
+    tracemalloc.start()
+    try:
+        assert brute_force_consistent(preds, range(20, 28), 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -88,6 +88,20 @@ def test_verify_cert_exit_status_and_report(capsys):
     assert "dominance violations           0" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "-5"], "eraser: trials must be >= 0, got -5"),
+    (["--trials", "10", "--max-classes", "1"],
+     "eraser: need max_shards >= 1 and max_classes >= 2"),
+    (["--trials", "2000", "--max-shards", "14"],
+     "eraser: 13 impacted shards exceed the enumeration cap of 12;"),
+])
+def test_verify_cert_bad_arguments_exit_2_on_one_line(capsys, argv, message):
+    # exit 1 means a soundness or dominance violation was found
+    assert main(["verify-cert", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
 def test_theory_subcommand_prints_formulas(capsys):
     assert main(["theory", "--n-u", "10", "--t", "100", "--r", "5", "--p-uc", "0.01"]) == 0
     out = capsys.readouterr().out
