@@ -17,6 +17,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _INIT = 0x8BADF00DDEADBEEF
+# the same constants as numpy scalars, built once
+_U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def mix64_chain(h: int, *parts: int) -> int:
@@ -49,16 +52,12 @@ def mix64_array_chain(h, *parts) -> np.ndarray:
     ``(B, 1)`` is folded over B elements before a ``(K,)`` part widens the
     state to ``(B, K)``.
     """
-    gamma = np.uint64(_GAMMA)
-    m1 = np.uint64(_MUL1)
-    m2 = np.uint64(_MUL2)
-    s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
     for a in parts:
         h = np.asarray(a, dtype=np.uint64) + h
-        h += gamma
-        h ^= h >> s30
-        h *= m1
-        h ^= h >> s27
-        h *= m2
-        h ^= h >> s31
+        h += _U_GAMMA
+        h ^= h >> _U30
+        h *= _U_MUL1
+        h ^= h >> _U27
+        h *= _U_MUL2
+        h ^= h >> _U31
     return h

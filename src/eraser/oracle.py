@@ -14,6 +14,12 @@ version) triple maps deterministically to a label:
 * trace backend — predictions replayed from a file exported by real
   models (format below), for driving the simulator with measured data.
 
+Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
+sample's (seed, salt, sample) prefixes and true label once, and its
+``predict`` folds only shard and version into them, for a batch of samples
+in one array pass. :func:`predict` is the per-prediction definition that
+path must match.
+
 Trace file format (UTF-8)::
 
     eraser-trace v1 C=<int> K=<int>
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import mix64, mix64_array_chain, mix64_chain
+from .hashing import mix64, mix64_array_chain
 
 _SALT_TRUE = 0xA1
 _SALT_ACCEPT = 0xA2
@@ -161,99 +167,101 @@ def _last_flip(cfg, value, shard, version) -> int:
     return 0
 
 
-# Up to this many shard predictions per call the per-shard Python chain beats
-# the fixed cost of the array path.
-_VECTOR_CUTOVER = 48
+class SamplePrefixes:
+    """Hash prefixes of samples, computed once and gathered by row.
 
+    Row i holds sample ``samples[i]`` with noise flag ``noise[i]``, its
+    true label, the base ``mix64(seed, salt, sample)`` of its label chain
+    (the noise salt for a noise sample, the accept salt otherwise) and the
+    base ``mix64(seed, _SALT_WRONG, sample)`` of its wrong-label chain, so
+    :meth:`predict` folds in only shard and version. :meth:`rows` looks
+    (sample id, noise flag) keys up and appends the unseen ones: a table
+    can be filled ahead in one call or as its samples arrive.
+    """
 
-def _predict_small(cfg, value, is_noise, versions) -> list:
-    # shared (seed, salt, sample) hash prefix, extended per shard
-    if is_noise:
-        base = mix64(cfg.seed, _SALT_NOISE, value)
-        c = cfg.num_classes
-        return [mix64_chain(base, k, v) % c for k, v in enumerate(versions)]
-    out = []
-    base_accept = mix64(cfg.seed, _SALT_ACCEPT, value)
-    base_wrong = mix64(cfg.seed, _SALT_WRONG, value)
-    thr = cfg.accept_threshold
-    true = true_label_for(cfg, value)
-    c1 = cfg.num_classes - 1
-    for k, v in enumerate(versions):
-        if mix64_chain(base_accept, k, v) < thr:
-            out.append(true)
-        else:
-            wrong = mix64_chain(base_wrong, k, v) % c1
-            out.append(wrong if wrong < true else wrong + 1)
-    return out
+    def __init__(self, cfg: OracleConfig, samples=(), noise=()):
+        samples = np.asarray(samples)
+        if samples.size and samples.min() < 0:
+            raise ValueError(f"sample ids must be non-negative, got {samples.min()}")
+        self.cfg = cfg
+        self.shards = np.arange(cfg.num_shards, dtype=np.uint64)
+        self.samples = samples.astype(np.uint64)
+        self.noise = np.asarray(noise, dtype=bool)
+        salt = np.where(self.noise, np.uint64(_SALT_NOISE), np.uint64(_SALT_ACCEPT))
+        self.base = mix64_array_chain(mix64(cfg.seed), salt, self.samples)
+        self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), self.samples)
+        true = mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), self.samples)
+        self.true = true % np.uint64(cfg.num_classes)
+        self.index: dict = {}  # (sample id, noise flag) -> row, for rows added by rows()
 
+    def rows(self, keys: list) -> np.ndarray:
+        """Rows of the (sample id, noise flag) keys, appending one per unseen key."""
+        index = self.index
+        fresh = list(dict.fromkeys(key for key in keys if key not in index))
+        if fresh:
+            more = SamplePrefixes(self.cfg, *zip(*fresh))
+            index.update(zip(fresh, range(len(self.samples), len(self.samples) + len(fresh))))
+            for name in ("samples", "noise", "base", "wrong", "true"):
+                setattr(self, name, np.concatenate([getattr(self, name), getattr(more, name)]))
+        return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
 
-def _predict_array(cfg, samples, noise, versions) -> np.ndarray:
-    # (seed, salt) hashed once; sample, shard and version folded as arrays,
-    # each row taking only the chains it needs
-    out = np.empty(versions.shape, dtype=np.int64)
-    shards = np.arange(cfg.num_shards, dtype=np.uint64)
-    vers = versions.astype(np.uint64)
-    c = np.uint64(cfg.num_classes)
-    rows = np.flatnonzero(noise)
-    if rows.size:
-        h = mix64_array_chain(
-            mix64(cfg.seed, _SALT_NOISE), samples[rows, None], shards, vers[rows]
-        )
-        out[rows] = h % c
-    rows = np.flatnonzero(~noise)
-    if not rows.size:
-        return out
-    vals, vers = samples[rows], vers[rows]
-    true = (mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), vals) % c).astype(np.int64)
-    labels = np.repeat(true[:, None], cfg.num_shards, axis=1)
-    thr = cfg.accept_threshold
-    if thr <= _MASK:
-        accept = mix64_array_chain(mix64(cfg.seed, _SALT_ACCEPT), vals[:, None], shards, vers)
-        r, k = np.nonzero(accept >= np.uint64(thr))
-        if r.size:
-            wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), vals[r], shards[k], vers[r, k])
-            wrong = (wrong % (c - np.uint64(1))).astype(np.int64)
-            labels[r, k] = np.where(wrong < true[r], wrong, wrong + 1)
-    out[rows] = labels
-    return out
+    def predict(self, rows: np.ndarray, versions) -> np.ndarray:
+        """Predictions of all K shards for the samples at ``rows``: int64 ``(B, K)``.
+
+        ``versions`` is one ``(K,)`` row of serving versions shared by every
+        sample or a ``(B, K)`` array, one row each. One 2-round chain folds
+        shard and version into every row's base: a noise row's label is the
+        hash mod C, and a clean row keeps its true label where the hash
+        passes the accept test. The wrong-label chain then runs on the clean
+        misses only. The trace backend and the flip extension call
+        :func:`predict` per shard instead.
+        """
+        cfg, b, k = self.cfg, len(rows), self.cfg.num_shards
+        versions = np.asarray(versions, dtype=np.int64)
+        if versions.shape not in ((k,), (b, k)):
+            raise ValueError(f"expected {k} or {b} rows of {k} versions, got {versions.shape}")
+        if versions.size and versions.min() < 0:
+            raise ValueError(f"version must be non-negative, got {versions.min()}")
+        if cfg.backend == "trace" or cfg.flip_probability is not None:
+            per_row = np.broadcast_to(versions, (b, k)).tolist()
+            samples = [SampleId(int(self.samples[r]), bool(self.noise[r]), int(self.true[r]))
+                       for r in rows]
+            return np.array(
+                [[predict(cfg, s, j, v) for j, v in enumerate(row)]
+                 for s, row in zip(samples, per_row)],
+                dtype=np.int64,
+            ).reshape(b, k)
+        h = mix64_array_chain(self.base[rows, None], self.shards, versions)
+        noise, true = self.noise[rows, None], self.true[rows]
+        out = np.where(noise, h % np.uint64(cfg.num_classes), true[:, None])
+        thr = cfg.accept_threshold
+        if thr <= _MASK:
+            r, j = np.nonzero((h >= np.uint64(thr)) & ~noise)
+            if r.size:
+                v = versions[j] if versions.ndim == 1 else versions[r, j]
+                wrong = mix64_array_chain(self.wrong[rows[r]], self.shards[j], v)
+                wrong %= np.uint64(cfg.num_classes - 1)
+                out[r, j] = wrong + (wrong >= true[r])
+        return out.astype(np.int64)
 
 
 def predict_matrix(cfg: OracleConfig, samples, noise, versions) -> np.ndarray:
     """Predictions of all K shards for B samples: an int64 ``(B, K)`` array.
 
-    ``samples`` holds B raw sample ids, ``noise`` their noise flags and
-    ``versions`` B rows of K serving versions; ``out[b, k]`` equals
-    :func:`predict` for sample b on shard k at ``versions[b][k]``. Up to
-    ``_VECTOR_CUTOVER`` shard predictions in all are hash-chained per shard
-    in Python, larger batches hashed as arrays; the trace backend and the
-    flip extension fall back to per-shard :func:`predict`.
+    ``samples`` holds B non-negative raw sample ids, ``noise`` their noise
+    flags and ``versions`` B rows of K non-negative serving versions;
+    ``out[b, k]`` equals :func:`predict` for sample b on shard k at
+    ``versions[b][k]``. The samples' prefixes are built here, then
+    :meth:`SamplePrefixes.predict` labels them.
     """
-    k = cfg.num_shards
     b = len(samples)
     versions = np.asarray(versions, dtype=np.int64)
-    if len(noise) != b or versions.shape != (b, k):
+    if len(noise) != b or versions.shape != (b, cfg.num_shards):
         raise ValueError(
-            f"expected {b} noise flags and {b} rows of {k} versions, "
+            f"expected {b} noise flags and {b} rows of {cfg.num_shards} versions, "
             f"got {len(noise)} flags and versions of shape {versions.shape}"
         )
-    if cfg.backend == "trace" or cfg.flip_probability is not None:
-        rows = [
-            (sample_for(cfg, int(s), bool(n)), row)
-            for s, n, row in zip(samples, noise, versions.tolist())
-        ]
-        return np.array(
-            [[predict(cfg, sample, j, v) for j, v in enumerate(row)] for sample, row in rows],
-            dtype=np.int64,
-        ).reshape(b, k)
-    if b * k <= _VECTOR_CUTOVER:
-        rows = [
-            _predict_small(cfg, int(s), n, row)
-            for s, n, row in zip(samples, noise, versions.tolist())
-        ]
-        return np.array(rows, dtype=np.int64).reshape(b, k)
-    return _predict_array(
-        cfg, np.asarray(samples, dtype=np.uint64), np.asarray(noise, dtype=bool), versions
-    )
+    return SamplePrefixes(cfg, samples, noise).predict(np.arange(b), versions)
 
 
 def predict_vector(cfg: OracleConfig, sample: SampleId, versions) -> np.ndarray:

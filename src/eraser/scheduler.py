@@ -55,10 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle as oracle_mod
 from .certify import judge
 from .hashing import mix64
-from .oracle import OracleConfig
+from .oracle import OracleConfig, SamplePrefixes
 from .workload import INFERENCE, UNLEARNING, Request
 
 SINGLE_CONTEXT = "single_context"
@@ -263,6 +262,7 @@ class Scheduler:
         self._impacted_cache: np.ndarray | None = np.empty(0, dtype=np.int64)
         self._hypo_cache: tuple | None = None
         self._kept: deque = deque()  # (request, verdict) judged ahead, in arrival order
+        self.prefixes = SamplePrefixes(oracle_cfg)  # filled ahead by the simulator, or lazily
 
     # -- state inspection --------------------------------------------------
 
@@ -320,12 +320,8 @@ class Scheduler:
             todo.append(i)
         if not todo:
             return evals
-        preds = oracle_mod.predict_matrix(
-            self.oracle_cfg,
-            [entries[i].request.sample for i in todo],
-            [entries[i].request.is_noise for i in todo],
-            self._versions_array[None, :].repeat(len(todo), axis=0),
-        )
+        keys = [(entries[i].request.sample, entries[i].request.is_noise) for i in todo]
+        preds = self.prefixes.predict(self.prefixes.rows(keys), self._versions_array)
         certifying = self.cfg.certified and self.cfg.cert_mode != "disabled"
         certified, winner, top = judge(
             preds,

@@ -12,6 +12,8 @@ An inference arrival offers the scheduler the run that follows it: at most
 ``_RUN_CHUNK`` inference arrivals, up to the next unlearning arrival and
 strictly before the earliest scheduled completion. The versions and the
 pending unlearning stay fixed over such a run, so one batch judges it.
+Before the first event, the scheduler's table of prediction prefixes is
+filled with every inference sample of the workload in one array pass.
 
 After the last workload event the engine drains to quiescence: leftover
 pending unlearning requests are executed by a final update and every
@@ -120,6 +122,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     """Simulate one variant over one workload to quiescence."""
     _validate_workload(workload, params.horizon)
     sched = Scheduler(variant, oracle_cfg, params.retrain_duration)
+    sched.prefixes.rows([(r.sample, r.is_noise) for r in workload if r.kind == INFERENCE])
 
     requests = sorted(workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
     heap = []  # (completion, seq, job) of started retrainings

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eraser.ensemble import predict_label
 from eraser.hashing import mix64
-from eraser.oracle import OracleConfig, PredictionTrace
+from eraser.oracle import OracleConfig, PredictionTrace, predict, sample_for
 from eraser.scheduler import (
     VARIANT_NAMES,
     MitigationConfig,
@@ -182,6 +183,27 @@ def test_ties_with_completions_and_unlearning_arrivals(name):
     if name in ("DIMP", "SISA"):
         assert log[3].response == 1.0 and log[3].versions[1] == 1
     assert log[5].hypothetical_versions[2] == 1  # shard 2's unlearning came first
+
+
+@pytest.mark.parametrize("name", VARIANT_NAMES)
+def test_reused_samples_and_sparse_request_ids_match_the_reference_loop(name):
+    # five sample ids, each arriving both as noise and clean, under request
+    # ids that skip and run backwards: run() fills its prediction prefixes
+    # ahead from the whole workload, the reference as each sample arrives
+    workload = [
+        u(10_000 - 37 * i, i % K, 0.15 * i) if i % 9 == 4
+        else Request(INFERENCE, 0.15 * i, 10_000 - 37 * i, sample=i % 5, is_noise=i // 5 % 2 == 1)
+        for i in range(200)
+    ]
+    oracle_cfg = OracleConfig(C, K, 0.7, seed=3)
+    variant = variant_config(name, parallel_capacity=3, threshold=0.1)
+    params = SimParams(1.0, 30.0)
+    assert_same_as_reference(workload, variant, oracle_cfg, params)
+    # and every answer is the plurality of the per-shard predictions
+    for rec in run(workload, variant, oracle_cfg, params).per_request_log:
+        sample = sample_for(oracle_cfg, rec.sample, rec.is_noise)
+        preds = [predict(oracle_cfg, sample, k, v) for k, v in enumerate(rec.versions)]
+        assert rec.label == predict_label(preds, C)
 
 
 _VARIANT_KNOBS = st.fixed_dictionaries({

@@ -4,7 +4,7 @@ Each config runs all eight variants on a small input (K=10, 60 unlearning
 + 600 inference requests) and takes one option path that the benchmark's
 desk and flood workloads never take, so any change of simulated behaviour
 on those paths shows here as a changed hash. The wide case runs a K=64
-ensemble (above the oracle's per-shard cutover) under a noise flood and
+ensemble (half its predictions from the noise chain) under a noise flood and
 also pins each variant's judgement counts, which neither CSV carries.
 When behaviour is meant to change, print fresh constants with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -79,8 +79,8 @@ GOLDEN = {
     ),
 }
 
-# K=64, half noise, round-robin unlearning: the wide oracle path and a heavy
-# backlog, 40 unlearning + 400 inference requests
+# K=64, half noise, round-robin unlearning: wide batches of noise and clean
+# rows and a heavy backlog, 40 unlearning + 400 inference requests
 WIDE = """
 [experiment]
 base_seed = 7

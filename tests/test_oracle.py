@@ -8,6 +8,7 @@ from eraser.hashing import mix64, mix64_array_chain, mix64_chain
 from eraser.oracle import (
     OracleConfig,
     PredictionTrace,
+    SamplePrefixes,
     TraceError,
     load_trace,
     predict,
@@ -123,6 +124,64 @@ def test_versions_of_the_wrong_length_are_rejected(k):
         predict_matrix(cfg, [1, 2], [False, True], [[0] * k, [0] * (k - 1)])
     with pytest.raises(ValueError):
         predict_matrix(cfg, [1, 2], [False], [[0] * k, [0] * k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 7, 20, 64]),
+    st.integers(2, 10),
+    st.sampled_from([0.0, 1.0, 0.6]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_prefix_rows_match_per_shard_predict(k, c, accuracy, seed, data):
+    cfg = OracleConfig(c, k, accuracy, seed=seed)
+    values = data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
+    # every sample id is in the table twice: once as noise, once clean
+    keys = [(v, n) for v in values for n in (False, True)]
+    table = SamplePrefixes(cfg)
+    version_row = st.lists(st.integers(0, 2**20), min_size=k, max_size=k)
+
+    def check(picked):
+        rows = table.rows(picked)
+        b = len(picked)
+        if data.draw(st.booleans(), label="one version row for all"):
+            versions = data.draw(version_row)
+            per_row = [versions] * b
+        else:
+            per_row = data.draw(st.lists(version_row, min_size=b, max_size=b))
+            versions = np.array(per_row, dtype=np.int64).reshape(b, k)
+        out = table.predict(rows, versions)
+        assert out.dtype == np.int64 and out.shape == (b, k)
+        assert out.tolist() == [
+            [predict(cfg, sample_for(cfg, s, n), j, v) for j, v in enumerate(row)]
+            for (s, n), row in zip(picked, per_row)
+        ]
+
+    check(keys)
+    # repeated rows, and B=0
+    check(data.draw(st.lists(st.sampled_from(keys), max_size=12)))
+    assert len(table.samples) == len(keys) and sorted(table.index.values()) == list(
+        range(len(keys))
+    )
+
+
+@pytest.mark.parametrize("b,k", [(1, 20), (3, 64)])
+def test_out_of_range_inputs_are_rejected_at_every_batch_size(b, k):
+    cfg = _cfg(num_shards=k)
+    samples, noise = list(range(b)), [False] * b
+    versions = [[0] * k for _ in range(b)]
+    versions[-1][-1] = -1
+    with pytest.raises(ValueError, match="version must be non-negative"):
+        predict_matrix(cfg, samples, noise, versions)
+    with pytest.raises(ValueError, match="sample ids must be non-negative"):
+        predict_matrix(cfg, samples[:-1] + [-5], noise, [[0] * k for _ in range(b)])
+    table = SamplePrefixes(cfg)
+    with pytest.raises(ValueError, match="version must be non-negative"):
+        table.predict(table.rows(list(zip(samples, noise))), versions[-1])
+    with pytest.raises(ValueError, match="sample ids must be non-negative"):
+        table.rows([(-5, True)])
+    assert (-5, True) not in table.index
 
 
 def _reference_flip_walk(cfg, value, shard, version):
