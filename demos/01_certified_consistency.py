@@ -7,28 +7,26 @@ serving votes alone whether any retraining outcome could flip the answer,
 and the exhaustive oracle confirms it.
 """
 
-from eraser import (
-    brute_force_consistent,
-    certify_coarse,
-    certify_fine,
-    count_votes,
-    gamma_counts,
-)
+import numpy as np
+
+from eraser import brute_force_consistent, certify_coarse, certify_fine
 
 preds = [0, 0, 0, 0, 1, 1, 2]  # current per-shard votes
 impacted = {4, 6}              # shards with pending unlearning
 C = 3
 
 print("serving votes :", preds)
-print("vote counts   :", count_votes(preds, C).tolist())
+print("vote counts   :", np.bincount(preds, minlength=C).tolist())
 print("impacted      :", sorted(impacted))
 print()
 
-for challenger in (1, 2):
-    g = gamma_counts(preds, impacted, 0, challenger)
-    print(f"vs label {challenger}: gamma1={g.gamma1} gamma2={g.gamma2} gamma3={g.gamma3}")
-
+# each check splits the impacted shards by their vote: for the winner
+# (gamma1), for its challenger (gamma2) or for neither (gamma3)
 fine = certify_fine(preds, impacted, C)
+for chk in fine.checks:
+    g = chk.gammas
+    print(f"vs label {chk.challenger}: gamma1={g.gamma1} gamma2={g.gamma2} gamma3={g.gamma3}")
+
 print("\nfine-grained check:")
 for chk in fine.checks:
     print(

@@ -92,20 +92,6 @@ def _normalize_impacted(impacted, num_shards: int) -> np.ndarray:
     return idx
 
 
-def gamma_counts(preds, impacted, y_a: int, y_b: int) -> GammaCounts:
-    """Split the impacted shards by their current vote relative to (y_a, y_b)."""
-    if y_a == y_b:
-        raise ValueError(f"challenger must differ from winner, both are {y_a}")
-    p = np.asarray(preds, dtype=np.int64)
-    idx = _normalize_impacted(impacted, p.size)
-    if idx.size == 0:
-        return GammaCounts(0, 0, 0)
-    ip = p[idx]
-    g1 = int(np.count_nonzero(ip == y_a))
-    g2 = int(np.count_nonzero(ip == y_b))
-    return GammaCounts(g1, g2, idx.size - g1 - g2)
-
-
 def _margins(p: np.ndarray, idx: np.ndarray, num_classes: int, coarse: bool = False):
     """The one place the consistency arithmetic lives, for B rows at once.
 

@@ -1,4 +1,4 @@
-"""Sharded-ensemble vote counting and aggregation.
+"""Sharded-ensemble plurality vote.
 
 The serving model is an ensemble of K constituent models, one trained per
 data shard. The final label for a sample is the plurality vote over the K
@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def count_votes(preds, num_classes: int) -> np.ndarray:
-    """Count how many shards predict each label.
+def predict_label(preds, num_classes: int) -> int:
+    """Final ensemble label for one sample: the plurality of the K per-shard
+    predicted labels in ``preds``, the smaller label winning a tie.
 
-    ``preds`` is the length-K sequence of per-shard predicted labels.
-    Returns an int64 array of length ``num_classes`` whose entries sum
-    to K.
+    Tallies the votes with its own ``bincount``, not the certification
+    core's, so tests and the benchmark self-test can use it as an
+    independent plurality.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -30,22 +31,5 @@ def count_votes(preds, num_classes: int) -> np.ndarray:
         raise ValueError(
             f"shard {k} predicts label {int(p[k])}, outside [0, {num_classes})"
         )
-    return np.bincount(p, minlength=num_classes)
-
-
-def aggregate(counts) -> int:
-    """Plurality winner of a vote count, smaller label winning ties."""
-    c = np.asarray(counts, dtype=np.int64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("counts must be a non-empty 1-d sequence")
-    if (c < 0).any():
-        raise ValueError("counts must be non-negative")
-    if not c.any():
-        raise ValueError("counts sum to zero; nothing to aggregate")
     # np.argmax returns the first maximum, which is the smallest label.
-    return int(np.argmax(c))
-
-
-def predict_label(preds, num_classes: int) -> int:
-    """Final ensemble label for one sample: ``aggregate(count_votes(...))``."""
-    return aggregate(count_votes(preds, num_classes))
+    return int(np.argmax(np.bincount(p, minlength=num_classes)))

@@ -17,15 +17,17 @@ version) triple maps deterministically to a label:
 Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
 sample's (seed, salt, sample) prefixes and true label once, and its
 ``predict`` folds only shard and version into them, for a batch of samples
-in one array pass. :func:`predict` is the per-prediction definition that
-path must match.
+in one array pass; the replay audit builds such a table for its records
+too. :func:`predict` is the per-prediction definition that path must
+match.
 
 Trace file format (UTF-8)::
 
     eraser-trace v1 C=<int> K=<int>
     <sample_id>,<shard_id>,<version>,<label>,<confidence>
 
-with one record per line and confidence a decimal in [0, 1].
+with one record per line and confidence a decimal in [0, 1]. The
+confidence is validated but not kept: only the label drives a vote.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class SampleId:
 
 @dataclass(frozen=True)
 class PredictionTrace:
-    """In-memory replay table: (sample, shard, version) -> (label, confidence)."""
+    """In-memory replay table: (sample, shard, version) -> label."""
 
     num_classes: int
     num_shards: int
@@ -96,14 +98,11 @@ class OracleConfig:
         return min(int(round(self.accuracy * 2.0**64)), 2**64)
 
 
-def true_label_for(cfg: OracleConfig, sample_value: int) -> int:
-    """Ground-truth label of a sample, derived from the oracle seed."""
-    return mix64(cfg.seed, _SALT_TRUE, sample_value) % cfg.num_classes
-
-
 def sample_for(cfg: OracleConfig, sample_value: int, is_noise: bool = False) -> SampleId:
-    """Build the SampleId for a raw workload sample id."""
-    return SampleId(sample_value, is_noise, true_label_for(cfg, sample_value))
+    """Build the SampleId for a raw workload sample id; its ground-truth
+    label derives from the oracle seed."""
+    true_label = mix64(cfg.seed, _SALT_TRUE, sample_value) % cfg.num_classes
+    return SampleId(sample_value, is_noise, true_label)
 
 
 def _fresh_label(cfg, sample, shard, version) -> int:
@@ -130,7 +129,7 @@ def predict(cfg: OracleConfig, sample: SampleId, shard: int, version: int) -> in
     if cfg.backend == "trace":
         key = (sample.value, shard, version)
         try:
-            return cfg.trace.entries[key][0]
+            return cfg.trace.entries[key]
         except KeyError:
             raise TraceError(
                 f"trace has no entry for sample={sample.value} "
@@ -180,13 +179,15 @@ class SamplePrefixes:
     """
 
     def __init__(self, cfg: OracleConfig, samples=(), noise=()):
-        samples = np.asarray(samples)
+        samples, noise = np.asarray(samples), np.asarray(noise, dtype=bool)
+        if noise.shape != samples.shape:
+            raise ValueError(f"expected {len(samples)} noise flags, got {len(noise)}")
         if samples.size and samples.min() < 0:
             raise ValueError(f"sample ids must be non-negative, got {samples.min()}")
         self.cfg = cfg
         self.shards = np.arange(cfg.num_shards, dtype=np.uint64)
         self.samples = samples.astype(np.uint64)
-        self.noise = np.asarray(noise, dtype=bool)
+        self.noise = noise
         salt = np.where(self.noise, np.uint64(_SALT_NOISE), np.uint64(_SALT_ACCEPT))
         self.base = mix64_array_chain(mix64(cfg.seed), salt, self.samples)
         self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), self.samples)
@@ -245,31 +246,6 @@ class SamplePrefixes:
         return out.astype(np.int64)
 
 
-def predict_matrix(cfg: OracleConfig, samples, noise, versions) -> np.ndarray:
-    """Predictions of all K shards for B samples: an int64 ``(B, K)`` array.
-
-    ``samples`` holds B non-negative raw sample ids, ``noise`` their noise
-    flags and ``versions`` B rows of K non-negative serving versions;
-    ``out[b, k]`` equals :func:`predict` for sample b on shard k at
-    ``versions[b][k]``. The samples' prefixes are built here, then
-    :meth:`SamplePrefixes.predict` labels them.
-    """
-    b = len(samples)
-    versions = np.asarray(versions, dtype=np.int64)
-    if len(noise) != b or versions.shape != (b, cfg.num_shards):
-        raise ValueError(
-            f"expected {b} noise flags and {b} rows of {cfg.num_shards} versions, "
-            f"got {len(noise)} flags and versions of shape {versions.shape}"
-        )
-    return SamplePrefixes(cfg, samples, noise).predict(np.arange(b), versions)
-
-
-def predict_vector(cfg: OracleConfig, sample: SampleId, versions) -> np.ndarray:
-    """Predictions of all K shards at the given serving versions: one row
-    of :func:`predict_matrix`."""
-    return predict_matrix(cfg, [sample.value], [sample.is_noise], [versions])[0]
-
-
 def load_trace(path) -> PredictionTrace:
     """Parse a trace file, validating every record against its header."""
     entries = {}
@@ -313,5 +289,5 @@ def load_trace(path) -> PredictionTrace:
                 )
             if not 0.0 <= conf <= 1.0:
                 raise TraceError(f"line {lineno}: confidence {conf} outside [0, 1]")
-            entries[(sample, shard, version)] = (label, conf)
+            entries[(sample, shard, version)] = label
     return PredictionTrace(num_classes, num_shards, entries)

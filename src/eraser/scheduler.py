@@ -161,7 +161,6 @@ class Job:
     job_id: int
     shard: int
     covered: int  # oldest pending requests this retraining clears
-    cause: str  # immediate | uncertified | final
     completion: float | None = None
 
 
@@ -252,11 +251,10 @@ class Scheduler:
         self.window_uncertified = 0
         self.judgements = 0
         self.judgements_uncertified = 0
-        self.jobs_created = 0
+        self.jobs_created = 0  # also the id of the latest job
         self.retrainings_completed = 0
         self.uncertification_triggers = 0
         self.final_triggers = 0
-        self._job_counter = 0
         self._versions_tuple = tuple(self.versions)
         self._versions_array = np.zeros(k, dtype=np.int64)
         self._impacted_cache: np.ndarray | None = np.empty(0, dtype=np.int64)
@@ -413,10 +411,9 @@ class Scheduler:
         self.queue.append(job)
         return []
 
-    def _new_job(self, shard: int, covered: int, cause: str) -> Job:
-        self._job_counter += 1
+    def _new_job(self, shard: int, covered: int) -> Job:
         self.jobs_created += 1
-        return Job(self._job_counter, shard, covered, cause)
+        return Job(self.jobs_created, shard, covered)
 
     # -- arrival handling -------------------------------------------------------
 
@@ -433,7 +430,7 @@ class Scheduler:
         if self.cfg.option_ii != IMMEDIATE:
             return []
         # one retraining per request, even when the shard already has jobs
-        job = self._new_job(shard, covered=1, cause="immediate")
+        job = self._new_job(shard, covered=1)
         self.covered[shard] += 1
         return self._start_or_enqueue(job, now)
 
@@ -574,7 +571,7 @@ class Scheduler:
         )
         actions = []
         for k in chosen:
-            job = self._new_job(k, covered=len(self.pending[k]), cause=cause)
+            job = self._new_job(k, covered=len(self.pending[k]))
             self.covered[k] = len(self.pending[k])
             actions += self._start_or_enqueue(job, now, delay)
         return actions

@@ -30,8 +30,8 @@ from itertools import takewhile
 
 import numpy as np
 
-from . import oracle as oracle_mod
 from .certify import judge
+from .oracle import SamplePrefixes
 from .scheduler import (
     CompleteUpdate,
     HaltInference,
@@ -265,19 +265,19 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
     then-pending unlearning already applied (shard versions advanced past
     their outstanding retrainings) and count disagreements. Uncertified
     and refused responses are excluded: they were never claimed
-    consistent. The records are replayed in batches: one
-    :func:`~eraser.oracle.predict_matrix` call and one row-wise plurality
-    vote per batch.
+    consistent. The records are replayed in batches: one table of
+    :class:`~eraser.oracle.SamplePrefixes`, one array pass of predictions
+    and one row-wise plurality vote per batch.
     """
     records = [rec for rec in per_request_log if rec.verdict in ("certified", "plain")]
     violations = 0
     for start in range(0, len(records), _REPLAY_CHUNK):
         batch = records[start:start + _REPLAY_CHUNK]
-        preds = oracle_mod.predict_matrix(
-            oracle_cfg,
-            [rec.sample for rec in batch],
-            [rec.is_noise for rec in batch],
-            [rec.hypothetical_versions for rec in batch],
+        prefixes = SamplePrefixes(
+            oracle_cfg, [rec.sample for rec in batch], [rec.is_noise for rec in batch]
+        )
+        preds = prefixes.predict(
+            np.arange(len(batch)), [rec.hypothetical_versions for rec in batch]
         )
         _, winner, _ = judge(preds, (), oracle_cfg.num_classes)
         labels = np.fromiter((rec.label for rec in batch), dtype=np.int64, count=len(batch))

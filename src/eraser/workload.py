@@ -111,8 +111,8 @@ class WorkloadSpec:
         for name in ("n_unlearning", "n_inference"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.shard_assignment not in (UNIFORM_RANDOM, SCATTERED_ROUND_ROBIN):
             raise ValueError(f"unknown shard_assignment {self.shard_assignment!r}")
         if not 0.0 <= self.noise_fraction <= 1.0:
@@ -121,10 +121,15 @@ class WorkloadSpec:
             raise ValueError("distribution_i cannot be grid: the grid is for unlearning arrivals")
         for key in ("distribution_u", "distribution_i"):
             dist = getattr(self, key)
-            if dist not in (UNIFORM, GRID) and not isinstance(dist, (Gaussian, Multimodal)):
+            if dist in (UNIFORM, GRID):
+                continue
+            if not isinstance(dist, (Gaussian, Multimodal)):
                 raise ValueError(f"unknown distribution {dist!r}")
-            if dist not in (UNIFORM, GRID) and _mass_inside(dist, self.horizon) < _MIN_MASS_INSIDE:
-                raise ValueError(f"{key} puts almost no arrival mass inside [0, {self.horizon}]")
+            # a NaN mass fails ">=" too, so a NaN moment or weight is refused
+            mass = _mass_inside(dist, self.horizon)
+            if not mass >= _MIN_MASS_INSIDE:
+                raise ValueError(f"{key} puts almost no arrival mass inside "
+                                 f"[0, {self.horizon}] (mass {mass:.3g})")
 
 
 def _mass_inside(dist, horizon) -> float:
@@ -208,22 +213,23 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
     return _finalize(requests)
 
 
-def deterministic_unlearning_grid(
-    n_unlearning: int,
-    horizon: float,
-    num_shards: int = 1,
-    seed: int = 0,
-    shard_assignment: str = UNIFORM_RANDOM,
-) -> list[Request]:
-    """Unlearning requests at exact fixed intervals: 0, T/n, 2T/n, ...
+def grid_workload(n_unlearning: int, horizon: float, n_inference: int, num_shards: int,
+                  seed: int, shard_assignment: str = UNIFORM_RANDOM,
+                  distribution_i: object = UNIFORM, noise_fraction: float = 0.0) -> list[Request]:
+    """Unlearning requests at exact fixed intervals (0, T/n, 2T/n, ...)
+    merged with generated inference arrivals, with fresh request ids.
 
-    This is the arrival model the closed-form waiting-time results assume;
-    use it whenever simulation is compared against them.
+    The grid is the arrival model the closed-form waiting-time results
+    assume; use it whenever simulation is compared against them. The
+    grid's shard draws and the inference stream each take their own
+    generator seeded with ``seed``.
     """
-    if n_unlearning < 1:
-        raise ValueError("need at least one unlearning request")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if n_unlearning < 0:
+        raise ValueError(f"n_unlearning must be non-negative, got {n_unlearning}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     rng = np.random.default_rng(seed)
     if shard_assignment == SCATTERED_ROUND_ROBIN:
         shards = np.arange(n_unlearning, dtype=np.int64) % num_shards
@@ -231,40 +237,17 @@ def deterministic_unlearning_grid(
         shards = rng.integers(0, num_shards, n_unlearning)
     else:
         raise ValueError(f"unknown shard_assignment {shard_assignment!r}")
-    return _finalize(
-        [
-            Request(UNLEARNING, i * horizon / n_unlearning, i, target_shard=int(shards[i]))
-            for i in range(n_unlearning)
-        ]
-    )
-
-
-def grid_workload(n_unlearning: int, horizon: float, n_inference: int, num_shards: int,
-                  seed: int, shard_assignment: str = UNIFORM_RANDOM,
-                  distribution_i: object = UNIFORM, noise_fraction: float = 0.0) -> list[Request]:
-    """Fixed-interval unlearning grid merged with generated inference arrivals.
-
-    The grid's shard draws and the inference stream each take their own
-    generator seeded with ``seed``.
-    """
-    streams = []
-    if n_unlearning:
-        streams.append(
-            deterministic_unlearning_grid(n_unlearning, horizon, num_shards, seed, shard_assignment)
-        )
+    requests = [
+        Request(UNLEARNING, i * horizon / n_unlearning, i, target_shard=int(shards[i]))
+        for i in range(n_unlearning)
+    ]
     if n_inference:
         spec = WorkloadSpec(
             0, n_inference, horizon, seed,
             distribution_i=distribution_i, noise_fraction=noise_fraction,
         )
-        streams.append(generate(spec, num_shards))
-    return merge_streams(*streams)
-
-
-def merge_streams(*streams) -> list[Request]:
-    """Merge pre-built streams into one sorted stream with fresh request ids."""
-    merged = [r for s in streams for r in s]
-    return _finalize(merged)
+        requests += generate(spec, num_shards)
+    return _finalize(requests)
 
 
 def export_csv(stream, path) -> None:

@@ -17,7 +17,6 @@ from eraser.certify import (
     certify_fine_shared_margin,
     certify_rows,
     consistent_rows,
-    gamma_counts,
     judge,
 )
 from eraser.ensemble import predict_label
@@ -64,21 +63,21 @@ def test_brute_force_cap():
     assert brute_force_consistent(preds, set(range(12)), 2, cap=12) is True
 
 
+def gammas(preds, impacted, num_classes):
+    """challenger -> (gamma1, gamma2, gamma3) of the fine verdict's checks."""
+    v = certify_fine(preds, impacted, num_classes)
+    return {c.challenger: (c.gammas.gamma1, c.gammas.gamma2, c.gammas.gamma3) for c in v.checks}
+
+
 def test_gamma_counts_examples():
-    g = gamma_counts([0, 1, 2, 0], {1, 2}, 0, 1)
-    assert (g.gamma1, g.gamma2, g.gamma3) == (0, 1, 1)
-    g = gamma_counts([0, 0, 1], {0}, 0, 1)
-    assert (g.gamma1, g.gamma2, g.gamma3) == (1, 0, 0)
-    g = gamma_counts([0, 0, 0, 0, 1], set(), 0, 1)
-    assert (g.gamma1, g.gamma2, g.gamma3) == (0, 0, 0)
-
-
-def test_gamma_counts_rejects_equal_labels():
-    with pytest.raises(ValueError):
-        gamma_counts([0, 1], {0}, 1, 1)
+    assert gammas([0, 1, 2, 0], {1, 2}, 3)[1] == (0, 1, 1)
+    assert gammas([0, 0, 1], {0}, 2)[1] == (1, 0, 0)
+    assert gammas([0, 0, 0, 0, 1], set(), 2)[1] == (0, 0, 0)
 
 
 def test_gamma_counts_sum_to_impacted_size():
+    # each check splits the impacted shards by a plain count of their votes,
+    # and the challengers are every label but the winner
     rng = np.random.default_rng(2)
     for _ in range(100):
         k = int(rng.integers(2, 10))
@@ -86,9 +85,13 @@ def test_gamma_counts_sum_to_impacted_size():
         preds = rng.integers(0, c, k)
         m = int(rng.integers(0, k + 1))
         impacted = set(int(x) for x in rng.choice(k, size=m, replace=False))
-        y_a, y_b = 0, 1
-        g = gamma_counts(preds, impacted, y_a, y_b)
-        assert g.total == m
+        v = certify_fine(preds, impacted, c)
+        assert sorted(chk.challenger for chk in v.checks) == [y for y in range(c) if y != v.winner]
+        votes = [int(preds[s]) for s in impacted]
+        for chk in v.checks:
+            g = chk.gammas
+            assert g.total == m
+            assert (g.gamma1, g.gamma2) == (votes.count(v.winner), votes.count(chk.challenger))
 
 
 def test_certify_fine_examples():

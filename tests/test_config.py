@@ -137,10 +137,12 @@ def test_grid_unlearning_arrivals():
 
 @pytest.mark.parametrize("kind", ["i", "u"])
 def test_profile_with_no_mass_inside_the_horizon_is_reported_at_load_time(kind):
-    text = (f"[workload]\nhorizon = 10\ndistribution_{kind} = gaussian\n"
-            f"mu_{kind} = 1e6\nsigma_{kind} = 1\n")
-    with pytest.raises(ConfigError, match=rf"^\[workload\] distribution_{kind} "):
-        build(text)
+    # a NaN moment gives a NaN mass inside, which is refused the same way
+    for mu, sigma in (("1e6", "1"), ("nan", "1"), ("5", "nan")):
+        text = (f"[workload]\nhorizon = 10\ndistribution_{kind} = gaussian\n"
+                f"mu_{kind} = {mu}\nsigma_{kind} = {sigma}\n")
+        with pytest.raises(ConfigError, match=rf"^\[workload\] distribution_{kind} "):
+            build(text)
 
 
 def test_grid_for_inference_rejected():

@@ -124,7 +124,7 @@ def _trace_oracle():
     # every (sample, shard, version) the workload can reach, labels from a hash
     top = 31  # a shard reaches at most one version per unlearning request
     entries = {
-        (s, k, v): (mix64(11, s, k, v) % C, 1.0)
+        (s, k, v): mix64(11, s, k, v) % C
         for s in range(300) for k in range(K) for v in range(top)
     }
     return OracleConfig(C, K, 0.7, seed=3, backend="trace", trace=PredictionTrace(C, K, entries))

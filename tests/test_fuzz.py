@@ -19,14 +19,13 @@ from eraser.certify import (
     certify_fine,
     certify_fine_shared_margin,
 )
-from eraser.ensemble import aggregate, count_votes
 
 
 def reference_consistent(preds, impacted, num_classes, cap=12):
     """One instance, every assignment, chunk by chunk of 65,536 codes."""
     p = np.asarray(preds, dtype=np.int64)
-    counts = count_votes(p, num_classes)
-    winner = aggregate(counts)
+    counts = np.bincount(p, minlength=num_classes)
+    winner = int(np.argmax(counts))  # the first maximum: ties go to the smaller label
     idx = np.asarray(sorted(impacted), dtype=np.int64)
     m = int(idx.size)
     if m == 0:

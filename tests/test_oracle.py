@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from eraser.ensemble import count_votes
 from eraser.hashing import mix64, mix64_array_chain, mix64_chain
 from eraser.oracle import (
     OracleConfig,
@@ -12,10 +11,7 @@ from eraser.oracle import (
     TraceError,
     load_trace,
     predict,
-    predict_matrix,
-    predict_vector,
     sample_for,
-    true_label_for,
 )
 
 
@@ -33,6 +29,12 @@ def test_mix64_array_chain_extends_a_scalar_prefix():
     for i in range(6):
         for j in range(4):
             assert int(vec[i, j]) == mix64(9, 2, int(a[i]), int(b[j]))
+
+
+def predict_row(cfg, sample, versions):
+    """Predictions of all K shards for one sample: a one-row prefix table."""
+    table = SamplePrefixes(cfg, [sample.value], [sample.is_noise])
+    return table.predict(np.arange(1), versions)[0]
 
 
 def _cfg(**kw):
@@ -58,23 +60,24 @@ def test_predict_is_deterministic():
     cfg = _cfg()
     s = sample_for(cfg, 7)
     assert predict(cfg, s, 3, 2) == predict(cfg, s, 3, 2)
-    assert list(predict_vector(cfg, s, [0] * 20)) == list(predict_vector(cfg, s, [0] * 20))
+    assert list(predict_row(cfg, s, [0] * 20)) == list(predict_row(cfg, s, [0] * 20))
 
 
 def test_predict_vector_matches_scalar_predict():
+    """One sample's prediction vector from a prefix table equals per-shard predict."""
     cfg = _cfg()
     rng = np.random.default_rng(5)
     for value in range(30):
         s = sample_for(cfg, value, is_noise=bool(value % 3 == 0))
         versions = rng.integers(0, 6, 20)
-        vec = predict_vector(cfg, s, versions)
+        vec = predict_row(cfg, s, versions)
         assert list(vec) == [predict(cfg, s, k, int(versions[k])) for k in range(20)]
 
 
 def _trace_cfg(num_classes, num_shards, samples, versions):
     """A trace backend holding a deterministic label for every needed triple."""
     entries = {
-        (int(s), k, int(v)): (mix64(int(s), k, int(v)) % num_classes, 1.0)
+        (int(s), k, int(v)): mix64(int(s), k, int(v)) % num_classes
         for s, row in zip(samples, versions)
         for k, v in enumerate(row)
     }
@@ -101,14 +104,14 @@ def test_predict_matrix_matches_per_shard_predict(b, k, c, accuracy, extension, 
         cfg = _trace_cfg(c, k, samples, versions)
     else:
         cfg = OracleConfig(c, k, accuracy, seed=seed, flip_probability=extension)
-    out = predict_matrix(cfg, samples, noise, versions)
+    out = SamplePrefixes(cfg, samples, noise).predict(np.arange(b), versions)
     assert out.dtype == np.int64 and out.shape == (b, k)
     expected = [
         [predict(cfg, sample_for(cfg, s, n), j, v) for j, v in enumerate(row)]
         for s, n, row in zip(samples, noise, versions)
     ]
     assert out.tolist() == expected
-    assert predict_vector(cfg, sample_for(cfg, samples[0], noise[0]), versions[0]).tolist() == (
+    assert predict_row(cfg, sample_for(cfg, samples[0], noise[0]), versions[0]).tolist() == (
         expected[0]
     )
 
@@ -117,13 +120,16 @@ def test_predict_matrix_matches_per_shard_predict(b, k, c, accuracy, extension, 
 def test_versions_of_the_wrong_length_are_rejected(k):
     cfg = _cfg(num_shards=k)
     with pytest.raises(ValueError):
-        predict_vector(cfg, sample_for(cfg, 1), [0] * (k - 1))
+        predict_row(cfg, sample_for(cfg, 1), [0] * (k - 1))
     with pytest.raises(ValueError):
-        predict_vector(cfg, sample_for(cfg, 1), [0] * (k + 1))
+        predict_row(cfg, sample_for(cfg, 1), [0] * (k + 1))
+    table = SamplePrefixes(cfg, [1, 2], [False, True])
     with pytest.raises(ValueError):
-        predict_matrix(cfg, [1, 2], [False, True], [[0] * k, [0] * (k - 1)])
+        table.predict(np.arange(2), [[0] * k, [0] * (k - 1)])
     with pytest.raises(ValueError):
-        predict_matrix(cfg, [1, 2], [False], [[0] * k, [0] * k])
+        table.predict(np.arange(2), [[0] * k] * 3)
+    with pytest.raises(ValueError, match="expected 2 noise flags, got 1"):
+        SamplePrefixes(cfg, [1, 2], [False])
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,9 +179,9 @@ def test_out_of_range_inputs_are_rejected_at_every_batch_size(b, k):
     versions = [[0] * k for _ in range(b)]
     versions[-1][-1] = -1
     with pytest.raises(ValueError, match="version must be non-negative"):
-        predict_matrix(cfg, samples, noise, versions)
+        SamplePrefixes(cfg, samples, noise).predict(np.arange(b), versions)
     with pytest.raises(ValueError, match="sample ids must be non-negative"):
-        predict_matrix(cfg, samples[:-1] + [-5], noise, [[0] * k for _ in range(b)])
+        SamplePrefixes(cfg, samples[:-1] + [-5], noise)
     table = SamplePrefixes(cfg)
     with pytest.raises(ValueError, match="version must be non-negative"):
         table.predict(table.rows(list(zip(samples, noise))), versions[-1])
@@ -258,14 +264,14 @@ def test_noise_samples_are_uniform_over_all_classes():
 def test_true_labels_roughly_balanced():
     cfg = _cfg(num_classes=10)
     counts = np.bincount(
-        [true_label_for(cfg, v) for v in range(20_000)], minlength=10
+        [sample_for(cfg, v).true_label for v in range(20_000)], minlength=10
     )
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def agreement(cfg, sample, versions):
     """Share of shards voting for the ensemble's winner."""
-    counts = count_votes(predict_vector(cfg, sample, versions), cfg.num_classes)
+    counts = np.bincount(predict_row(cfg, sample, versions), minlength=cfg.num_classes)
     return int(counts.max()) / cfg.num_shards
 
 

@@ -177,7 +177,7 @@ def test_detector_degenerate_rates():
 def test_confidence_discard_threshold():
     # the winner is backed by 3 of 5 shards: agreement 0.6, via a hand-built trace
     votes = [0, 0, 0, 1, 1]
-    trace = PredictionTrace(2, 5, {(0, k, 0): (votes[k], 1.0) for k in range(5)})
+    trace = PredictionTrace(2, 5, {(0, k, 0): votes[k] for k in range(5)})
     oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
     for threshold, expect in ((0.6, Respond), (0.61, RefuseInference)):
         mit = MitigationConfig(confidence_threshold=threshold)

@@ -5,7 +5,7 @@ import pytest
 
 from eraser import simulator
 from eraser.ensemble import predict_label
-from eraser.oracle import OracleConfig, PredictionTrace, predict_vector, sample_for
+from eraser.oracle import OracleConfig, PredictionTrace, predict, sample_for
 from eraser.simulator import (
     SimParams,
     replay_privacy_check,
@@ -66,9 +66,9 @@ def _trace_oracle():
     entries = {}
     votes = [0, 0, 0, 1, 0]
     for k in range(5):
-        entries[(0, k, 0)] = (votes[k], 1.0)
-    entries[(0, 0, 1)] = (0, 1.0)
-    entries[(0, 1, 1)] = (1, 1.0)
+        entries[(0, k, 0)] = votes[k]
+    entries[(0, 0, 1)] = 0
+    entries[(0, 1, 1)] = 1
     trace = PredictionTrace(2, 5, entries)
     return OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
 
@@ -179,13 +179,14 @@ def test_replay_counts_only_authoritative_answers():
 
 
 def _replay_one_by_one(log, cfg):
-    # per-record reference: one prediction vector and one plurality vote each
+    # per-record reference: per-shard predictions and one plurality vote each
+    def label(rec):
+        sample = sample_for(cfg, rec.sample, rec.is_noise)
+        preds = [predict(cfg, sample, k, v) for k, v in enumerate(rec.hypothetical_versions)]
+        return predict_label(preds, cfg.num_classes)
+
     return sum(
-        predict_label(
-            predict_vector(cfg, sample_for(cfg, rec.sample, rec.is_noise),
-                           rec.hypothetical_versions),
-            cfg.num_classes,
-        ) != rec.label
+        label(rec) != rec.label
         for rec in log
         if rec.verdict in ("certified", "plain")
     )

@@ -10,12 +10,12 @@ from eraser.workload import (
     Multimodal,
     Request,
     WorkloadSpec,
+    _finalize,
     _mass_inside,
-    deterministic_unlearning_grid,
     export_csv,
     generate,
+    grid_workload,
     import_csv,
-    merge_streams,
     symmetric_multimodal,
 )
 
@@ -95,27 +95,49 @@ def test_noise_fraction_exact_count():
 
 
 def test_unlearning_grid_examples():
-    grid = deterministic_unlearning_grid(4, 100.0)
+    grid = grid_workload(4, 100.0, 0, 1, seed=0)
     assert arrivals(grid) == [0.0, 25.0, 50.0, 75.0]
-    assert arrivals(deterministic_unlearning_grid(1, 100.0)) == [0.0]
-    times = arrivals(deterministic_unlearning_grid(10, 100.0))
+    assert arrivals(grid_workload(1, 100.0, 0, 1, seed=0)) == [0.0]
+    times = arrivals(grid_workload(10, 100.0, 0, 1, seed=0))
     assert all(b - a == pytest.approx(10.0) for a, b in zip(times, times[1:]))
     assert all(r.kind == UNLEARNING for r in grid)
+    rr = grid_workload(7, 70.0, 0, 3, seed=0, shard_assignment=SCATTERED_ROUND_ROBIN)
+    assert [r.target_shard for r in rr] == [i % 3 for i in range(7)]
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [
+        ((-1, 10.0, 5, 2), {}),
+        ((3, 0.0, 5, 2), {}),
+        ((3, float("inf"), 5, 2), {}),
+        ((3, float("nan"), 5, 2), {}),
+        ((3, 10.0, 5, 0), {}),
+        ((3, 10.0, 5, 2), {"shard_assignment": "bogus"}),
+    ],
+    ids=["negative_n", "zero_horizon", "inf_horizon", "nan_horizon", "no_shards",
+         "bogus_assignment"],
+)
+def test_grid_workload_rejects_bad_inputs(args, kwargs):
+    with pytest.raises(ValueError):
+        grid_workload(*args, seed=0, **kwargs)
 
 
 def test_merge_streams_reassigns_ids():
-    grid = deterministic_unlearning_grid(3, 30.0, num_shards=4, seed=0)
-    infer = generate(WorkloadSpec(0, 5, 30.0, seed=0), 4)
-    merged = merge_streams(grid, infer)
+    # the grid merged with the inference stream generate() draws on its own
+    merged = grid_workload(3, 30.0, 5, 4, seed=0)
     assert [r.request_id for r in merged] == list(range(8))
     times = arrivals(merged)
     assert times == sorted(times)
+    infer = generate(WorkloadSpec(0, 5, 30.0, seed=0), 4)
+    assert [(r.arrival, r.sample) for r in merged if r.kind == INFERENCE] == [
+        (r.arrival, r.sample) for r in infer
+    ]
 
 
 def test_equal_time_unlearning_sorts_first():
-    stream = merge_streams(
-        [Request(INFERENCE, 5.0, 0, sample=0)],
-        [Request(UNLEARNING, 5.0, 0, target_shard=1)],
+    stream = _finalize(
+        [Request(INFERENCE, 5.0, 0, sample=0), Request(UNLEARNING, 5.0, 0, target_shard=1)]
     )
     assert [r.kind for r in stream] == [UNLEARNING, INFERENCE]
 
@@ -148,10 +170,19 @@ def test_request_validation():
 
 @pytest.mark.parametrize("key", ["distribution_u", "distribution_i"])
 @pytest.mark.parametrize(
-    "dist", [Gaussian(1e6, 1.0), Gaussian(-50.0, 1.0), Multimodal((-40.0, 60.0), (2.0, 2.0), (0.5, 0.5))]
+    "dist",
+    [
+        Gaussian(1e6, 1.0),
+        Gaussian(-50.0, 1.0),
+        Multimodal((-40.0, 60.0), (2.0, 2.0), (0.5, 0.5)),
+        Gaussian(float("nan"), 1.0),
+        Gaussian(5.0, float("nan")),
+        Multimodal((5.0,), (1.0,), (float("nan"),)),
+    ],
 )
 def test_profile_with_no_mass_inside_the_horizon_is_rejected(key, dist):
-    # re-drawing until the arrivals land in [0, 10] would never end
+    # re-drawing until the arrivals land in [0, 10] would never end; nor
+    # would it with a NaN moment or weight, whose mass inside is NaN
     with pytest.raises(ValueError, match=f"^{key} "):
         WorkloadSpec(5, 5, 10.0, seed=1, **{key: dist})
 
