@@ -17,9 +17,10 @@ version) triple maps deterministically to a label:
 Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
 sample's (seed, salt, sample) prefixes and true label once, and its
 ``predict`` folds only shard and version into them, for a batch of samples
-in one array pass; the replay audit builds such a table for its records
-too. :func:`predict` is the per-prediction definition that path must
-match.
+in one array pass; the flip extension first maps every version to its last
+flip over the same batch, and the replay audit builds such a table for its
+records too. The trace backend looks each label up in its table instead.
+:func:`predict` is the per-prediction definition those paths must match.
 
 Trace file format (UTF-8)::
 
@@ -90,6 +91,10 @@ class OracleConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "trace" and self.trace is None:
             raise ValueError("trace backend requires a loaded PredictionTrace")
+        if self.backend == "trace" and self.trace.num_classes != self.num_classes:
+            raise ValueError(f"num_classes is {self.num_classes}; the trace has C={self.trace.num_classes}")
+        if self.backend == "trace" and self.trace.num_shards != self.num_shards:
+            raise ValueError(f"num_shards is {self.num_shards}; the trace has K={self.trace.num_shards}")
         if self.flip_probability is not None and not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
 
@@ -127,43 +132,48 @@ def predict(cfg: OracleConfig, sample: SampleId, shard: int, version: int) -> in
     if version < 0:
         raise ValueError(f"version must be non-negative, got {version}")
     if cfg.backend == "trace":
-        key = (sample.value, shard, version)
-        try:
-            return cfg.trace.entries[key]
-        except KeyError:
-            raise TraceError(
-                f"trace has no entry for sample={sample.value} "
-                f"shard={shard} version={version}"
-            ) from None
+        return _trace_label(cfg, sample.value, shard, version)
     if cfg.flip_probability is not None:
-        version = _last_flip(cfg, sample.value, shard, version)
+        # one-element arrays: numpy scalars would warn on the hash's wraparound
+        version = int(_last_flip(cfg, [sample.value], [shard], [version])[0])
     return _fresh_label(cfg, sample, shard, version)
 
 
-_FLIP_BLOCK = 256  # candidate versions hashed per array call
+def _trace_label(cfg, value: int, shard: int, version: int) -> int:
+    label = cfg.trace.entries.get((value, shard, version))
+    if label is None:
+        raise TraceError(f"trace has no entry for sample={value} shard={shard} version={version}")
+    return label
 
 
-def _last_flip(cfg, value, shard, version) -> int:
-    """Latest retraining at or below ``version`` that resampled the prediction.
+_FLIP_BLOCK = 256  # candidate versions hashed per element and round
 
-    Version v >= 1 flips when its flip hash falls under the threshold; the
-    model at ``version`` predicts what the last flip drew, or version 0's
-    label when none did. Candidates are hashed a block at a time from the
-    top down, so the cost grows with the distance to the last flip only.
+
+def _last_flip(cfg, values, shards, versions) -> np.ndarray:
+    """Latest retraining at or below each version that resampled the prediction.
+
+    The arguments broadcast together, and so does the int64 result. Version
+    v >= 1 flips when its flip hash falls under the threshold; the model at
+    a version predicts what the last flip drew, or version 0's label when
+    none did. Each round hashes the next block of candidates, from the top
+    down, for every element still searching, so the cost grows with the
+    distance to the last flip only.
     """
     thr = min(int(round(cfg.flip_probability * 2.0**64)), 2**64)
-    if thr > _MASK or version == 0:
-        return version
-    base = mix64(cfg.seed, _SALT_FLIP, value, shard)
-    hi = version
-    while hi > 0:
-        lo = max(hi - _FLIP_BLOCK, 0)
-        candidates = np.arange(hi, lo, -1, dtype=np.uint64)
-        hits = np.flatnonzero(mix64_array_chain(base, candidates) < np.uint64(thr))
-        if hits.size:
-            return hi - int(hits[0])
-        hi = lo
-    return 0
+    base = mix64_array_chain(mix64(cfg.seed, _SALT_FLIP), values, shards)
+    base, versions = np.broadcast_arrays(base, np.asarray(versions, dtype=np.int64))
+    last = versions.flatten()
+    todo = np.flatnonzero(last) if thr <= _MASK else np.empty(0, dtype=np.intp)
+    base, hi = base.ravel()[todo], last[todo]
+    while todo.size:
+        steps = np.arange(min(_FLIP_BLOCK, int(hi.max())))
+        candidates = hi[:, None] - steps
+        hits = (mix64_array_chain(base[:, None], candidates) < np.uint64(thr)) & (candidates > 0)
+        found = hits.any(axis=1)
+        last[todo] = np.where(found, hi - hits.argmax(axis=1), 0)
+        more = ~found & (hi > len(steps))
+        todo, base, hi = todo[more], base[more], hi[more] - len(steps)
+    return last.reshape(versions.shape)
 
 
 class SamplePrefixes:
@@ -214,8 +224,9 @@ class SamplePrefixes:
         shard and version into every row's base: a noise row's label is the
         hash mod C, and a clean row keeps its true label where the hash
         passes the accept test. The wrong-label chain then runs on the clean
-        misses only. The trace backend and the flip extension call
-        :func:`predict` per shard instead.
+        misses only. The flip extension first maps the versions to their
+        last flips, over the whole batch; the trace backend looks each label
+        up in its table instead.
         """
         cfg, b, k = self.cfg, len(rows), self.cfg.num_shards
         versions = np.asarray(versions, dtype=np.int64)
@@ -223,15 +234,12 @@ class SamplePrefixes:
             raise ValueError(f"expected {k} or {b} rows of {k} versions, got {versions.shape}")
         if versions.size and versions.min() < 0:
             raise ValueError(f"version must be non-negative, got {versions.min()}")
-        if cfg.backend == "trace" or cfg.flip_probability is not None:
-            per_row = np.broadcast_to(versions, (b, k)).tolist()
-            samples = [SampleId(int(self.samples[r]), bool(self.noise[r]), int(self.true[r]))
-                       for r in rows]
-            return np.array(
-                [[predict(cfg, s, j, v) for j, v in enumerate(row)]
-                 for s, row in zip(samples, per_row)],
-                dtype=np.int64,
-            ).reshape(b, k)
+        if cfg.backend == "trace":
+            per_row = zip(self.samples[rows].tolist(), np.broadcast_to(versions, (b, k)).tolist())
+            labels = [_trace_label(cfg, s, j, v) for s, row in per_row for j, v in enumerate(row)]
+            return np.array(labels, dtype=np.int64).reshape(b, k)
+        if cfg.flip_probability is not None:
+            versions = _last_flip(cfg, self.samples[rows, None], self.shards, versions)
         h = mix64_array_chain(self.base[rows, None], self.shards, versions)
         noise, true = self.noise[rows, None], self.true[rows]
         out = np.where(noise, h % np.uint64(cfg.num_classes), true[:, None])

@@ -240,10 +240,10 @@ class Scheduler:
         k = oracle_cfg.num_shards
         self.num_shards = k
         self.num_classes = oracle_cfg.num_classes
-        self.versions = [0] * k
-        self.pending = [deque() for _ in range(k)]
-        self.covered = [0] * k  # pendings already claimed by scheduled jobs
-        self.jobs_scheduled = [0] * k  # in-flight plus queued jobs per shard
+        self.versions = np.zeros(k, dtype=np.int64)
+        self.pending = np.zeros(k, dtype=np.int64)  # unlearning requests per shard
+        self.covered = np.zeros(k, dtype=np.int64)  # pendings already claimed by scheduled jobs
+        self.jobs_scheduled = np.zeros(k, dtype=np.int64)  # in-flight plus queued jobs per shard
         self.inflight = {}
         self.queue = deque()
         self.backlog: list[_Entry] = []
@@ -255,9 +255,7 @@ class Scheduler:
         self.retrainings_completed = 0
         self.uncertification_triggers = 0
         self.final_triggers = 0
-        self._versions_tuple = tuple(self.versions)
-        self._versions_array = np.zeros(k, dtype=np.int64)
-        self._impacted_cache: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
         self._kept: deque = deque()  # (request, verdict) judged ahead, in arrival order
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled ahead by the simulator, or lazily
@@ -268,29 +266,21 @@ class Scheduler:
         return bool(self.inflight) or bool(self.queue)
 
     def quiet(self) -> bool:
-        return not self.busy() and not self.backlog and not any(
-            self.pending[k] for k in range(self.num_shards)
-        )
+        return not self.busy() and not self.backlog and not self.pending.any()
 
     def impacted_shards(self) -> np.ndarray:
         """Shards whose serving model lags behind their pending unlearning."""
-        if self._impacted_cache is None:
-            self._impacted_cache = np.array(
-                [k for k in range(self.num_shards) if self.pending[k]], dtype=np.int64
-            )
-        return self._impacted_cache
+        return np.flatnonzero(self.pending)
 
     def _hypothetical_versions(self) -> tuple:
         """Versions each shard will reach once all pending work executes."""
         if self._hypo_cache is None:
-            self._hypo_cache = tuple(
-                v + self.jobs_scheduled[k] + (len(self.pending[k]) > self.covered[k])
-                for k, v in enumerate(self.versions)
-            )
+            hypo = self.versions + self.jobs_scheduled + (self.pending > self.covered)
+            self._hypo_cache = tuple(hypo.tolist())
         return self._hypo_cache
 
     def _state_changed(self) -> None:
-        self._impacted_cache = self._hypo_cache = None
+        self._hypo_cache = None
         self._kept.clear()
 
     # -- evaluation ----------------------------------------------------------
@@ -319,7 +309,7 @@ class Scheduler:
         if not todo:
             return evals
         keys = [(entries[i].request.sample, entries[i].request.is_noise) for i in todo]
-        preds = self.prefixes.predict(self.prefixes.rows(keys), self._versions_array)
+        preds = self.prefixes.predict(self.prefixes.rows(keys), self.versions)
         certifying = self.cfg.certified and self.cfg.cert_mode != "disabled"
         certified, winner, top = judge(
             preds,
@@ -425,7 +415,7 @@ class Scheduler:
             shard = mix64(self.oracle_cfg.seed, _SALT_SHUFFLE, request.request_id) % self.num_shards
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
-        self.pending[shard].append(request.request_id)
+        self.pending[shard] += 1
         self._state_changed()
         if self.cfg.option_ii != IMMEDIATE:
             return []
@@ -474,10 +464,8 @@ class Scheduler:
             raise RuntimeError(f"completion for unknown retraining job {job_id}")
         shard = job.shard
         self.versions[shard] += 1
-        self._versions_tuple = tuple(self.versions)
-        self._versions_array[shard] += 1
-        for _ in range(job.covered):
-            self.pending[shard].popleft()
+        self._versions_tuple = tuple(self.versions.tolist())
+        self.pending[shard] -= job.covered
         self.covered[shard] -= job.covered
         self.jobs_scheduled[shard] -= 1
         self._state_changed()
@@ -553,7 +541,7 @@ class Scheduler:
         """Batch-retrain every shard with pending unlearning requests."""
         if self.busy():
             raise RuntimeError("update triggered while retraining is in progress")
-        candidates = [k for k in range(self.num_shards) if self.pending[k]]
+        candidates = self.impacted_shards().tolist()
         if not candidates:
             return []
         if self.cfg.retrain_policy == RETRAIN_MINIMAL and trigger_ev is not None:
@@ -571,15 +559,15 @@ class Scheduler:
         )
         actions = []
         for k in chosen:
-            job = self._new_job(k, covered=len(self.pending[k]))
-            self.covered[k] = len(self.pending[k])
+            job = self._new_job(k, covered=int(self.pending[k]))
+            self.covered[k] = self.pending[k]
             actions += self._start_or_enqueue(job, now, delay)
         return actions
 
     def _minimal_shard_set(self, candidates, trigger_ev) -> list:
         # most-loaded shards first; retrain just enough that the triggering
         # sample would certify, topped up to the parallel capacity
-        order = sorted(candidates, key=lambda k: (-len(self.pending[k]), k))
+        order = sorted(candidates, key=lambda k: (-self.pending[k], k))
         need = len(order)
         for j in range(1, len(order) + 1):
             rest = np.array(sorted(set(candidates) - set(order[:j])), dtype=np.int64)
@@ -600,7 +588,7 @@ class Scheduler:
         """
         if self.busy():
             return []
-        if any(self.pending[k] for k in range(self.num_shards)):
+        if self.pending.any():
             return self.trigger_update(now, cause="final")
         if self.backlog:
             return self._drain(now)

@@ -221,7 +221,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         raise SimulationError(
             f"{n_inferences} inference arrivals but {len(terminal)} terminal actions"
         )
-    if any(sched.pending[k] for k in range(sched.num_shards)):
+    if sched.pending.any():
         raise SimulationError("pending unlearning requests survived quiescence")
 
     if waits:

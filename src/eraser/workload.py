@@ -78,8 +78,8 @@ class Multimodal:
             raise ValueError("multimodal needs at least one component")
         if any(s <= 0 for s in self.sigmas):
             raise ValueError("all sigmas must be positive")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        if min(self.weights) < 0 or abs(sum(self.weights) - 1.0) > 1e-9:
+            raise ValueError(f"weights must be non-negative and sum to 1, got {self.weights}")
 
 
 def symmetric_multimodal(num_modes: int, horizon: float) -> Multimodal:

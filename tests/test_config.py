@@ -145,6 +145,21 @@ def test_profile_with_no_mass_inside_the_horizon_is_reported_at_load_time(kind):
             build(text)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [("C=10 K=2", "num_shards is 20; the trace has K=2"),
+     ("C=12 K=20", "num_classes is 10; the trace has C=12")],
+    ids=["shards", "classes"],
+)
+def test_trace_of_another_shape_is_reported_at_load_time(header, message, tmp_path):
+    path = tmp_path / "shape.trace"
+    path.write_text(f"eraser-trace v1 {header}\n0,0,0,1,0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'[oracle] {message}')}$"):
+        build(f"[oracle]\nbackend = trace\ntrace_path = {path}\n")
+    path.write_text("eraser-trace v1 C=10 K=20\n0,0,0,1,0.5\n", encoding="utf-8")
+    assert build(f"[oracle]\nbackend = trace\ntrace_path = {path}\n").backend == "trace"
+
+
 def test_grid_for_inference_rejected():
     with pytest.raises(ConfigError):
         build("[workload]\ndistribution_i = grid\n")

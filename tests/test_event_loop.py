@@ -35,10 +35,9 @@ from eraser.workload import INFERENCE, UNLEARNING, Request, WorkloadSpec, genera
 
 def _hypothetical(sched):
     # each shard's version once its scheduled jobs and uncovered pending run
-    return tuple(
-        v + sched.jobs_scheduled[k] + (len(sched.pending[k]) > sched.covered[k])
-        for k, v in enumerate(sched.versions)
-    )
+    rows = zip(sched.versions.tolist(), sched.jobs_scheduled.tolist(),
+               sched.pending.tolist(), sched.covered.tolist())
+    return tuple(v + jobs + (pending > covered) for v, jobs, pending, covered in rows)
 
 
 def reference_run(workload, variant, oracle_cfg, params):
@@ -63,7 +62,7 @@ def reference_run(workload, variant, oracle_cfg, params):
                     req.request_id, req.arrival, response, response - req.arrival,
                     f"refused_{act.reason}" if refused else act.verdict,
                     -1 if refused else act.label, req.sample, req.is_noise,
-                    () if refused else tuple(sched.versions),
+                    () if refused else tuple(sched.versions.tolist()),
                     () if refused else _hypothetical(sched),
                 ))
 

@@ -36,7 +36,8 @@ accuracy = 0.75
 parallel_capacity = 3
 """
 
-# name -> extra [scheduler] lines
+# name -> extra lines: [scheduler] keys follow BASE's last section, and an
+# [oracle] path reopens its section
 OPTION_PATHS = {
     "cert_coarse": "cert_mode = coarse",
     "cert_disabled": "cert_mode = disabled",
@@ -45,6 +46,7 @@ OPTION_PATHS = {
     "retrain_minimal": "retrain_policy = retrain_minimal",
     "context_switch_latency": "context_switch_latency = 0.5",
     "shuffle_shards": "shuffle_shards = true",
+    "flip_probability": "[oracle]\nflip_probability = 0.2",
 }
 
 # name -> (sha256 of metrics.csv, sha256 of requests.csv)
@@ -68,6 +70,10 @@ GOLDEN = {
     "detector": (
         "27b35ead7c87c191ec9f4f48deec806df54f4e494fbde9fdcc2cd7c9785854bf",
         "0877d2f3a8c96866c40f8935d2b0a565551dbfe007b05a6d3ae7a2669580a636",
+    ),
+    "flip_probability": (
+        "65c3e201b05d00bb8a8bbbd084e49f36d870f74c80140099aab7c067903779ba",
+        "b4f48d2e138aae271833ee933e1fa481d7217794d120ea2babc70e1946238510",
     ),
     "retrain_minimal": (
         "99a01e1ddc6b0945434ef0a5b5531fac98642723e966b462ec582e76d0d77d14",

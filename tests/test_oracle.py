@@ -43,7 +43,7 @@ def _cfg(**kw):
     return OracleConfig(**base)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         _cfg(num_classes=1)
     with pytest.raises(ValueError):
@@ -54,6 +54,13 @@ def test_config_validation():
         _cfg(backend="magic")
     with pytest.raises(ValueError):
         _cfg(backend="trace")  # no trace loaded
+    # a trace's header must match the config's classes and shards
+    narrow = load_trace(_write_trace(["eraser-trace v1 C=10 K=2", "0,0,0,1,0.5"], tmp_path))
+    with pytest.raises(ValueError, match="num_shards is 20; the trace has K=2"):
+        _cfg(backend="trace", trace=narrow)
+    with pytest.raises(ValueError, match="num_classes is 10; the trace has C=12"):
+        _cfg(backend="trace", trace=PredictionTrace(12, 20, {(0, 0, 0): 11}))
+    assert _cfg(backend="trace", trace=PredictionTrace(10, 20, {})).trace.num_shards == 20
 
 
 def test_predict_is_deterministic():
@@ -212,6 +219,37 @@ def test_flip_walk_matches_the_scalar_reference(flip):
                 last = _reference_flip_walk(cfg, value, shard, version)
                 for s in (clean, noisy):
                     assert predict(cfg, s, shard, version) == predict(plain, s, shard, last)
+    # whole (B, K) version matrices, and one (K,) row shared by every sample
+    k, values = 8, list(range(32))
+    cfg = _cfg(accuracy=0.5, num_shards=k, flip_probability=flip)
+    plain = _cfg(accuracy=0.5, num_shards=k)
+    noise = [v % 2 == 1 for v in values]
+    versions = np.random.default_rng(3).integers(0, 1000, (len(values), k))
+    versions[:, 0] = 0
+    versions[0] = [0, 1, 2, 255, 256, 257, 511, 512]
+    table = SamplePrefixes(cfg, values, noise)
+
+    def expected(i, row_versions):
+        last = [_reference_flip_walk(cfg, values[i], j, v) for j, v in enumerate(row_versions)]
+        s = sample_for(plain, values[i], noise[i])
+        return [predict(plain, s, j, v) for j, v in enumerate(last)]
+
+    got = table.predict(np.arange(len(values)), versions).tolist()
+    for i in range(len(values)):
+        assert got[i] == expected(i, versions[i].tolist())
+    got = table.predict(np.arange(len(values)), versions[0]).tolist()
+    for i in range(len(values)):
+        assert got[i] == expected(i, versions[0].tolist())
+    if flip == 0.01:
+        # last flips inside the first 256-candidate block, and beyond it
+        walks = [
+            (v, _reference_flip_walk(cfg, values[i], j, v))
+            for i in range(len(values))
+            for j, v in enumerate(versions[i].tolist())
+            if v > 0
+        ]
+        assert any(v - last < 256 for v, last in walks)
+        assert any(v - last >= 256 and last > 0 for v, last in walks)
 
 
 def test_perfect_accuracy_always_returns_true_label():
@@ -281,12 +319,12 @@ def test_confidence_definition():
     assert agreement(cfg, s, [0] * 5) == 1.0
 
 
-def test_confidence_agreement_ratio():
+def test_confidence_agreement_ratio(tmp_path):
     # winner backed by 3 of 5 shards -> 0.6, via a hand-built trace
     trace_lines = ["eraser-trace v1 C=2 K=5"]
     votes = [0, 0, 0, 1, 1]
     trace_lines += [f"0,{k},0,{votes[k]},1.0" for k in range(5)]
-    path = _write_trace(trace_lines)
+    path = _write_trace(trace_lines, tmp_path)
     trace = load_trace(path)
     cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
     s = sample_for(cfg, 0)
@@ -318,23 +356,15 @@ def test_flip_probability_keeps_predictions_sticky():
     assert changed_sticky > 0
 
 
-_trace_counter = 0
-
-
-def _write_trace(lines, tmpdir="/tmp"):
-    global _trace_counter
-    import os
-
-    _trace_counter += 1
-    path = os.path.join(tmpdir, f"eraser_test_trace_{_trace_counter}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_trace(lines, tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def test_trace_roundtrip_and_replay():
+def test_trace_roundtrip_and_replay(tmp_path):
     lines = ["eraser-trace v1 C=3 K=2", "0,0,0,2,0.75", "0,1,0,1,0.5", "5,0,1,0,1.0"]
-    trace = load_trace(_write_trace(lines))
+    trace = load_trace(_write_trace(lines, tmp_path))
     assert trace.num_classes == 3 and trace.num_shards == 2
     cfg = OracleConfig(3, 2, 0.9, seed=0, backend="trace", trace=trace)
     s0 = sample_for(cfg, 0)
@@ -342,11 +372,13 @@ def test_trace_roundtrip_and_replay():
     assert predict(cfg, s0, 1, 0) == 1
 
 
-def test_trace_missing_entry_names_the_triple():
-    trace = load_trace(_write_trace(["eraser-trace v1 C=3 K=2", "0,0,0,2,0.75"]))
+def test_trace_missing_entry_names_the_triple(tmp_path):
+    trace = load_trace(_write_trace(["eraser-trace v1 C=3 K=2", "0,0,0,2,0.75"], tmp_path))
     cfg = OracleConfig(3, 2, 0.9, seed=0, backend="trace", trace=trace)
     with pytest.raises(TraceError, match="sample=0 shard=1 version=4"):
         predict(cfg, sample_for(cfg, 0), 1, 4)
+    with pytest.raises(TraceError, match="sample=0 shard=1 version=4"):
+        SamplePrefixes(cfg, [0], [False]).predict(np.arange(1), [0, 4])
 
 
 @pytest.mark.parametrize(
@@ -360,6 +392,6 @@ def test_trace_missing_entry_names_the_triple():
         (["eraser-trace v1 C=3 K=2", "a,0,0,1,0.5"], "line 2"),
     ],
 )
-def test_trace_parse_errors(lines, fragment):
+def test_trace_parse_errors(lines, fragment, tmp_path):
     with pytest.raises(TraceError, match=fragment):
-        load_trace(_write_trace(lines))
+        load_trace(_write_trace(lines, tmp_path))

@@ -58,6 +58,8 @@ def test_degenerate_sigma_rejected():
         Multimodal((10.0,), (-1.0,), (1.0,))
     with pytest.raises(ValueError):
         Multimodal((10.0, 20.0), (1.0, 1.0), (0.7, 0.7))
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        Multimodal((2.0, 8.0), (1.0, 1.0), (1.5, -0.5))
 
 
 def test_truncated_gaussian_moments():
