@@ -13,11 +13,11 @@ from eraser import (
     OracleConfig,
     SimParams,
     VARIANT_NAMES,
+    VariantConfig,
     WorkloadSpec,
     generate,
     replay_privacy_check,
     run,
-    variant_config,
 )
 
 K, C, n_u, n_i, r = 20, 10, 500, 4500, 1.0
@@ -33,7 +33,7 @@ print(f"{'variant':8} {'AWT':>8} {'vs SISA':>9} {'NoR':>5} {'uncert.':>8} "
       f"{'postponed':>10} {'replay violations':>18}")
 baseline = None
 for name in order:
-    m = run(workload, variant_config(name, parallel_capacity=K), oracle, params)
+    m = run(workload, VariantConfig(name, parallel_capacity=K), oracle, params)
     if name == "SISA":
         baseline = m.awt
     speed = f"x{baseline / m.awt:.0f}" if m.awt > 0 else "inf"

@@ -15,8 +15,8 @@ largest, so the naive scaling of the measured average understates the
 wait; the bound should only be trusted in the overlapping regime.
 """
 
-from eraser import OracleConfig, SimParams, run, variant_config
-from eraser.workload import grid_workload
+from eraser import OracleConfig, SimParams, VariantConfig, WorkloadSpec, generate, run
+from eraser.workload import GRID
 from eraser.theory import (
     TheoryParams,
     dimp_upper_bound,
@@ -32,12 +32,12 @@ print(f"{'r':>5} {'SISA formula':>13} {'SISA sim':>10} {'err':>7} "
       f"{'p_uc':>8} {'DIMP bound':>11} {'DIMP series':>12} {'DIMP sim':>10}")
 for r in (2.5, 5.0, 10.0, 20.0, 25.0):
     oracle = OracleConfig(C, K, accuracy=0.7, seed=seed)
-    workload = grid_workload(n_u, horizon, n_inference, K, seed=seed)
+    workload = generate(WorkloadSpec(n_u, n_inference, horizon, seed, distribution_u=GRID), K)
     params = SimParams(r, horizon)
 
-    sisa = run(workload, variant_config("SISA", parallel_capacity=K), oracle,
+    sisa = run(workload, VariantConfig("SISA", parallel_capacity=K), oracle,
                params, collect_log=False)
-    dimp = run(workload, variant_config("DIMP", parallel_capacity=K), oracle,
+    dimp = run(workload, VariantConfig("DIMP", parallel_capacity=K), oracle,
                params, collect_log=False)
 
     theory = TheoryParams(n_u, horizon, r)

@@ -18,10 +18,10 @@ from eraser import (
     MitigationConfig,
     OracleConfig,
     SimParams,
+    VariantConfig,
     WorkloadSpec,
     generate,
     run,
-    variant_config,
 )
 
 K, C, n_u, n_i, r = 20, 10, 500, 4500, 1.0
@@ -36,7 +36,7 @@ def dutp(seed, noise=0.0, assignment="uniform_random", mitigation=None, shuffle=
                      noise_fraction=noise),
         K,
     )
-    variant = variant_config("DUTP", parallel_capacity=K, mitigation=mitigation,
+    variant = VariantConfig("DUTP", parallel_capacity=K, mitigation=mitigation,
                              shuffle_shards=shuffle)
     return run(workload, variant, oracle, SimParams(r, horizon), collect_log=False)
 

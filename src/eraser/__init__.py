@@ -14,7 +14,7 @@ demos use; everything else is imported from its module.
 
 from .certify import brute_force_consistent, certify_coarse, certify_fine
 from .oracle import OracleConfig
-from .scheduler import VARIANT_NAMES, MitigationConfig, variant_config
+from .scheduler import VARIANT_NAMES, MitigationConfig, VariantConfig
 from .simulator import SimParams, replay_privacy_check, run
 from .workload import WorkloadSpec, generate
 

@@ -22,7 +22,6 @@ from .scheduler import (
     VARIANT_NAMES,
     MitigationConfig,
     VariantConfig,
-    variant_config,
 )
 from .simulator import SimParams
 from .workload import (
@@ -132,15 +131,16 @@ class ExperimentConfig:
         )
 
     def sim_params(self, seed: int) -> SimParams:
+        """The engine's parameters; they take the seed like the other
+        per-seed builders but do not depend on it."""
         return SimParams(
             retrain_duration=self.retrain_duration,
             horizon=self.horizon,
-            seed=seed,
             inference_service_time=self.inference_service_time,
         )
 
     def variant(self, name: str) -> VariantConfig:
-        return variant_config(
+        return VariantConfig(
             name,
             threshold=self.threshold,
             parallel_capacity=self.parallel_capacity,

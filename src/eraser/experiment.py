@@ -26,7 +26,7 @@ from .theory import (
     expected_wait_sisa,
     require_grid_workload,
 )
-from .workload import grid_workload
+from .workload import GRID, WorkloadSpec, generate
 
 METRICS_COLUMNS = (
     "variant", "seed", "awt", "nor", "uncertified_responses", "p_uc",
@@ -237,9 +237,10 @@ def compare_theory(cfg: ExperimentConfig, r_values, n_inference: int = 50_000,
     rows = []
     horizon = cfg.horizon
     for r in r_values:
-        workload = grid_workload(cfg.n_unlearning, horizon, n_inference, cfg.num_shards, seed)
+        spec = WorkloadSpec(cfg.n_unlearning, n_inference, horizon, seed, distribution_u=GRID)
+        workload = generate(spec, cfg.num_shards)
         require_grid_workload(workload, cfg.n_unlearning, horizon)
-        params = simulator.SimParams(retrain_duration=r, horizon=horizon, seed=seed)
+        params = simulator.SimParams(retrain_duration=r, horizon=horizon)
         theory = TheoryParams(cfg.n_unlearning, horizon, r)
         oracle_cfg = cfg.oracle_config(seed)
 

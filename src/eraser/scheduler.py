@@ -115,23 +115,21 @@ class MitigationConfig:
 
 @dataclass(frozen=True)
 class VariantConfig:
+    """One of the eight named policies with its tunables; the name fixes
+    the three design options (``VARIANT_TABLE``) and whether it certifies."""
+
     name: str
-    option_i: str
-    option_ii: str
-    option_iii: str
     threshold: float = 0.05
     parallel_capacity: int = 1
     retrain_policy: str = RETRAIN_ALL_PENDING
-    certified: bool = True
     cert_mode: str = "fine"
     mitigation: MitigationConfig | None = None
     shuffle_shards: bool = False
     context_switch_latency: float = 0.0
 
     def __post_init__(self):
-        triple = (self.option_i, self.option_ii, self.option_iii)
-        if triple not in VARIANT_TABLE.values():
-            raise ValueError(f"unsupported option combination {triple}")
+        if self.name not in VARIANT_TABLE:
+            raise ValueError(f"unknown variant {self.name!r}; choose from {VARIANT_NAMES}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.parallel_capacity < 1:
@@ -142,15 +140,6 @@ class VariantConfig:
             raise ValueError(f"unknown cert_mode {self.cert_mode!r}")
         if not (math.isfinite(self.context_switch_latency) and self.context_switch_latency >= 0):
             raise ValueError("context_switch_latency must be finite and >= 0")
-
-
-def variant_config(name: str, **overrides) -> VariantConfig:
-    """Build the VariantConfig for one of the eight named policies."""
-    if name not in VARIANT_TABLE:
-        raise ValueError(f"unknown variant {name!r}; choose from {VARIANT_NAMES}")
-    i, ii, iii = VARIANT_TABLE[name]
-    overrides.setdefault("certified", name != "SISA")
-    return VariantConfig(name, i, ii, iii, **overrides)
 
 
 # --- actions emitted toward the simulator ---------------------------------
@@ -215,14 +204,16 @@ _TRIGGER = "trigger"
 
 
 class _Entry:
-    __slots__ = ("request", "responded", "release_after", "control_counted")
+    __slots__ = ("request", "responded", "release_after", "hypothetical", "control_counted")
 
     def __init__(self, request):
         self.request = request
         self.responded = False
         # certification-free baseline only: answer once this many
-        # retraining jobs have completed (= jobs outstanding at arrival)
+        # retraining jobs have completed (= jobs outstanding at arrival),
+        # claiming the hypothetical versions as of arrival
         self.release_after = 0
+        self.hypothetical = None
         # threshold variants: this request already fed the window counters;
         # later drains reprocess it for response only, never re-counting it
         self.control_counted = False
@@ -235,6 +226,8 @@ class Scheduler:
         if not (math.isfinite(retrain_duration) and retrain_duration > 0):
             raise ValueError("retrain_duration must be positive and finite")
         self.cfg = cfg
+        self.option_i, self.option_ii, self.option_iii = VARIANT_TABLE[cfg.name]
+        self.certified = cfg.name != "SISA"
         self.oracle_cfg = oracle_cfg
         self.retrain_duration = retrain_duration
         k = oracle_cfg.num_shards
@@ -295,7 +288,7 @@ class Scheduler:
         """
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
-        mit = self.cfg.mitigation if apply_mitigation and self.cfg.certified else None
+        mit = self.cfg.mitigation if apply_mitigation and self.certified else None
         evals: list = [None] * len(entries)
         todo = []
         for i, entry in enumerate(entries):
@@ -310,7 +303,7 @@ class Scheduler:
             return evals
         keys = [(entries[i].request.sample, entries[i].request.is_noise) for i in todo]
         preds = self.prefixes.predict(self.prefixes.rows(keys), self.versions)
-        certifying = self.cfg.certified and self.cfg.cert_mode != "disabled"
+        certifying = self.certified and self.cfg.cert_mode != "disabled"
         certified, winner, top = judge(
             preds,
             self.impacted_shards() if certifying else (),
@@ -353,12 +346,8 @@ class Scheduler:
         entry.responded = True
         if ev.refusal is not None:
             return [RefuseInference(entry.request, ev.refusal)]
-        return [
-            Respond(
-                entry.request, ev.label, ev.verdict, self._versions_tuple,
-                self._hypothetical_versions(),
-            )
-        ]
+        hypothetical = entry.hypothetical or self._hypothetical_versions()
+        return [Respond(entry.request, ev.label, ev.verdict, self._versions_tuple, hypothetical)]
 
     def _control(self, entry: _Entry, ev: _Eval) -> str:
         """Control-plane decision for one judged request: answer, wait or trigger.
@@ -368,7 +357,7 @@ class Scheduler:
         """
         if ev.refusal is not None:
             return _ANSWER
-        threshold = self.cfg.option_ii == THRESHOLD_TRIGGERED
+        threshold = self.option_ii == THRESHOLD_TRIGGERED
         if threshold and entry.control_counted:
             # reprocessing of an already-counted request: answer if the
             # fresh state certifies it, otherwise keep waiting
@@ -377,15 +366,15 @@ class Scheduler:
             self.window_inferences += 1
         if ev.certified:
             return _ANSWER
-        if self.cfg.option_ii == IMMEDIATE:
+        if self.option_ii == IMMEDIATE:
             return _WAIT
-        if self.cfg.option_ii == UNCERT_TRIGGERED:
+        if self.option_ii == UNCERT_TRIGGERED:
             return _TRIGGER
         self.window_uncertified += 1
         entry.control_counted = True
         if self.window_uncertified > self.cfg.threshold * self.window_inferences:
             return _TRIGGER
-        if self.cfg.option_iii == RESPOND_UNCERTIFIED:
+        if self.option_iii == RESPOND_UNCERTIFIED:
             return _ANSWER
         return _WAIT
 
@@ -417,7 +406,7 @@ class Scheduler:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
         self.pending[shard] += 1
         self._state_changed()
-        if self.cfg.option_ii != IMMEDIATE:
+        if self.option_ii != IMMEDIATE:
             return []
         # one retraining per request, even when the shard already has jobs
         job = self._new_job(shard, covered=1)
@@ -432,14 +421,17 @@ class Scheduler:
             raise ValueError(f"expected an inference request, got {request.kind}")
         entry = _Entry(request)
         if self.busy():
-            if not self.cfg.certified or self.cfg.option_i == SINGLE_CONTEXT:
+            if not self.certified or self.option_i == SINGLE_CONTEXT:
                 # halt; only the certification-free baseline reads
-                # release_after: it is unlearning-request-first and waits for
-                # every retraining that predates this request, not later ones
+                # release_after: it is unlearning-request-first, waits for
+                # every retraining that predates this request, not later ones,
+                # and claims to have forgotten exactly what arrived before it
                 entry.release_after = self.jobs_created
+                if not self.certified:
+                    entry.hypothetical = self._hypothetical_versions()
                 self.backlog.append(entry)
                 return [HaltInference(request)]
-            if self.cfg.option_ii != IMMEDIATE:
+            if self.option_ii != IMMEDIATE:
                 # mid-update: answer what we soundly can; counting waits for
                 # the control pass at update completion
                 self.backlog.append(entry)
@@ -476,9 +468,9 @@ class Scheduler:
             nxt.completion = now + self.retrain_duration
             self.inflight[nxt.job_id] = nxt
             actions.append(StartRetraining(nxt))
-        if not self.cfg.certified:
+        if not self.certified:
             actions += self._release_baseline()
-        elif self.cfg.option_i == DOUBLE_CONTEXT:
+        elif self.option_i == DOUBLE_CONTEXT:
             actions += self._respond_ready()
         if not self.busy():
             actions += self._on_update_complete(now)
@@ -507,7 +499,7 @@ class Scheduler:
 
     def _on_update_complete(self, now: float) -> list:
         actions: list = [CompleteUpdate()]
-        if self.cfg.option_ii == THRESHOLD_TRIGGERED:
+        if self.option_ii == THRESHOLD_TRIGGERED:
             self.window_inferences = 0
             self.window_uncertified = 0
         actions += self._drain(now)
@@ -529,7 +521,7 @@ class Scheduler:
                 # the rest of the backlog rides along to the next update
                 self.backlog = remaining + self.backlog[i + 1 :]
                 actions += self.trigger_update(now, ev)
-                if self.cfg.option_i == DOUBLE_CONTEXT:
+                if self.option_i == DOUBLE_CONTEXT:
                     actions += self._respond_ready()
                 return actions
         self.backlog = remaining
@@ -554,7 +546,7 @@ class Scheduler:
             self.final_triggers += 1
         delay = (
             self.cfg.context_switch_latency
-            if self.cfg.option_i == SINGLE_CONTEXT
+            if self.option_i == SINGLE_CONTEXT
             else 0.0
         )
         actions = []

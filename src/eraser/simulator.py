@@ -51,7 +51,6 @@ _RUN_CHUNK = 256  # arrivals offered to the scheduler as one batch, at most
 class SimParams:
     retrain_duration: float
     horizon: float
-    seed: int = 0
     inference_service_time: float = 0.0
 
     def __post_init__(self):

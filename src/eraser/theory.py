@@ -3,10 +3,10 @@
 All formulas assume unlearning requests arrive at exact fixed intervals
 T/n_u starting at t=0, each triggering a retraining of duration r, with
 inference arrivals uniform on [0, T] and negligible inference service
-time (see :func:`eraser.workload.grid_workload`). They
-are meant to be validated against the simulator, not trusted blindly:
-:func:`expected_wait_dimp_series` in particular leans on a
-judgement-independence assumption the simulator does not share.
+time (a :class:`eraser.workload.WorkloadSpec` with ``distribution_u``
+on the ``GRID``). They are meant to be validated against the simulator,
+not trusted blindly: :func:`expected_wait_dimp_series` in particular leans
+on a judgement-independence assumption the simulator does not share.
 """
 
 from __future__ import annotations

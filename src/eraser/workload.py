@@ -93,7 +93,7 @@ def symmetric_multimodal(num_modes: int, horizon: float) -> Multimodal:
 
 
 UNIFORM = "uniform"
-GRID = "grid"  # unlearning only: see grid_workload
+GRID = "grid"  # unlearning only: arrivals at i*T/n, the waiting-time formulas' model
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,7 @@ def _sample_arrivals(rng, dist, n, horizon):
 def _finalize(requests):
     requests.sort(key=lambda r: (r.arrival, _KIND_PRIORITY[r.kind], r.request_id))
     return [
-        Request(
-            r.kind, r.arrival, i, r.sample, r.is_noise, r.target_shard
-        )
+        Request(r.kind, r.arrival, i, r.sample, r.is_noise, r.target_shard)
         for i, r in enumerate(requests)
     ]
 
@@ -179,23 +177,28 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
 
     The result is a pure function of (spec, num_shards). Exactly
     ``round(noise_fraction * n_inference)`` inference samples carry the
-    noise flag. Unlearning on the ``GRID`` takes :func:`grid_workload`.
+    noise flag. Unlearning on the ``GRID`` arrives at exact fixed intervals
+    (0, T/n, 2T/n, ...), the arrival model the closed-form waiting-time
+    results assume; its shard draws take a second generator seeded with
+    ``seed``, so the inference stream does not depend on ``n_unlearning``.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if spec.distribution_u == GRID:
-        return grid_workload(
-            spec.n_unlearning, spec.horizon, spec.n_inference, num_shards, spec.seed,
-            spec.shard_assignment, spec.distribution_i, spec.noise_fraction,
-        )
     rng = np.random.default_rng(spec.seed)
-    u_arrivals = np.sort(_sample_arrivals(rng, spec.distribution_u, spec.n_unlearning, spec.horizon))
+    if spec.distribution_u == GRID:
+        u_arrivals = np.arange(spec.n_unlearning) * spec.horizon / spec.n_unlearning
+        shard_rng = np.random.default_rng(spec.seed)
+    else:
+        u_arrivals = np.sort(
+            _sample_arrivals(rng, spec.distribution_u, spec.n_unlearning, spec.horizon)
+        )
+        shard_rng = rng
     i_arrivals = np.sort(_sample_arrivals(rng, spec.distribution_i, spec.n_inference, spec.horizon))
 
     if spec.shard_assignment == SCATTERED_ROUND_ROBIN:
         shards = np.arange(spec.n_unlearning, dtype=np.int64) % num_shards
     else:
-        shards = rng.integers(0, num_shards, spec.n_unlearning)
+        shards = shard_rng.integers(0, num_shards, spec.n_unlearning)
 
     n_noise = round(spec.noise_fraction * spec.n_inference)
     noise = np.zeros(spec.n_inference, dtype=bool)
@@ -210,43 +213,6 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
         Request(INFERENCE, float(t), i, sample=i, is_noise=bool(noise[i]))
         for i, t in enumerate(i_arrivals)
     ]
-    return _finalize(requests)
-
-
-def grid_workload(n_unlearning: int, horizon: float, n_inference: int, num_shards: int,
-                  seed: int, shard_assignment: str = UNIFORM_RANDOM,
-                  distribution_i: object = UNIFORM, noise_fraction: float = 0.0) -> list[Request]:
-    """Unlearning requests at exact fixed intervals (0, T/n, 2T/n, ...)
-    merged with generated inference arrivals, with fresh request ids.
-
-    The grid is the arrival model the closed-form waiting-time results
-    assume; use it whenever simulation is compared against them. The
-    grid's shard draws and the inference stream each take their own
-    generator seeded with ``seed``.
-    """
-    if n_unlearning < 0:
-        raise ValueError(f"n_unlearning must be non-negative, got {n_unlearning}")
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    rng = np.random.default_rng(seed)
-    if shard_assignment == SCATTERED_ROUND_ROBIN:
-        shards = np.arange(n_unlearning, dtype=np.int64) % num_shards
-    elif shard_assignment == UNIFORM_RANDOM:
-        shards = rng.integers(0, num_shards, n_unlearning)
-    else:
-        raise ValueError(f"unknown shard_assignment {shard_assignment!r}")
-    requests = [
-        Request(UNLEARNING, i * horizon / n_unlearning, i, target_shard=int(shards[i]))
-        for i in range(n_unlearning)
-    ]
-    if n_inference:
-        spec = WorkloadSpec(
-            0, n_inference, horizon, seed,
-            distribution_i=distribution_i, noise_fraction=noise_fraction,
-        )
-        requests += generate(spec, num_shards)
     return _finalize(requests)
 
 

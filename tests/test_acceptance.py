@@ -13,10 +13,10 @@ import pytest
 from eraser.experiment import run_experiment, verify_cert
 from eraser.config import build_experiment_config, parse_config_text
 from eraser.oracle import OracleConfig
-from eraser.scheduler import MitigationConfig, variant_config
+from eraser.scheduler import MitigationConfig, VariantConfig
 from eraser.simulator import SimParams, replay_privacy_check, run
 from eraser.theory import TheoryParams, expected_wait_sisa
-from eraser.workload import WorkloadSpec, generate, grid_workload
+from eraser.workload import GRID, WorkloadSpec, generate
 
 SEEDS = list(range(42, 47))
 POSTPONE_VARIANTS = ("DIMP", "SUTP", "DUTP", "STTP", "DTTP")
@@ -48,7 +48,7 @@ def desk_run(name, *, K=20, acc=0.9, seed=42, theta=0.05, noise=0.0,
                      noise_fraction=noise),
         K,
     )
-    variant = variant_config(name, threshold=theta, parallel_capacity=K,
+    variant = VariantConfig(name, threshold=theta, parallel_capacity=K,
                              mitigation=mitigation, shuffle_shards=shuffle)
     metrics = run(workload, variant, oracle, SimParams(r, horizon),
                   collect_log=collect_log)
@@ -90,11 +90,11 @@ def test_criterion_2_fine_dominates_coarse(fuzz_report):
 def test_criterion_3_sisa_waiting_time_formula():
     n_u, horizon = 10, 100.0
     oracle = OracleConfig(10, 20, 0.9, seed=3)
-    workload = grid_workload(n_u, horizon, 100_000, 20, seed=3)
+    workload = generate(WorkloadSpec(n_u, 100_000, horizon, seed=3, distribution_u=GRID), 20)
     details = []
     ok = True
     for r, expected in ((5.0, 1.25), (20.0, 15.0)):
-        m = run(workload, variant_config("SISA", parallel_capacity=20), oracle,
+        m = run(workload, VariantConfig("SISA", parallel_capacity=20), oracle,
                 SimParams(r, horizon), collect_log=False)
         rel = abs(m.awt - expected) / expected
         ok = ok and rel < 0.02
@@ -109,8 +109,8 @@ def test_criterion_4_immediate_unlearning_speedup_bound():
     for r in (1.5, 2.5, 3.5):
         for acc in (0.7, 0.8, 0.9):
             oracle = OracleConfig(10, K, acc, seed=17)
-            workload = grid_workload(n_u, horizon, n_i, K, seed=17)
-            m = run(workload, variant_config("DIMP", parallel_capacity=K), oracle,
+            workload = generate(WorkloadSpec(n_u, n_i, horizon, seed=17, distribution_u=GRID), K)
+            m = run(workload, VariantConfig("DIMP", parallel_capacity=K), oracle,
                     SimParams(r, horizon), collect_log=False)
             p_uc = m.p_uc
             bound = p_uc * expected_wait_sisa(TheoryParams(n_u, horizon, r))
@@ -125,7 +125,7 @@ def test_criterion_4_immediate_unlearning_speedup_bound():
 
 def test_criterion_5_privacy_invariant():
     violations = {}
-    for name in POSTPONE_VARIANTS:
+    for name in ("SISA",) + POSTPONE_VARIANTS:
         for seed in SEEDS:
             m = desk_run(name, seed=seed, collect_log=True)
             oracle = OracleConfig(10, 20, 0.9, seed=seed)
@@ -144,13 +144,13 @@ def test_criterion_5_privacy_invariant():
                      shard_assignment="scattered_round_robin", noise_fraction=0.5),
         10,
     )
-    emu = run(adv, variant_config("DUTP", parallel_capacity=10, cert_mode="disabled"),
+    emu = run(adv, VariantConfig("DUTP", parallel_capacity=10, cert_mode="disabled"),
               adv_oracle, SimParams(1.0, 100.0))
     leaked = replay_privacy_check(emu.per_request_log, adv_oracle)
     ok = clean and leaked > 0
     report(
         "5 privacy invariant", ok,
-        f"(0 replay violations across postpone variants x {len(SEEDS)} seeds; "
+        f"(0 replay violations across SISA and the postpone variants x {len(SEEDS)} seeds; "
         f"answer-first emulation leaks {leaked} of {emu.num_inferences})",
     )
 

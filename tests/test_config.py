@@ -11,7 +11,7 @@ from eraser.config import (
     build_experiment_config,
     parse_config_text,
 )
-from eraser.scheduler import VARIANT_NAMES
+from eraser.scheduler import VARIANT_NAMES, VARIANT_TABLE
 from eraser.workload import Gaussian
 
 
@@ -295,11 +295,11 @@ sigma_u = 3
 }
 
 RESOLUTION_DIGESTS = {
-    "gaussian": "62f0f31f0dbd0e3fade706c862b0af7d04165fcfb3ec4bdb9c3b4a941a4871c6",
-    "grid": "b3c34b40b7b5090895c38c90eeaa6d44f25ef90e932aac9c36a821a15c8ffb4e",
-    "grid_without_inference": "0e4dee1eb87bd260b3f62800ac47d72078279082c98dd7fa392aa238b5f8aa87",
-    "multimodal": "002886ba6d4860576c690dbbdd0c40ad4bd54f41a3d8370d19839edcc7fe3d68",
-    "no_unlearning": "33878b064e72e9260c869117e47acd2c3978c87105c785b37dc3168231c7d5e9",
+    "gaussian": "2e3c0abccb806ab0ccb76c509464e93e77f2cce5108555b068933bc96a529658",
+    "grid": "9b70f7910f53197a205ec49b15878d7f11479d2707115be6817557903757f39d",
+    "grid_without_inference": "054bf224b1951225ecd220d07382199f86bf665dca1afabec690fbba1b5a39ec",
+    "multimodal": "3af0bd903b56412cb58f90ff74e4987c7ac65c3e9dd6b957e4294c9c5bcf0d62",
+    "no_unlearning": "73415db996f34ee8fb241591aeb56de54ef7dfee71181d049f888b9cf34fc0d7",
 }
 
 
@@ -308,9 +308,15 @@ def resolution_digest(text):
     h = hashlib.sha256(repr((cfg.variants, cfg.seeds(), cfg.num_shards)).encode())
     for s in cfg.seeds():
         h.update(repr(cfg.oracle_config(s)).encode())
-        h.update(repr(cfg.sim_params(s)).encode())
-        for v in VARIANT_NAMES:
-            h.update(repr(cfg.variant(v)).encode())
+        p = cfg.sim_params(s)
+        h.update(repr((p.retrain_duration, p.horizon, p.inference_service_time)).encode())
+        for name in VARIANT_NAMES:
+            v = cfg.variant(name)
+            h.update(repr((
+                v.name, VARIANT_TABLE[v.name], v.threshold, v.parallel_capacity,
+                v.retrain_policy, v.cert_mode, v.mitigation, v.shuffle_shards,
+                v.context_switch_latency,
+            )).encode())
         for request in cfg.build_workload(s):
             h.update(repr(request).encode())
     return h.hexdigest()

@@ -6,10 +6,12 @@ inference arrivals to judge in one batch. The reference below pushes every
 event onto one heap, ordered by (time, kind priority, sequence), and feeds
 the same ``Scheduler`` one event at a time with no hint, and it records
 each answer's versions and hypothetical versions from the scheduler's
-state with no cache. Both must return equal ``Metrics``, every
-``RequestRecord`` included.
+state with no cache; a SISA answer to a halted inference claims the
+hypothetical versions as of its arrival. Both must return equal
+``Metrics``, every ``RequestRecord`` included.
 """
 
+import dataclasses
 import heapq
 
 import numpy as np
@@ -21,15 +23,16 @@ from eraser.hashing import mix64
 from eraser.oracle import OracleConfig, PredictionTrace, predict, sample_for
 from eraser.scheduler import (
     VARIANT_NAMES,
+    HaltInference,
     MitigationConfig,
     PostponeInference,
     RefuseInference,
     Respond,
     Scheduler,
     StartRetraining,
-    variant_config,
+    VariantConfig,
 )
-from eraser.simulator import Metrics, RequestRecord, SimParams, run
+from eraser.simulator import Metrics, RequestRecord, SimParams, replay_privacy_check, run
 from eraser.workload import INFERENCE, UNLEARNING, Request, WorkloadSpec, generate
 
 
@@ -46,6 +49,7 @@ def reference_run(workload, variant, oracle_cfg, params):
     heap = [(r.arrival, 1 if r.kind == UNLEARNING else 2, seq, r) for seq, r in enumerate(workload)]
     heapq.heapify(heap)
     seq, now, records, postponed = len(workload), 0.0, [], set()
+    halted = {}  # SISA: request id -> hypothetical versions at arrival
 
     def apply(actions):
         nonlocal seq
@@ -55,15 +59,18 @@ def reference_run(workload, variant, oracle_cfg, params):
                 seq += 1
             elif isinstance(act, PostponeInference):
                 postponed.add(act.request.request_id)
+            elif isinstance(act, HaltInference) and variant.name == "SISA":
+                halted[act.request.request_id] = _hypothetical(sched)
             elif isinstance(act, (Respond, RefuseInference)):
                 req, response = act.request, now + params.inference_service_time
                 refused = isinstance(act, RefuseInference)
+                hypo = halted.pop(req.request_id, None) or _hypothetical(sched)
                 records.append(RequestRecord(
                     req.request_id, req.arrival, response, response - req.arrival,
                     f"refused_{act.reason}" if refused else act.verdict,
                     -1 if refused else act.label, req.sample, req.is_noise,
                     () if refused else tuple(sched.versions.tolist()),
-                    () if refused else _hypothetical(sched),
+                    () if refused else hypo,
                 ))
 
     def drain():
@@ -113,6 +120,7 @@ def assert_same_as_reference(workload, variant, oracle_cfg, params):
     assert len(got.per_request_log) == got.num_inferences
     for field in Metrics.__dataclass_fields__:
         assert getattr(got, field) == getattr(want, field), field
+    return got
 
 
 K, C = 8, 3
@@ -154,7 +162,7 @@ def test_every_variant_matches_the_reference_loop(path):
     )
     params = SimParams(1.0, 30.0, inference_service_time=service)
     for name in VARIANT_NAMES:
-        variant = variant_config(name, parallel_capacity=3, threshold=0.1, **overrides)
+        variant = VariantConfig(name, parallel_capacity=3, threshold=0.1, **overrides)
         assert_same_as_reference(WORKLOAD, variant, oracle_cfg, params)
 
 
@@ -176,7 +184,7 @@ def test_ties_with_completions_and_unlearning_arrivals(name):
                 q(5, 8, 2.0), u(6, 2, 2.0), q(7, 9, 2.0), q(8, 10, 2.5)]
     oracle_cfg = OracleConfig(2, 3, 1.0, seed=1)
     params = SimParams(1.0, 3.0)
-    variant = variant_config(name, parallel_capacity=3)
+    variant = VariantConfig(name, parallel_capacity=3)
     assert_same_as_reference(workload, variant, oracle_cfg, params)
     log = {rec.request_id: rec for rec in run(workload, variant, oracle_cfg, params).per_request_log}
     if name in ("DIMP", "SISA"):
@@ -195,7 +203,7 @@ def test_reused_samples_and_sparse_request_ids_match_the_reference_loop(name):
         for i in range(200)
     ]
     oracle_cfg = OracleConfig(C, K, 0.7, seed=3)
-    variant = variant_config(name, parallel_capacity=3, threshold=0.1)
+    variant = VariantConfig(name, parallel_capacity=3, threshold=0.1)
     params = SimParams(1.0, 30.0)
     assert_same_as_reference(workload, variant, oracle_cfg, params)
     # and every answer is the plurality of the per-shard predictions
@@ -232,7 +240,7 @@ def _configs(draw):
         u(rid, sample % k, float(t)) if unlearn else q(rid, sample, float(t))
         for rid, (t, unlearn, sample) in enumerate(events)
     ]
-    variant = variant_config(
+    variant = VariantConfig(
         draw(st.sampled_from(VARIANT_NAMES)),
         parallel_capacity=draw(st.integers(1, k)), **draw(_VARIANT_KNOBS),
     )
@@ -248,7 +256,25 @@ def _configs(draw):
     return workload, variant, oracle_cfg, params
 
 
+# single- and double-context twins: the same triggers, so the same retrainings
+_TWINS = {"SUTP": "DUTP", "STTU": "DTTU", "STTP": "DTTP"}
+_TWINS.update({double: single for single, double in _TWINS.items()})
+
+
 @settings(max_examples=300, deadline=None)
 @given(_configs())
 def test_random_small_configs_match_the_reference_loop(config):
-    assert_same_as_reference(*config)
+    """Random configs match the reference loop, audit clean wherever the
+    answers claim to be authoritative, and retrain as often as their twin.
+
+    The twins may differ when ``context_switch_latency`` is above 0: only the
+    single-context twin delays its updates by it, so later arrivals meet a
+    different retraining state.
+    """
+    workload, variant, oracle_cfg, params = config
+    got = assert_same_as_reference(*config)
+    if variant.name == "SISA" or variant.cert_mode != "disabled":
+        assert replay_privacy_check(got.per_request_log, oracle_cfg) == 0
+    if variant.name in _TWINS and variant.context_switch_latency == 0:
+        twin = dataclasses.replace(variant, name=_TWINS[variant.name])
+        assert run(workload, twin, oracle_cfg, params, collect_log=False).nor == got.nor

@@ -16,14 +16,13 @@ from eraser.scheduler import (
     StartRetraining,
     VARIANT_TABLE,
     VariantConfig,
-    variant_config,
 )
 from eraser.workload import Request
 
 
 def make_sched(name="DIMP", K=20, C=10, accuracy=0.9, seed=3, r=5.0, **overrides):
     overrides.setdefault("parallel_capacity", K)
-    cfg = variant_config(name, **overrides)
+    cfg = VariantConfig(name, **overrides)
     return Scheduler(cfg, OracleConfig(C, K, accuracy, seed=seed), r)
 
 
@@ -40,9 +39,7 @@ def test_variant_table_is_the_supported_set():
         "DIMP", "SUTP", "DUTP", "STTU", "DTTU", "STTP", "DTTP", "SISA",
     }
     with pytest.raises(ValueError):
-        variant_config("XXXX")
-    with pytest.raises(ValueError):
-        VariantConfig("bad", "double_context", "immediate", "respond_uncertified")
+        VariantConfig("bad")
 
 
 def test_immediate_unlearning_starts_retraining_now():
@@ -181,7 +178,7 @@ def test_confidence_discard_threshold():
     oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
     for threshold, expect in ((0.6, Respond), (0.61, RefuseInference)):
         mit = MitigationConfig(confidence_threshold=threshold)
-        s = Scheduler(variant_config("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)
+        s = Scheduler(VariantConfig("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)
         (act,) = s.on_inference_arrival(infer(0, 0, 0.0), 0.0)
         assert isinstance(act, expect)
     assert act.reason == "low_confidence"

@@ -11,7 +11,7 @@ from eraser.simulator import (
     replay_privacy_check,
     run,
 )
-from eraser.scheduler import MitigationConfig, Scheduler, variant_config
+from eraser.scheduler import MitigationConfig, Scheduler, VariantConfig
 from eraser.workload import Request, WorkloadSpec, generate
 
 
@@ -28,13 +28,13 @@ def q(rid, sample, t, noise=False):
 
 
 def test_empty_workload():
-    m = run([], variant_config("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+    m = run([], VariantConfig("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
     assert m.awt == 0.0 and m.nor == 0 and m.num_inferences == 0
 
 
 def test_sisa_halts_until_prior_retraining_finishes():
     wl = [u(0, 1, 0.0), q(1, 0, 2.0)]
-    m = run(wl, variant_config("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+    m = run(wl, VariantConfig("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
     assert m.awt == pytest.approx(3.0)
     assert m.nor == 1
     rec = m.per_request_log[0]
@@ -43,7 +43,7 @@ def test_sisa_halts_until_prior_retraining_finishes():
 
 def test_dimp_certified_inference_does_not_wait():
     wl = [u(0, 1, 0.0), q(1, 0, 2.0)]
-    m = run(wl, variant_config("DIMP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+    m = run(wl, VariantConfig("DIMP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
     assert m.awt == 0.0 and m.nor == 1
     assert m.per_request_log[0].verdict == "certified"
 
@@ -51,13 +51,13 @@ def test_dimp_certified_inference_does_not_wait():
 def test_unsorted_workload_rejected():
     wl = [q(0, 0, 5.0), u(1, 0, 1.0)]
     with pytest.raises(ValueError, match="sorted"):
-        run(wl, variant_config("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+        run(wl, VariantConfig("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
 
 
 def test_out_of_horizon_arrival_rejected():
     wl = [q(0, 0, 50.0)]
     with pytest.raises(ValueError, match="outside"):
-        run(wl, variant_config("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+        run(wl, VariantConfig("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
 
 
 def _trace_oracle():
@@ -79,7 +79,7 @@ def test_postponed_inference_released_at_first_sufficient_completion():
     # response lands at that completion, not at the end of the whole update
     cfg = _trace_oracle()
     wl = [u(0, 0, 0.0), u(1, 1, 0.5), q(2, 0, 1.0)]
-    m = run(wl, variant_config("DUTP", parallel_capacity=1), cfg, SimParams(5.0, 20.0))
+    m = run(wl, VariantConfig("DUTP", parallel_capacity=1), cfg, SimParams(5.0, 20.0))
     rec = m.per_request_log[0]
     assert rec.verdict == "certified"
     assert rec.response == pytest.approx(6.0)  # first completion: 1 + 5
@@ -91,7 +91,7 @@ def test_postponed_inference_released_at_first_sufficient_completion():
 def test_single_context_twin_waits_for_the_full_update():
     cfg = _trace_oracle()
     wl = [u(0, 0, 0.0), u(1, 1, 0.5), q(2, 0, 1.0)]
-    m = run(wl, variant_config("SUTP", parallel_capacity=1), cfg, SimParams(5.0, 20.0))
+    m = run(wl, VariantConfig("SUTP", parallel_capacity=1), cfg, SimParams(5.0, 20.0))
     rec = m.per_request_log[0]
     assert rec.response == pytest.approx(11.0)  # both jobs done: 1 + 5 + 5
     assert m.nor == 2
@@ -100,7 +100,7 @@ def test_single_context_twin_waits_for_the_full_update():
 def test_mid_update_arrival_halts_in_single_context():
     cfg = _trace_oracle()
     wl = [u(0, 0, 0.0), u(1, 1, 0.5), q(2, 0, 1.0), q(3, 0, 2.0)]
-    m = run(wl, variant_config("SUTP", parallel_capacity=2), cfg, SimParams(5.0, 20.0))
+    m = run(wl, VariantConfig("SUTP", parallel_capacity=2), cfg, SimParams(5.0, 20.0))
     by_id = {rec.request_id: rec for rec in m.per_request_log}
     # both jobs run in parallel [1, 6]; the trigger request and the halted
     # mid-update arrival drain at the context switch
@@ -110,7 +110,7 @@ def test_mid_update_arrival_halts_in_single_context():
 
 def test_leftover_pending_unlearning_runs_at_shutdown():
     wl = [u(0, 2, 1.0)]
-    m = run(wl, variant_config("SUTP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+    m = run(wl, VariantConfig("SUTP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
     assert m.nor == 1
     assert m.final_triggers == 1 and m.uncertification_triggers == 0
 
@@ -120,7 +120,7 @@ def test_conservation_and_awt_recomputation():
     wl = generate(spec, 10)
     cfg = oc(K=10, C=4, accuracy=0.8, seed=12)
     for name in ("DIMP", "SUTP", "DTTU", "STTP", "SISA"):
-        m = run(wl, variant_config(name, parallel_capacity=10), cfg, SimParams(1.0, 40.0))
+        m = run(wl, VariantConfig(name, parallel_capacity=10), cfg, SimParams(1.0, 40.0))
         assert len(m.per_request_log) == m.num_inferences == 400
         assert m.num_unlearnings == 40
         recomputed = float(np.mean([rec.wait for rec in m.per_request_log]))
@@ -132,14 +132,14 @@ def test_runs_are_bit_identical():
     spec = WorkloadSpec(30, 300, 30.0, seed=8)
     wl = generate(spec, 10)
     cfg = oc(K=10, C=10, accuracy=0.85, seed=8)
-    a = run(wl, variant_config("DTTP", parallel_capacity=10), cfg, SimParams(1.0, 30.0))
-    b = run(wl, variant_config("DTTP", parallel_capacity=10), cfg, SimParams(1.0, 30.0))
+    a = run(wl, VariantConfig("DTTP", parallel_capacity=10), cfg, SimParams(1.0, 30.0))
+    b = run(wl, VariantConfig("DTTP", parallel_capacity=10), cfg, SimParams(1.0, 30.0))
     assert a == b
 
 
 def test_service_time_extends_every_response():
     wl = [q(0, 0, 1.0)]
-    m = run(wl, variant_config("DIMP", parallel_capacity=3), oc(),
+    m = run(wl, VariantConfig("DIMP", parallel_capacity=3), oc(),
             SimParams(5.0, 10.0, inference_service_time=0.25))
     assert m.per_request_log[0].response == pytest.approx(1.25)
     assert m.awt == pytest.approx(0.25)
@@ -150,20 +150,19 @@ def test_replay_clean_for_postpone_variants():
     wl = generate(spec, 12)
     cfg = oc(K=12, C=6, accuracy=0.75, seed=21)
     for name in ("DIMP", "SUTP", "DUTP", "STTP", "DTTP"):
-        m = run(wl, variant_config(name, parallel_capacity=12), cfg, SimParams(1.0, 60.0))
+        m = run(wl, VariantConfig(name, parallel_capacity=12), cfg, SimParams(1.0, 60.0))
         assert replay_privacy_check(m.per_request_log, cfg) == 0
 
 
-# Known fault: SISA releases a halted inference once the retraining jobs
-# that predate it finish, while unlearning that arrived during the halt is
-# still pending, so its plain answer can disagree with the replay (6, 3 and
-# 3 answers at these capacities). Strict: the test fails once that is fixed.
-@pytest.mark.xfail(strict=True, reason="SISA answers before unlearning that arrived mid-halt")
+# SISA releases a halted inference once the retraining jobs that predate it
+# finish, while unlearning that arrived during the halt may still be pending.
+# Its plain answer claims the versions as of arrival, which the replay checks
+# (audited against the versions at release, 6, 3 and 3 answers here disagreed).
 @pytest.mark.parametrize("capacity", [1, 2, 8])
 def test_sisa_plain_answers_replay_clean(capacity):
     wl = generate(WorkloadSpec(40, 30, 50.0, seed=899), 8)
     cfg = oc(K=8, C=3, accuracy=0.3, seed=899)
-    m = run(wl, variant_config("SISA", parallel_capacity=capacity), cfg, SimParams(1.0, 50.0))
+    m = run(wl, VariantConfig("SISA", parallel_capacity=capacity), cfg, SimParams(1.0, 50.0))
     assert replay_privacy_check(m.per_request_log, cfg) == 0
 
 
@@ -171,7 +170,7 @@ def test_replay_counts_only_authoritative_answers():
     spec = WorkloadSpec(60, 500, 60.0, seed=22)
     wl = generate(spec, 12)
     cfg = oc(K=12, C=6, accuracy=0.75, seed=22)
-    m = run(wl, variant_config("STTU", parallel_capacity=12), cfg, SimParams(1.0, 60.0))
+    m = run(wl, VariantConfig("STTU", parallel_capacity=12), cfg, SimParams(1.0, 60.0))
     assert m.uncertified_responses > 0
     certified = [rec for rec in m.per_request_log if rec.verdict == "certified"]
     assert replay_privacy_check(m.per_request_log, cfg) == 0
@@ -211,7 +210,7 @@ def test_batched_replay_matches_the_record_by_record_replay(monkeypatch, chunk, 
     spec = WorkloadSpec(60, 400, 60.0, seed=13,
                         shard_assignment="scattered_round_robin", noise_fraction=0.5)
     wl = generate(spec, 10)
-    v = variant_config(name, parallel_capacity=3, **overrides)
+    v = VariantConfig(name, parallel_capacity=3, **overrides)
     log = run(wl, v, cfg, SimParams(1.0, 60.0)).per_request_log
     verdicts = {rec.verdict for rec in log}
     if name == "STTU":
@@ -227,11 +226,11 @@ def test_batched_replay_matches_the_record_by_record_replay(monkeypatch, chunk, 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda x: variant_config("SUTP", context_switch_latency=x),
+        lambda x: VariantConfig("SUTP", context_switch_latency=x),
         lambda x: SimParams(retrain_duration=x, horizon=10.0),
         lambda x: SimParams(retrain_duration=1.0, horizon=x),
         lambda x: SimParams(1.0, 10.0, inference_service_time=x),
-        lambda x: Scheduler(variant_config("SUTP"), oc(), retrain_duration=x),
+        lambda x: Scheduler(VariantConfig("SUTP"), oc(), retrain_duration=x),
     ],
     ids=["context_switch_latency", "retrain_duration", "horizon",
          "inference_service_time", "scheduler_retrain_duration"],
@@ -248,7 +247,7 @@ def test_disabled_certification_emulation_leaks():
     spec = WorkloadSpec(100, 500, 100.0, seed=11,
                         shard_assignment="scattered_round_robin", noise_fraction=0.5)
     wl = generate(spec, 10)
-    v = variant_config("DUTP", parallel_capacity=10, cert_mode="disabled")
+    v = VariantConfig("DUTP", parallel_capacity=10, cert_mode="disabled")
     m = run(wl, v, cfg, SimParams(1.0, 100.0))
     assert m.awt == 0.0  # nothing ever waits
     assert replay_privacy_check(m.per_request_log, cfg) > 0
@@ -258,10 +257,10 @@ def test_metrics_p_uc():
     spec = WorkloadSpec(40, 300, 40.0, seed=4)
     wl = generate(spec, 8)
     cfg = oc(K=8, C=4, accuracy=0.7, seed=4)
-    m = run(wl, variant_config("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
+    m = run(wl, VariantConfig("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
     assert m.judgements > 0
     assert m.p_uc == pytest.approx(m.judgements_uncertified / m.judgements)
-    empty = run([], variant_config("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
+    empty = run([], VariantConfig("DIMP", parallel_capacity=8), cfg, SimParams(1.0, 40.0))
     assert empty.p_uc == 0.0
 
 
@@ -270,7 +269,7 @@ def test_at_most_capacity_jobs_in_flight():
 
     from eraser.scheduler import Scheduler, StartRetraining
 
-    s = Scheduler(variant_config("DIMP", parallel_capacity=2), oc(K=10, C=2, seed=6), 3.0)
+    s = Scheduler(VariantConfig("DIMP", parallel_capacity=2), oc(K=10, C=2, seed=6), 3.0)
     heap = []
     seq = 0
 
@@ -301,10 +300,10 @@ def test_uncertified_responses_stay_within_the_budget():
     cfg = oc(K=20, C=10, accuracy=0.9, seed=42)
     for theta in (0.02, 0.05, 0.1):
         for name in ("STTU", "DTTU"):
-            m = run(wl, variant_config(name, threshold=theta, parallel_capacity=20),
+            m = run(wl, VariantConfig(name, threshold=theta, parallel_capacity=20),
                     cfg, SimParams(1.0, 500.0), collect_log=False)
             assert m.uncertified_responses <= theta * m.num_inferences
     for name in ("STTP", "DTTP", "SUTP", "DUTP", "DIMP", "SISA"):
-        m = run(wl, variant_config(name, parallel_capacity=20), cfg,
+        m = run(wl, VariantConfig(name, parallel_capacity=20), cfg,
                 SimParams(1.0, 500.0), collect_log=False)
         assert m.uncertified_responses == 0

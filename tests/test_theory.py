@@ -1,7 +1,7 @@
 import pytest
 
 from eraser.oracle import OracleConfig
-from eraser.scheduler import variant_config
+from eraser.scheduler import VariantConfig
 from eraser.simulator import SimParams, run
 from eraser.theory import (
     TheoryParams,
@@ -12,7 +12,7 @@ from eraser.theory import (
     require_grid_workload,
     t_d,
 )
-from eraser.workload import WorkloadSpec, generate, grid_workload
+from eraser.workload import GRID, WorkloadSpec, generate
 
 
 def test_expected_wait_sisa_both_branches():
@@ -139,8 +139,8 @@ def test_series_tracks_a_dimp_simulation():
     # regime. The bound still holds; the series pins the magnitude.
     n_u, horizon, r = 10, 100.0, 25.0
     cfg = OracleConfig(10, 20, 0.7, seed=29)
-    wl = grid_workload(n_u, horizon, 100_000, 20, seed=29)
-    m = run(wl, variant_config("DIMP", parallel_capacity=20), cfg,
+    wl = generate(WorkloadSpec(n_u, 100_000, horizon, seed=29, distribution_u=GRID), 20)
+    m = run(wl, VariantConfig("DIMP", parallel_capacity=20), cfg,
             SimParams(r, horizon), collect_log=False)
     p_uc = m.p_uc
     assert p_uc > 0.001
@@ -154,7 +154,7 @@ def test_non_grid_workload_is_refused():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError):
             require_grid_workload(wl, 10, 100.0)
-    grid = grid_workload(10, 100.0, 5, 4, seed=1)
+    grid = generate(WorkloadSpec(10, 5, 100.0, seed=1, distribution_u=GRID), 4)
     require_grid_workload(grid, 10, 100.0)
 
 

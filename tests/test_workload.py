@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from eraser.workload import (
+    GRID,
     INFERENCE,
     SCATTERED_ROUND_ROBIN,
     UNLEARNING,
@@ -14,10 +15,14 @@ from eraser.workload import (
     _mass_inside,
     export_csv,
     generate,
-    grid_workload,
     import_csv,
     symmetric_multimodal,
 )
+
+
+def on_grid(n_unlearning, horizon, n_inference, num_shards, seed=0, **kwargs):
+    spec = WorkloadSpec(n_unlearning, n_inference, horizon, seed, distribution_u=GRID, **kwargs)
+    return generate(spec, num_shards)
 
 
 def arrivals(stream, kind=None):
@@ -97,13 +102,13 @@ def test_noise_fraction_exact_count():
 
 
 def test_unlearning_grid_examples():
-    grid = grid_workload(4, 100.0, 0, 1, seed=0)
+    grid = on_grid(4, 100.0, 0, 1, seed=0)
     assert arrivals(grid) == [0.0, 25.0, 50.0, 75.0]
-    assert arrivals(grid_workload(1, 100.0, 0, 1, seed=0)) == [0.0]
-    times = arrivals(grid_workload(10, 100.0, 0, 1, seed=0))
+    assert arrivals(on_grid(1, 100.0, 0, 1, seed=0)) == [0.0]
+    times = arrivals(on_grid(10, 100.0, 0, 1, seed=0))
     assert all(b - a == pytest.approx(10.0) for a, b in zip(times, times[1:]))
     assert all(r.kind == UNLEARNING for r in grid)
-    rr = grid_workload(7, 70.0, 0, 3, seed=0, shard_assignment=SCATTERED_ROUND_ROBIN)
+    rr = on_grid(7, 70.0, 0, 3, seed=0, shard_assignment=SCATTERED_ROUND_ROBIN)
     assert [r.target_shard for r in rr] == [i % 3 for i in range(7)]
 
 
@@ -122,12 +127,12 @@ def test_unlearning_grid_examples():
 )
 def test_grid_workload_rejects_bad_inputs(args, kwargs):
     with pytest.raises(ValueError):
-        grid_workload(*args, seed=0, **kwargs)
+        on_grid(*args, **kwargs)
 
 
 def test_merge_streams_reassigns_ids():
-    # the grid merged with the inference stream generate() draws on its own
-    merged = grid_workload(3, 30.0, 5, 4, seed=0)
+    # the grid merged with the inference stream a grid-free spec draws
+    merged = on_grid(3, 30.0, 5, 4, seed=0)
     assert [r.request_id for r in merged] == list(range(8))
     times = arrivals(merged)
     assert times == sorted(times)
