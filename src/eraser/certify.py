@@ -58,10 +58,6 @@ class GammaCounts:
     gamma2: int
     gamma3: int
 
-    @property
-    def total(self) -> int:
-        return self.gamma1 + self.gamma2 + self.gamma3
-
 
 @dataclass(frozen=True)
 class ChallengerCheck:

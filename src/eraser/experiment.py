@@ -24,7 +24,6 @@ from .theory import (
     dimp_upper_bound,
     expected_wait_dimp_series,
     expected_wait_sisa,
-    require_grid_workload,
 )
 from .workload import GRID, WorkloadSpec, generate
 
@@ -239,7 +238,6 @@ def compare_theory(cfg: ExperimentConfig, r_values, n_inference: int = 50_000,
     for r in r_values:
         spec = WorkloadSpec(cfg.n_unlearning, n_inference, horizon, seed, distribution_u=GRID)
         workload = generate(spec, cfg.num_shards)
-        require_grid_workload(workload, cfg.n_unlearning, horizon)
         params = simulator.SimParams(retrain_duration=r, horizon=horizon)
         theory = TheoryParams(cfg.n_unlearning, horizon, r)
         oracle_cfg = cfg.oracle_config(seed)

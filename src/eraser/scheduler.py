@@ -93,8 +93,9 @@ class MitigationConfig:
 
     The detector fires before inference with the given true/false positive
     rates (seeded, per request). The confidence threshold discards answers
-    whose ensemble agreement is too low. Filtered requests are answered
-    with a refusal and never feed the uncertification counters.
+    whose ensemble agreement is too low, re-checks included. Filtered
+    requests are answered with a refusal and never feed the
+    uncertification counters.
     """
 
     detector_enabled: bool = False
@@ -159,11 +160,6 @@ class StartRetraining:
 
 
 @dataclass(frozen=True)
-class CompleteUpdate:
-    pass
-
-
-@dataclass(frozen=True)
 class HaltInference:
     request: Request
 
@@ -177,15 +173,9 @@ class PostponeInference:
 class Respond:
     request: Request
     label: int
-    verdict: str  # "certified", "uncertified" or "plain"
-    versions: tuple
+    verdict: str  # "certified", "uncertified", "plain" or "refused_<reason>"
+    versions: tuple  # () for a refusal
     hypothetical_versions: tuple
-
-
-@dataclass(frozen=True)
-class RefuseInference:
-    request: Request
-    reason: str  # "detected" or "low_confidence"
 
 
 @dataclass
@@ -278,7 +268,7 @@ class Scheduler:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, entries, apply_mitigation=True) -> list[_Eval]:
+    def _evaluate(self, entries) -> list[_Eval]:
         """Judge the entries' samples against the current state in one batch.
 
         Every entry shares the serving versions and the impacted set, so
@@ -288,7 +278,7 @@ class Scheduler:
         """
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
-        mit = self.cfg.mitigation if apply_mitigation and self.certified else None
+        mit = self.cfg.mitigation if self.certified else None
         evals: list = [None] * len(entries)
         todo = []
         for i, entry in enumerate(entries):
@@ -345,7 +335,7 @@ class Scheduler:
         """Respond to, or refuse, a judged request from the current state."""
         entry.responded = True
         if ev.refusal is not None:
-            return [RefuseInference(entry.request, ev.refusal)]
+            return [Respond(entry.request, -1, f"refused_{ev.refusal}", (), ())]
         hypothetical = entry.hypothetical or self._hypothetical_versions()
         return [Respond(entry.request, ev.label, ev.verdict, self._versions_tuple, hypothetical)]
 
@@ -473,7 +463,9 @@ class Scheduler:
         elif self.option_i == DOUBLE_CONTEXT:
             actions += self._respond_ready()
         if not self.busy():
-            actions += self._on_update_complete(now)
+            self.window_inferences = 0
+            self.window_uncertified = 0
+            actions += self._drain(now)
         return actions
 
     def _release_baseline(self) -> list:
@@ -488,21 +480,14 @@ class Scheduler:
 
     def _respond_ready(self) -> list:
         # response plane: every completion shrinks the impacted set, so
-        # postponed requests are re-judged and answered as soon as they pass
+        # postponed requests are re-judged and answered as soon as they pass,
+        # or refused once their agreement falls below the threshold
         waiting = [e for e in self.backlog if not e.responded]
         actions = []
-        for entry, ev in zip(waiting, self._evaluate(waiting, apply_mitigation=False)):
+        for entry, ev in zip(waiting, self._evaluate(waiting)):
             self._tally(ev)
-            if ev.certified:
+            if ev.refusal is not None or ev.certified:
                 actions += self._answer(entry, ev)
-        return actions
-
-    def _on_update_complete(self, now: float) -> list:
-        actions: list = [CompleteUpdate()]
-        if self.option_ii == THRESHOLD_TRIGGERED:
-            self.window_inferences = 0
-            self.window_uncertified = 0
-        actions += self._drain(now)
         return actions
 
     def _drain(self, now: float) -> list:
@@ -529,8 +514,12 @@ class Scheduler:
 
     # -- update triggering -----------------------------------------------------
 
-    def trigger_update(self, now: float, trigger_ev=None, cause: str = "uncertified") -> list:
-        """Batch-retrain every shard with pending unlearning requests."""
+    def trigger_update(self, now: float, trigger_ev=None) -> list:
+        """Batch-retrain every shard with pending unlearning requests.
+
+        ``trigger_ev`` is the judgement that failed; without one this is the
+        final update that executes the leftovers at shutdown.
+        """
         if self.busy():
             raise RuntimeError("update triggered while retraining is in progress")
         candidates = self.impacted_shards().tolist()
@@ -540,10 +529,10 @@ class Scheduler:
             chosen = self._minimal_shard_set(candidates, trigger_ev)
         else:
             chosen = candidates
-        if cause == "uncertified":
-            self.uncertification_triggers += 1
-        else:
+        if trigger_ev is None:
             self.final_triggers += 1
+        else:
+            self.uncertification_triggers += 1
         delay = (
             self.cfg.context_switch_latency
             if self.option_i == SINGLE_CONTEXT
@@ -581,7 +570,7 @@ class Scheduler:
         if self.busy():
             return []
         if self.pending.any():
-            return self.trigger_update(now, cause="final")
+            return self.trigger_update(now)
         if self.backlog:
             return self._drain(now)
         return []

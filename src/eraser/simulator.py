@@ -33,10 +33,8 @@ import numpy as np
 from .certify import judge
 from .oracle import SamplePrefixes
 from .scheduler import (
-    CompleteUpdate,
     HaltInference,
     PostponeInference,
-    RefuseInference,
     Respond,
     Scheduler,
     StartRetraining,
@@ -138,8 +136,9 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     refused = 0
     now = 0.0
 
-    def record_response(request, now, verdict, label, versions=(), hypo=()):
+    def record_response(act, now):
         nonlocal uncertified_responses, refused
+        request, verdict = act.request, act.verdict
         if request.request_id in terminal:
             raise SimulationError(
                 f"request {request.request_id} answered more than once"
@@ -159,8 +158,8 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         if collect_log:
             records.append(
                 RequestRecord(
-                    request.request_id, request.arrival, response, wait, verdict,
-                    label, request.sample, request.is_noise, versions, hypo,
+                    request.request_id, request.arrival, response, wait, verdict, act.label,
+                    request.sample, request.is_noise, act.versions, act.hypothetical_versions,
                 )
             )
 
@@ -171,15 +170,10 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
                 heapq.heappush(heap, (act.job.completion, seq, act.job))
                 seq += 1
             elif isinstance(act, Respond):
-                record_response(
-                    act.request, now, act.verdict, act.label,
-                    act.versions, act.hypothetical_versions,
-                )
-            elif isinstance(act, RefuseInference):
-                record_response(act.request, now, f"refused_{act.reason}", -1)
+                record_response(act, now)
             elif isinstance(act, PostponeInference):
                 postponed.add(act.request.request_id)
-            elif isinstance(act, (HaltInference, CompleteUpdate)):
+            elif isinstance(act, HaltInference):
                 pass
             else:
                 raise SimulationError(f"unknown scheduler action {act!r}")

@@ -12,10 +12,7 @@ on a judgement-independence assumption the simulator does not share.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-
-from .workload import UNLEARNING
 
 
 @dataclass(frozen=True)
@@ -125,19 +122,3 @@ def expected_wait_dimp_series(p: TheoryParams, points: int = 10_000) -> float:
             acc += _wait_at(lo + (j + 0.5) * step, p)
         total += acc * step
     return total / period
-
-
-def require_grid_workload(workload, n_u: int, horizon: float, tol: float = 1e-9):
-    """Refuse theory comparison unless unlearning arrivals sit on the grid."""
-    arrivals = [r.arrival for r in workload if r.kind == UNLEARNING]
-    expected = [i * horizon / n_u for i in range(n_u)]
-    ok = len(arrivals) == n_u and all(
-        abs(a - e) <= tol for a, e in zip(arrivals, expected)
-    )
-    if not ok:
-        warnings.warn(
-            "waiting-time formulas assume fixed-interval unlearning arrivals; "
-            "refusing comparison against a non-grid workload",
-            stacklevel=2,
-        )
-        raise ValueError("workload unlearning arrivals do not match the fixed grid")

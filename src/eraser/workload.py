@@ -10,9 +10,9 @@ adversarial round-robin pattern that maximizes how scattered the pending
 set is. A configurable fraction of inference samples
 is flagged as noise (the hard-to-classify attack inputs).
 
-Streams round-trip through CSV (schema:
-``request_id,kind,arrival,shard_or_sample,is_noise``) so the identical
-workload can be fed to every scheduler variant.
+Streams export to CSV (schema:
+``request_id,kind,arrival,shard_or_sample,is_noise``) for external tools;
+no command reads the file back.
 """
 
 from __future__ import annotations
@@ -222,33 +222,3 @@ def export_csv(stream, path) -> None:
         for r in stream:
             payload = r.target_shard if r.kind == UNLEARNING else r.sample
             fh.write(f"{r.request_id},{r.kind},{r.arrival!r},{payload},{int(r.is_noise)}\n")
-
-
-def import_csv(path) -> list[Request]:
-    requests = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "request_id,kind,arrival,shard_or_sample,is_noise":
-            raise ValueError(f"line 1: unexpected workload header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
-            rid, kind, arrival, payload, is_noise = fields
-            try:
-                rid = int(rid)
-                arrival = float(arrival)
-                payload = int(payload)
-                is_noise = bool(int(is_noise))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if kind == UNLEARNING:
-                requests.append(Request(kind, arrival, rid, target_shard=payload))
-            elif kind == INFERENCE:
-                requests.append(Request(kind, arrival, rid, sample=payload, is_noise=is_noise))
-            else:
-                raise ValueError(f"line {lineno}: unknown kind {kind!r}")
-    return requests

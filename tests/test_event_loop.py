@@ -13,6 +13,7 @@ hypothetical versions as of its arrival. Both must return equal
 
 import dataclasses
 import heapq
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from eraser.scheduler import (
     HaltInference,
     MitigationConfig,
     PostponeInference,
-    RefuseInference,
     Respond,
     Scheduler,
     StartRetraining,
@@ -61,14 +61,13 @@ def reference_run(workload, variant, oracle_cfg, params):
                 postponed.add(act.request.request_id)
             elif isinstance(act, HaltInference) and variant.name == "SISA":
                 halted[act.request.request_id] = _hypothetical(sched)
-            elif isinstance(act, (Respond, RefuseInference)):
+            elif isinstance(act, Respond):
                 req, response = act.request, now + params.inference_service_time
-                refused = isinstance(act, RefuseInference)
+                refused = act.verdict.startswith("refused")
                 hypo = halted.pop(req.request_id, None) or _hypothetical(sched)
                 records.append(RequestRecord(
                     req.request_id, req.arrival, response, response - req.arrival,
-                    f"refused_{act.reason}" if refused else act.verdict,
-                    -1 if refused else act.label, req.sample, req.is_noise,
+                    act.verdict, -1 if refused else act.label, req.sample, req.is_noise,
                     () if refused else tuple(sched.versions.tolist()),
                     () if refused else hypo,
                 ))
@@ -275,6 +274,13 @@ def test_random_small_configs_match_the_reference_loop(config):
     got = assert_same_as_reference(*config)
     if variant.name == "SISA" or variant.cert_mode != "disabled":
         assert replay_privacy_check(got.per_request_log, oracle_cfg) == 0
+    threshold = variant.mitigation and variant.mitigation.confidence_threshold
+    if threshold is not None:
+        for rec in got.per_request_log:
+            if rec.verdict in ("certified", "uncertified"):
+                sample = sample_for(oracle_cfg, rec.sample, rec.is_noise)
+                votes = Counter(predict(oracle_cfg, sample, k, v) for k, v in enumerate(rec.versions))
+                assert max(votes.values()) / oracle_cfg.num_shards >= threshold
     if variant.name in _TWINS and variant.context_switch_latency == 0:
         twin = dataclasses.replace(variant, name=_TWINS[variant.name])
         assert run(workload, twin, oracle_cfg, params, collect_log=False).nor == got.nor

@@ -12,6 +12,7 @@ When behaviour is meant to change, print fresh constants with
 
 import hashlib
 import os
+from collections import Counter
 import pathlib
 import sys
 import tempfile
@@ -20,6 +21,7 @@ import pytest
 
 from eraser.config import build_experiment_config, parse_config_text
 from eraser.experiment import run_experiment, run_one
+from eraser.oracle import predict, sample_for
 
 BASE = """
 [experiment]
@@ -60,8 +62,8 @@ GOLDEN = {
         "77e3320889f77668f2dad77390ec73e77fe6e47a61ca11a315ad45edbbe49262",
     ),
     "confidence_threshold": (
-        "1411b8888d19ced7ffda237481e3d4893ce0e1f6459281353b6c4c3f0d44feef",
-        "8197a7fb8828c28c160bb7afaa4c54f71f08b02ddbe682e533a799f64c5b05ec",
+        "21c5dcba3a7f8d9831ffc317edb0485bfcb7482a147c9231b00e2fe622aa48ee",
+        "810144c9a1270db20cc663dfacc59e0c68404b65ab0cdeddf1454114b60568c3",
     ),
     "context_switch_latency": (
         "d762b6d95f7965e6a3a8bbc46942f85522e4d3a365d4f3c988cd003cd0a7791c",
@@ -151,6 +153,26 @@ def _no_env_seed(monkeypatch):
 @pytest.mark.parametrize("name", sorted(OPTION_PATHS))
 def test_artifacts_match_the_recorded_bytes(name, tmp_path):
     assert _artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+def _top_vote_share(oracle_cfg, rec):
+    # the winner's share of the votes at the record's own serving versions
+    sample = sample_for(oracle_cfg, rec.sample, rec.is_noise)
+    votes = Counter(predict(oracle_cfg, sample, k, v) for k, v in enumerate(rec.versions))
+    return max(votes.values()) / oracle_cfg.num_shards
+
+
+@pytest.mark.parametrize("variant", ["DIMP", "DUTP", "DTTU", "DTTP"])
+def test_confidence_threshold_holds_for_every_answer(variant):
+    # double-context variants re-judge waiting requests at every completion;
+    # those re-checks answer under the same agreement threshold as arrivals
+    cfg = build_experiment_config(parse_config_text(BASE + OPTION_PATHS["confidence_threshold"]))
+    oracle_cfg = cfg.oracle_config(cfg.base_seed)
+    log = run_one(cfg, variant, cfg.base_seed).per_request_log
+    answered = [rec for rec in log if rec.verdict in ("certified", "uncertified")]
+    assert answered
+    low = [rec.request_id for rec in answered if _top_vote_share(oracle_cfg, rec) < 0.5]
+    assert low == []
 
 
 def test_wide_ensemble_matches_the_recorded_bytes_and_judgements(tmp_path):

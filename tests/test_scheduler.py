@@ -10,7 +10,6 @@ from eraser.oracle import OracleConfig, PredictionTrace
 from eraser.scheduler import (
     _Entry,
     MitigationConfig,
-    RefuseInference,
     Respond,
     Scheduler,
     StartRetraining,
@@ -165,7 +164,7 @@ def test_detector_degenerate_rates():
     mit = MitigationConfig(detector_enabled=True, detector_tpr=1.0, detector_fpr=0.0)
     s = make_sched("DUTP", mitigation=mit)
     (refusal,) = s.on_inference_arrival(infer(0, 1, 0.0, True), 0.0)
-    assert isinstance(refusal, RefuseInference) and refusal.reason == "detected"
+    assert isinstance(refusal, Respond) and refusal.verdict == "refused_detected"
     (resp,) = s.on_inference_arrival(infer(1, 2, 0.0), 0.0)
     assert isinstance(resp, Respond) and resp.verdict == "certified"
     assert s.judgements == 1  # a refused request is never judged
@@ -176,12 +175,11 @@ def test_confidence_discard_threshold():
     votes = [0, 0, 0, 1, 1]
     trace = PredictionTrace(2, 5, {(0, k, 0): votes[k] for k in range(5)})
     oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
-    for threshold, expect in ((0.6, Respond), (0.61, RefuseInference)):
+    for threshold, expect in ((0.6, "certified"), (0.61, "refused_low_confidence")):
         mit = MitigationConfig(confidence_threshold=threshold)
         s = Scheduler(VariantConfig("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)
         (act,) = s.on_inference_arrival(infer(0, 0, 0.0), 0.0)
-        assert isinstance(act, expect)
-    assert act.reason == "low_confidence"
+        assert isinstance(act, Respond) and act.verdict == expect
 
 
 def test_shard_shuffle_remaps_round_robin_targets():

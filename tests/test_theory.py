@@ -9,7 +9,6 @@ from eraser.theory import (
     expected_wait_dimp_series,
     expected_wait_sisa,
     k_r,
-    require_grid_workload,
     t_d,
 )
 from eraser.workload import GRID, WorkloadSpec, generate
@@ -147,15 +146,6 @@ def test_series_tracks_a_dimp_simulation():
     series = expected_wait_dimp_series(TheoryParams(n_u, horizon, r, p_uc))
     assert m.awt <= dimp_upper_bound(TheoryParams(n_u, horizon, r, p_uc)) * 1.05
     assert 0.8 * series <= m.awt <= 1.8 * series
-
-
-def test_non_grid_workload_is_refused():
-    wl = generate(WorkloadSpec(10, 0, 100.0, seed=1), 4)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            require_grid_workload(wl, 10, 100.0)
-    grid = generate(WorkloadSpec(10, 5, 100.0, seed=1, distribution_u=GRID), 4)
-    require_grid_workload(grid, 10, 100.0)
 
 
 def test_param_validation():
