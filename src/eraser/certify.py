@@ -23,8 +23,8 @@ Three checks are provided:
   why the margin must be per-challenger; never use it for serving.
 
 :func:`judge` runs the fine or the coarse test on many samples at once,
-all against one impacted set, and returns arrays in place of verdicts;
-:func:`certify_rows` returns all three tests' outcomes the same way.
+each under its row of a boolean impacted mask, and returns arrays in place
+of verdicts; :func:`certify_rows` returns all three tests' outcomes alike.
 
 :func:`brute_force_consistent` is the independent ground-truth oracle: a
 one-row call of the row-wise enumerator :func:`consistent_rows`, which
@@ -88,41 +88,43 @@ def _normalize_impacted(impacted, num_shards: int) -> np.ndarray:
     return idx
 
 
-def _margins(p: np.ndarray, idx: np.ndarray, num_classes: int, coarse: bool = False):
+def _margins(p: np.ndarray, mask: np.ndarray, num_classes: int, coarse: bool = False):
     """The one place the consistency arithmetic lives, for B rows at once.
 
-    ``p`` holds B rows of K predicted labels and ``idx`` the impacted
-    shards, shared by every row. Returns ``(winner, top, imp, lhs,
-    margin)``: ``winner[b]`` the row's plurality label (ties to the smaller
-    label) with ``top[b]`` votes, and ``(B, C)`` arrays indexed by label
-    ``y``: ``imp[b, y]`` impacted shards voting ``y`` (so ``gamma1 =
-    imp[b, winner]`` and ``gamma2 = imp[b, y]``), ``lhs[b, y] = 2*gamma1 +
-    gamma3`` against ``y`` (``2*|impacted|`` with ``coarse``) and
-    ``margin[b, y]`` the winner's lead over ``y``, less one where ``y``
-    would win a tie (the smaller label does). At the winner's own index
-    both read 0, so a test over every label passes there.
+    ``p`` holds B rows of K predicted labels and the boolean ``mask``, one
+    ``(K,)`` row or ``(B, K)``, marks the impacted shards. Returns ``(winner,
+    top, imp, lhs, margin)``: ``winner[b]`` the row's plurality label (ties
+    to the smaller label) with ``top[b]`` votes, and ``(B, C)`` arrays
+    indexed by label ``y``: ``imp[b, y]`` impacted shards voting ``y`` (so
+    ``gamma1 = imp[b, winner]``, ``gamma2 = imp[b, y]``; a row sums to its
+    ``|impacted|``), ``lhs[b, y] = 2*gamma1 + gamma3`` against ``y``
+    (``2*|impacted|`` with ``coarse``) and ``margin[b, y]`` the winner's lead
+    over ``y``, less one where ``y`` would win a tie (the smaller label
+    does). At the winner's own index both read 0, so every label passes there.
     """
-    counts, imp, winner = _votes(p, idx, num_classes)
+    p, counts = _votes(p, num_classes)
+    if mask.ndim == 2:  # one impacted set per row
+        marked, size = p[mask], mask.sum(axis=1)[:, None]
+    else:
+        marked, size = p[:, mask], np.count_nonzero(mask)
+    imp = np.bincount(marked.ravel(), minlength=counts.size).reshape(counts.shape)
+    winner = counts.argmax(axis=1)
     labels = np.arange(num_classes)
     w = winner[:, None]
     is_winner = labels == w
     top = counts[is_winner]
     if coarse:
-        lhs = np.where(is_winner, 0, 2 * idx.size)
+        lhs = np.where(is_winner, 0, 2 * size)
     else:
-        lhs = (idx.size + imp[is_winner])[:, None] - imp
+        lhs = size + imp[is_winner][:, None] - imp
         lhs[is_winner] = 0
     margin = top[:, None] - counts
     margin -= labels < w
     return winner, top, imp, lhs, margin
 
 
-def _votes(p: np.ndarray, idx: np.ndarray, num_classes: int):
-    """``(counts, imp, winner)`` of B rows of labels.
-
-    The votes are tallied by ``bincount`` over ``row*C + label``, all
-    shards for ``counts`` and the impacted ones for ``imp``.
-    """
+def _votes(p: np.ndarray, num_classes: int):
+    """``(p + row*C, counts)`` of B rows of labels, tallied by ``bincount``."""
     b, k = p.shape
     c = num_classes
     # a negative label wraps to a huge unsigned one, so one bound covers both
@@ -133,12 +135,7 @@ def _votes(p: np.ndarray, idx: np.ndarray, num_classes: int):
         )
     if b > 1:
         p = p + np.arange(0, b * c, c)[:, None]
-    counts = np.bincount(p.ravel(), minlength=b * c).reshape(b, c)
-    if idx.size:
-        imp = np.bincount(p[:, idx].ravel(), minlength=b * c).reshape(b, c)
-    else:
-        imp = np.zeros_like(counts)
-    return counts, imp, counts.argmax(axis=1)
+    return p, np.bincount(p.ravel(), minlength=b * c).reshape(b, c)
 
 
 def _verdict(preds, impacted, num_classes, coarse=False, shared_margin=False):
@@ -148,7 +145,8 @@ def _verdict(preds, impacted, num_classes, coarse=False, shared_margin=False):
     if p.ndim != 1 or p.size == 0:
         raise ValueError("preds must be a non-empty 1-d sequence of labels")
     idx = _normalize_impacted(impacted, p.size)
-    winner, _, imp, lhs, margin = _margins(p[None, :], idx, num_classes, coarse)
+    mask = np.isin(np.arange(p.size), idx)
+    winner, _, imp, lhs, margin = _margins(p[None, :], mask, num_classes, coarse)
     winner = int(winner[0])
     imp, lhs, margin = imp[0].tolist(), lhs[0].tolist(), margin[0].tolist()
     g1, m = imp[winner], int(idx.size)
@@ -192,40 +190,47 @@ def certify_fine_shared_margin(preds, impacted, num_classes: int) -> Certificati
     return _verdict(preds, impacted, num_classes, shared_margin=True)
 
 
+def _mask(impacted) -> np.ndarray:
+    mask = np.asarray(impacted)  # shard ids would read as a mask of the wrong shards
+    if mask.dtype != bool or mask.ndim not in (1, 2):
+        raise ValueError(f"impacted must be a 1-d or 2-d bool mask, not {mask.dtype} {mask.shape}")
+    return mask
+
+
 def judge(preds, impacted, num_classes: int, coarse: bool = False):
     """Row-wise check for hot loops, with no verdict built.
 
-    ``preds`` holds B rows of K predicted labels, all judged against one
-    impacted set. Returns ``(certified, winner, top)``, arrays of length
-    B: the fine test's outcome (the coarse test's with ``coarse``), the
-    plurality label and its vote count. An empty impacted set certifies
-    every row. Skips :func:`_normalize_impacted`: callers pass distinct,
-    in-range shard ids.
+    ``preds`` holds B rows of K predicted labels and ``impacted`` is a
+    boolean mask of the impacted shards: ``(K,)`` when every row shares
+    one impacted set, ``(B, K)`` with one per row. Returns
+    ``(certified, winner, top)``, arrays of length B: the fine test's
+    outcome (the coarse test's with ``coarse``), the plurality label and
+    its vote count. A row with no impacted shard certifies.
     """
     p = np.asarray(preds, dtype=np.int64)
-    idx = np.asarray(impacted, dtype=np.int64)
-    if idx.size == 0:
+    mask = _mask(impacted)
+    if not mask.any():
         # nothing can move, and the empty case is the common one
-        counts, _, winner = _votes(p, idx, num_classes)
-        return np.ones(p.shape[0], dtype=bool), winner, counts.max(axis=1)
-    winner, top, _, lhs, margin = _margins(p, idx, num_classes, coarse)
+        counts = _votes(p, num_classes)[1]
+        return np.ones(p.shape[0], dtype=bool), counts.argmax(axis=1), counts.max(axis=1)
+    winner, top, _, lhs, margin = _margins(p, mask, num_classes, coarse)
     return ~(lhs > margin).any(axis=1), winner, top
 
 
 def certify_rows(preds, impacted, num_classes: int):
-    """``(fine, coarse, shared)`` of B rows against one impacted set.
+    """``(fine, coarse, shared)`` of B rows against the impacted mask.
 
     The outcomes of :func:`certify_fine`, :func:`certify_coarse` and
     :func:`certify_fine_shared_margin` from one :func:`_margins` pass; the
-    row's largest margin is a challenger's, as the winner's reads 0. Like
-    :func:`judge`, skips :func:`_normalize_impacted`.
+    row's largest margin is a challenger's, as the winner's reads 0. The
+    mask takes either form :func:`judge` takes.
     """
-    idx = np.asarray(impacted, dtype=np.int64)
-    winner, _, _, lhs, margin = _margins(np.asarray(preds, dtype=np.int64), idx, num_classes)
+    p = np.asarray(preds, dtype=np.int64)
+    winner, _, imp, lhs, margin = _margins(p, _mask(impacted), num_classes)
     is_winner = np.arange(num_classes) == winner[:, None]
     return (
         (lhs <= margin).all(axis=1),
-        ((2 * idx.size <= margin) | is_winner).all(axis=1),
+        ((2 * imp.sum(axis=1, keepdims=True) <= margin) | is_winner).all(axis=1),
         (lhs <= margin.max(axis=1, keepdims=True)).all(axis=1),
     )
 

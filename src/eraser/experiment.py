@@ -220,7 +220,7 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
         for (k, c, m), sel in groups.items():
             first_impacted = np.argsort(later[sel, :k], axis=1, kind="stable")
             rows = np.take_along_axis(drawn[sel, :k], first_impacted, axis=1)
-            fine, coarse, shared = certify_rows(rows, np.arange(m), c)
+            fine, coarse, shared = certify_rows(rows, np.arange(k) < m, c)
             brute = consistent_rows(rows, np.arange(m), c, cap=enumeration_cap)
             totals += np.count_nonzero([fine & ~brute, coarse & ~fine, shared & ~brute,
                                         fine, coarse, brute, brute & ~fine], axis=1)

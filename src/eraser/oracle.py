@@ -15,10 +15,10 @@ version) triple maps deterministically to a label:
   models (format below), for driving the simulator with measured data.
 
 Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
-sample's (seed, salt, sample) prefixes and true label once, and its
-``predict`` folds only shard and version into them, for a batch of samples
-in one array pass; the flip extension first maps every version to its last
-flip over the same batch, and the replay audit builds such a table for its
+sample's (seed, salt, sample, shard) prefixes and true label once, and its
+``predict`` folds only the version into them, for a batch of samples in one
+array pass; the flip extension first maps every version to its last flip
+over the same batch, and the replay audit builds such a table for its
 records too. The trace backend looks each label up in its table instead.
 :func:`predict` is the per-prediction definition those paths must match.
 
@@ -177,15 +177,14 @@ def _last_flip(cfg, values, shards, versions) -> np.ndarray:
 
 
 class SamplePrefixes:
-    """Hash prefixes of samples, computed once and gathered by row.
+    """Hash prefixes of samples on every shard, computed once and gathered by row.
 
-    Row i holds sample ``samples[i]`` with noise flag ``noise[i]``, its
-    true label, the base ``mix64(seed, salt, sample)`` of its label chain
-    (the noise salt for a noise sample, the accept salt otherwise) and the
-    base ``mix64(seed, _SALT_WRONG, sample)`` of its wrong-label chain, so
-    :meth:`predict` folds in only shard and version. :meth:`rows` looks
-    (sample id, noise flag) keys up and appends the unseen ones: a table
-    can be filled ahead in one call or as its samples arrive.
+    Row i holds sample ``samples[i]``, its noise flag and true label, and
+    the ``(K,)`` states ``mix64(seed, salt, sample, shard)`` of its label
+    chain (noise salt for a noise sample, else accept salt) and of its
+    wrong-label chain (``_SALT_WRONG``), so :meth:`predict` folds in only the
+    version. :meth:`rows` looks (sample id, noise flag) keys up and appends
+    the unseen ones: a table can be filled ahead in one call or as it goes.
     """
 
     def __init__(self, cfg: OracleConfig, samples=(), noise=()):
@@ -199,8 +198,9 @@ class SamplePrefixes:
         self.samples = samples.astype(np.uint64)
         self.noise = noise
         salt = np.where(self.noise, np.uint64(_SALT_NOISE), np.uint64(_SALT_ACCEPT))
-        self.base = mix64_array_chain(mix64(cfg.seed), salt, self.samples)
-        self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), self.samples)
+        column = self.samples[:, None]
+        self.base = mix64_array_chain(mix64(cfg.seed), salt[:, None], column, self.shards)
+        self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), column, self.shards)
         true = mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), self.samples)
         self.true = true % np.uint64(cfg.num_classes)
         self.index: dict = {}  # (sample id, noise flag) -> row, for rows added by rows()
@@ -220,13 +220,13 @@ class SamplePrefixes:
         """Predictions of all K shards for the samples at ``rows``: int64 ``(B, K)``.
 
         ``versions`` is one ``(K,)`` row of serving versions shared by every
-        sample or a ``(B, K)`` array, one row each. One 2-round chain folds
-        shard and version into every row's base: a noise row's label is the
-        hash mod C, and a clean row keeps its true label where the hash
-        passes the accept test. The wrong-label chain then runs on the clean
-        misses only. The flip extension first maps the versions to their
-        last flips, over the whole batch; the trace backend looks each label
-        up in its table instead.
+        sample or a ``(B, K)`` array, one row each. One hash round folds
+        the version into each chain's per-shard states: a noise row's label
+        is the label hash mod C, and a clean row keeps its true label where
+        that hash passes the accept test and takes the wrong-label hash's
+        label where it fails. The flip extension first maps the versions to
+        their last flips, over the whole batch; the trace backend looks
+        each label up in its table instead.
         """
         cfg, b, k = self.cfg, len(rows), self.cfg.num_shards
         versions = np.asarray(versions, dtype=np.int64)
@@ -240,17 +240,14 @@ class SamplePrefixes:
             return np.array(labels, dtype=np.int64).reshape(b, k)
         if cfg.flip_probability is not None:
             versions = _last_flip(cfg, self.samples[rows, None], self.shards, versions)
-        h = mix64_array_chain(self.base[rows, None], self.shards, versions)
-        noise, true = self.noise[rows, None], self.true[rows]
-        out = np.where(noise, h % np.uint64(cfg.num_classes), true[:, None])
+        h = mix64_array_chain(self.base[rows], versions)
+        noise, true = self.noise[rows, None], self.true[rows, None]
+        out = np.where(noise, h % np.uint64(cfg.num_classes), true)
         thr = cfg.accept_threshold
         if thr <= _MASK:
-            r, j = np.nonzero((h >= np.uint64(thr)) & ~noise)
-            if r.size:
-                v = versions[j] if versions.ndim == 1 else versions[r, j]
-                wrong = mix64_array_chain(self.wrong[rows[r]], self.shards[j], v)
-                wrong %= np.uint64(cfg.num_classes - 1)
-                out[r, j] = wrong + (wrong >= true[r])
+            wrong = mix64_array_chain(self.wrong[rows], versions) % np.uint64(cfg.num_classes - 1)
+            wrong += wrong >= true
+            out = np.where((h >= np.uint64(thr)) & ~noise, wrong, out)
         return out.astype(np.int64)
 
 

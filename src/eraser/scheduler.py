@@ -240,7 +240,11 @@ class Scheduler:
         self.final_triggers = 0
         self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
-        self._kept: deque = deque()  # (request, verdict) judged ahead, in arrival order
+        # shards whose serving model lags behind their pending unlearning; the
+        # array is replaced, never written, when the set changes
+        self._impacted = self.pending > 0
+        self._impacted_key = self._impacted.tobytes()
+        self._kept: deque = deque()  # (request, impacted key, verdict) judged ahead, in order
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled ahead by the simulator, or lazily
 
     # -- state inspection --------------------------------------------------
@@ -251,10 +255,6 @@ class Scheduler:
     def quiet(self) -> bool:
         return not self.busy() and not self.backlog and not self.pending.any()
 
-    def impacted_shards(self) -> np.ndarray:
-        """Shards whose serving model lags behind their pending unlearning."""
-        return np.flatnonzero(self.pending)
-
     def _hypothetical_versions(self) -> tuple:
         """Versions each shard will reach once all pending work executes."""
         if self._hypo_cache is None:
@@ -262,19 +262,27 @@ class Scheduler:
             self._hypo_cache = tuple(hypo.tolist())
         return self._hypo_cache
 
-    def _state_changed(self) -> None:
+    def _pending_changed(self, shard: int) -> None:
         self._hypo_cache = None
-        self._kept.clear()
+        if (self.pending[shard] > 0) != self._impacted[shard]:
+            self._impacted = self.pending > 0
+            self._impacted_key = self._impacted.tobytes()
+
+    def _target(self, request: Request) -> int:
+        """The shard an unlearning request lands on, remapped if shards are shuffled."""
+        if self.cfg.shuffle_shards:
+            return mix64(self.oracle_cfg.seed, _SALT_SHUFFLE, request.request_id) % self.num_shards
+        return request.target_shard
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, entries) -> list[_Eval]:
-        """Judge the entries' samples against the current state in one batch.
+    def _evaluate(self, entries, impacted=None) -> list[_Eval]:
+        """Judge the entries' samples against the serving versions in one batch.
 
-        Every entry shares the serving versions and the impacted set, so
-        the predictions and the checks run as one array pass. Counting
-        the judgements is left to the caller's per-entry loop
-        (:meth:`_tally`), which may stop before the last entry.
+        ``impacted``, the current set by default, is the impacted-shard mask:
+        ``(K,)`` for every entry or ``(B, K)``, one row each. Counting the
+        judgements is left to the caller's per-entry loop (:meth:`_tally`),
+        which may stop before the last entry.
         """
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
@@ -294,12 +302,12 @@ class Scheduler:
         keys = [(entries[i].request.sample, entries[i].request.is_noise) for i in todo]
         preds = self.prefixes.predict(self.prefixes.rows(keys), self.versions)
         certifying = self.certified and self.cfg.cert_mode != "disabled"
-        certified, winner, top = judge(
-            preds,
-            self.impacted_shards() if certifying else (),
-            self.num_classes,
-            coarse=self.cfg.cert_mode == "coarse",
-        )
+        if impacted is None:
+            impacted = self._impacted
+        elif impacted.ndim == 2:
+            impacted = impacted[todo]
+        coarse = self.cfg.cert_mode == "coarse"
+        certified, winner, top = judge(preds, impacted & certifying, self.num_classes, coarse)
         threshold = mit.confidence_threshold if mit is not None else None
         rows = zip(todo, preds, certified.tolist(), winner.tolist(), top.tolist())
         for i, row, ok, label, votes in rows:
@@ -312,17 +320,44 @@ class Scheduler:
         return evals
 
     def _evaluate_one(self, entry: _Entry, upcoming) -> _Eval:
+        """Judge an arrival by its verdict kept under the current impacted set, or afresh."""
         kept = self._kept
         while kept and kept[0][0] is not entry.request:
             kept.popleft()
-        if kept:
-            ev = kept.popleft()[1]
+        if kept and kept[0][1] == self._impacted_key:
+            ev = kept.popleft()[2]
         else:
-            ahead = list(upcoming())
-            ev, *rest = self._evaluate([entry] + [_Entry(r) for r in ahead])
-            kept.extend(zip(ahead, rest))
+            ahead, keys, impacted = self._ahead(upcoming)
+            ev, *rest = self._evaluate([entry, *map(_Entry, ahead)], impacted)
+            self._kept = deque(zip(ahead, keys, rest))
         self._tally(ev)
         return ev
+
+    def _ahead(self, upcoming):
+        """``(inferences, keys, impacted)`` of the requests ``upcoming`` offers.
+
+        An inference meets the current impacted set plus the targets of the
+        unlearning arrivals before it: ``keys[i]`` is its bytes, ``impacted``
+        a ``(1 + n, K)`` mask led by the current row, or that row alone if no
+        arrival grows it. The walk stops at an arrival that starts a
+        retraining or whose target, out of range, raises on arrival.
+        """
+        mask, key = self._impacted, self._impacted_key
+        ahead, keys, masks = [], [], [mask]
+        for request in upcoming():
+            if request.kind == INFERENCE:
+                ahead.append(request)
+                keys.append(key)
+                masks.append(mask)
+                continue
+            shard = self._target(request)
+            if self.option_ii == IMMEDIATE or not 0 <= shard < self.num_shards:
+                break
+            if not mask[shard]:
+                mask = mask.copy()
+                mask[shard] = True
+                key = mask.tobytes()
+        return ahead, keys, self._impacted if mask is self._impacted else np.array(masks)
 
     def _tally(self, ev: _Eval) -> None:
         """Count one judgement the control or response plane acted on."""
@@ -389,13 +424,11 @@ class Scheduler:
     def on_unlearning_arrival(self, request: Request, now: float) -> list:
         if request.kind != UNLEARNING:
             raise ValueError(f"expected an unlearning request, got {request.kind}")
-        shard = request.target_shard
-        if self.cfg.shuffle_shards:
-            shard = mix64(self.oracle_cfg.seed, _SALT_SHUFFLE, request.request_id) % self.num_shards
+        shard = self._target(request)
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
         self.pending[shard] += 1
-        self._state_changed()
+        self._pending_changed(shard)
         if self.option_ii != IMMEDIATE:
             return []
         # one retraining per request, even when the shard already has jobs
@@ -404,9 +437,11 @@ class Scheduler:
         return self._start_or_enqueue(job, now)
 
     def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list:
-        """Handle one inference arrival. ``upcoming``, a hint, returns the arrivals
-        expected next under the same state; on a miss they are judged in one batch
-        with this one and their verdicts kept. It never changes a decision."""
+        """Handle one inference arrival. ``upcoming``, a hint, returns the requests
+        expected next, unlearning ones included, before the next completion. On a
+        miss, the inferences among them are judged in one batch with this one, each
+        under the impacted set it will meet, and kept with that set; a kept verdict
+        is used only under its own set, so the hint never changes a decision."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
         entry = _Entry(request)
@@ -450,7 +485,8 @@ class Scheduler:
         self.pending[shard] -= job.covered
         self.covered[shard] -= job.covered
         self.jobs_scheduled[shard] -= 1
-        self._state_changed()
+        self._pending_changed(shard)
+        self._kept.clear()
         self.retrainings_completed += 1
         actions = []
         if self.queue:
@@ -522,7 +558,7 @@ class Scheduler:
         """
         if self.busy():
             raise RuntimeError("update triggered while retraining is in progress")
-        candidates = self.impacted_shards().tolist()
+        candidates = np.flatnonzero(self._impacted).tolist()
         if not candidates:
             return []
         if self.cfg.retrain_policy == RETRAIN_MINIMAL and trigger_ev is not None:
@@ -550,8 +586,9 @@ class Scheduler:
         # sample would certify, topped up to the parallel capacity
         order = sorted(candidates, key=lambda k: (-self.pending[k], k))
         need = len(order)
-        for j in range(1, len(order) + 1):
-            rest = np.array(sorted(set(candidates) - set(order[:j])), dtype=np.int64)
+        rest = self.pending > 0
+        for j, k in enumerate(order, start=1):
+            rest[k] = False
             if judge(trigger_ev.preds[None, :], rest, self.num_classes)[0][0]:
                 need = j
                 break

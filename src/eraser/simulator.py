@@ -9,9 +9,9 @@ arrivals, which keeps hand-traces unambiguous and maximizes certified
 responses.
 
 An inference arrival offers the scheduler the run that follows it: at most
-``_RUN_CHUNK`` inference arrivals, up to the next unlearning arrival and
-strictly before the earliest scheduled completion. The versions and the
-pending unlearning stay fixed over such a run, so one batch judges it.
+``_RUN_CHUNK`` requests, unlearning ones included, before the earliest
+scheduled completion. Versions stay fixed over a run and an unlearning arrival
+only grows the impacted set, so one batch judges the run's inferences.
 Before the first event, the scheduler's table of prediction prefixes is
 filled with every inference sample of the workload in one array pass.
 
@@ -42,7 +42,7 @@ from .scheduler import (
 )
 from .workload import INFERENCE, UNLEARNING
 
-_RUN_CHUNK = 256  # arrivals offered to the scheduler as one batch, at most
+_RUN_CHUNK = 64  # requests offered as one run, at most; more is wasted on halts after a trigger
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,9 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
                 raise SimulationError(f"unknown scheduler action {act!r}")
 
     def upcoming():
-        # the inference arrivals after requests[nxt] that share its state
+        # the requests after requests[nxt] that arrive before the next completion
         limit = heap[0][0] if heap else math.inf
-        return list(takewhile(lambda r: r.kind == INFERENCE and r.arrival < limit,
+        return list(takewhile(lambda r: r.arrival < limit,
                               requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]))
 
     def drain_events():
@@ -272,7 +272,7 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
         preds = prefixes.predict(
             np.arange(len(batch)), [rec.hypothetical_versions for rec in batch]
         )
-        _, winner, _ = judge(preds, (), oracle_cfg.num_classes)
+        _, winner, _ = judge(preds, np.zeros(preds.shape[1], dtype=bool), oracle_cfg.num_classes)
         labels = np.fromiter((rec.label for rec in batch), dtype=np.int64, count=len(batch))
         violations += int(np.count_nonzero(winner != labels))
     return violations

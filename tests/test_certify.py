@@ -36,6 +36,13 @@ def slow_consistent(preds, impacted, num_classes):
     return True
 
 
+def as_mask(impacted, k):
+    """The boolean (K,) mask of a set of shard ids, as the row-wise checks take it."""
+    mask = np.zeros(k, dtype=bool)
+    mask[list(impacted)] = True
+    return mask
+
+
 def test_brute_force_matches_reference_enumeration():
     rng = np.random.default_rng(1)
     for _ in range(300):
@@ -163,7 +170,7 @@ def test_hot_path_check_matches_the_verdict(inst):
     # C=2, an empty impacted set and vote ties are all in the strategy
     k, c, raw, impacted = inst
     preds = [label % c for label in raw]
-    ok, winner, top = judge([preds], sorted(impacted), c)
+    ok, winner, top = judge([preds], as_mask(impacted, k), c)
     v = certify_fine(preds, impacted, c)
     assert (bool(ok[0]), int(winner[0])) == (v.certified, v.winner)
     assert ok[0] == brute_force_consistent(preds, impacted, c)
@@ -193,8 +200,8 @@ _batches = _row_batches(9, 12)
 @given(_batches)
 def test_row_wise_judgement_matches_the_verdicts_row_by_row(batch):
     k, c, rows, impacted = batch
-    fine, winner, top = judge(rows, sorted(impacted), c)
-    coarse, coarse_winner, _ = judge(rows, sorted(impacted), c, coarse=True)
+    fine, winner, top = judge(rows, as_mask(impacted, k), c)
+    coarse, coarse_winner, _ = judge(rows, as_mask(impacted, k), c, coarse=True)
     assert (coarse_winner == winner).all()
     for b, preds in enumerate(rows):
         v = certify_fine(preds, impacted, c)
@@ -205,13 +212,50 @@ def test_row_wise_judgement_matches_the_verdicts_row_by_row(batch):
             assert fine[b] == brute_force_consistent(preds, impacted, c)
 
 
+_per_row_sets = st.tuples(st.integers(1, 8), st.integers(2, 4)).flatmap(
+    lambda kc: st.tuples(
+        st.just(kc[0]),
+        st.just(kc[1]),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, kc[1] - 1), min_size=kc[0], max_size=kc[0]),
+                st.sets(st.integers(0, kc[0] - 1)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_per_row_sets)
+def test_per_row_masks_judge_each_row_under_its_own_set(batch):
+    k, c, pairs = batch
+    rows = [preds for preds, _ in pairs]
+    masks = np.array([as_mask(impacted, k) for _, impacted in pairs])
+    fine, winner, top = judge(rows, masks, c)
+    coarse, _, _ = judge(rows, masks, c, coarse=True)
+    for b, (preds, impacted) in enumerate(pairs):
+        v = certify_fine(preds, impacted, c)
+        assert (bool(fine[b]), int(winner[b])) == (v.certified, v.winner)
+        assert top[b] == preds.count(v.winner)
+        assert bool(coarse[b]) == certify_coarse(preds, impacted, c).certified
+        assert fine[b] == consistent_rows([preds], sorted(impacted), c)[0]
+
+
 def test_row_wise_judgement_rejects_labels_out_of_range():
     with pytest.raises(ValueError, match="shard 2 predicts label 3"):
-        judge([[0, 1, 1], [0, 1, 3]], [], 3)
+        judge([[0, 1, 1], [0, 1, 3]], as_mask((), 3), 3)
     with pytest.raises(ValueError, match="shard 0 predicts label -1"):
-        judge([[0, 1, 1], [-1, 1, 2]], [1], 3)
+        judge([[0, 1, 1], [-1, 1, 2]], as_mask({1}, 3), 3)
     with pytest.raises(ValueError):
         certify_fine([0, 3], set(), 3)
+    # shard ids are not a mask: [0, 2] would read as "shard 1 only"
+    with pytest.raises(ValueError, match="bool mask"):
+        judge([[0, 1, 1]], [0, 2], 3)
+    with pytest.raises(ValueError, match="bool mask"):
+        judge([[0, 1, 1]], False, 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,7 +309,7 @@ def test_row_wise_enumeration_matches_each_row_alone(batch):
 @given(_shared_sets)
 def test_row_wise_certificates_match_the_verdicts_row_by_row(batch):
     k, c, rows, impacted = batch
-    fine, coarse, shared = certify_rows(rows, sorted(impacted), c)
+    fine, coarse, shared = certify_rows(rows, as_mask(impacted, k), c)
     for b, preds in enumerate(rows):
         assert bool(fine[b]) == certify_fine(preds, impacted, c).certified
         assert bool(coarse[b]) == certify_coarse(preds, impacted, c).certified

@@ -54,7 +54,7 @@ def test_accumulating_variants_only_record_pending():
     acts = s.on_unlearning_arrival(unlearn(0, 3, 10.0), 10.0)
     assert acts == []
     assert s.pending[3] == 1
-    assert 3 in set(s.impacted_shards())
+    assert s._impacted.nonzero()[0].tolist() == [3]
 
 
 def test_one_job_per_unlearning_request_even_for_same_shard():
@@ -244,17 +244,31 @@ def _hint_script():
     return script
 
 
-def _drive(name, hint):
+def _drive(name, hint, **overrides):
     """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i."""
     s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2,
-                   threshold=0.2)
-    evaluated, batch = [], s._evaluate
+                   threshold=0.2, **overrides)
+    evaluated, wasted, batch, one = [], [], s._evaluate, s._evaluate_one
 
     def counting(entries, *args, **kwargs):
         evaluated.append(len(entries))
         return batch(entries, *args, **kwargs)
 
-    s._evaluate = counting
+    def checked(entry, upcoming):
+        keys = [key for r, key, _ in s._kept if r is entry.request]
+        current, calls = s._impacted_key, len(evaluated)
+        ev = one(entry, upcoming)
+        if len(evaluated) == calls:  # a kept verdict was consumed: under its own set
+            assert keys[0] == current
+        elif keys:  # one was kept, under another set, and is judged afresh
+            wasted.append(entry.request.request_id)
+        (fresh,) = batch([_Entry(entry.request)])
+        assert (ev.refusal, ev.certified, ev.label, ev.verdict) == (
+            fresh.refusal, fresh.certified, fresh.label, fresh.verdict
+        )
+        return ev
+
+    s._evaluate, s._evaluate_one = counting, checked
     script, heap, log = _hint_script(), [], []
 
     def apply(actions):
@@ -272,7 +286,6 @@ def _drive(name, hint):
             complete(*heapq.heappop(heap))
         if req.kind == "unlearning":
             apply(s.on_unlearning_arrival(req, req.arrival))
-            assert not s._kept  # nor an unlearning arrival
         else:
             apply(s.on_inference_arrival(req, req.arrival, lambda: hint(script, i)))
     for _ in range(50):  # bounded, so a scheduler that cannot quiesce fails, not hangs
@@ -282,7 +295,7 @@ def _drive(name, hint):
         while heap:
             complete(*heapq.heappop(heap))
     assert s.quiet()
-    return log, s.judgements, s.judgements_uncertified, evaluated
+    return log, s.judgements, s.judgements_uncertified, evaluated, wasted
 
 
 def _same_state_run(script, i):
@@ -294,8 +307,17 @@ def _same_state_run(script, i):
     return run
 
 
+def _with_an_invented_unlearning(script, i):
+    # shard 5 is never a target of the script, so the set really grows
+    ahead = script[i + 1 : i + 13]
+    return ahead[:2] + [unlearn(10_000 + i, 5, script[i].arrival)] + ahead[2:]
+
+
 HINTS = {
     "truncated": lambda script, i: _same_state_run(script, i)[:2],
+    # what the simulator offers, less its cut at the next completion
+    "through_unlearning": lambda script, i: script[i + 1 : i + 13],
+    "invents_an_unlearning": _with_an_invented_unlearning,
     "past_a_state_change": lambda script, i: [r for r in script[i + 1:] if r.kind == "inference"],
     # same request ids as the real arrivals, other samples: never arrive
     "never_arrive": lambda script, i: [
@@ -307,10 +329,45 @@ HINTS = {
 @pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
 @pytest.mark.parametrize("hint", sorted(HINTS))
 def test_the_upcoming_hint_never_changes_a_decision(name, hint):
-    log, judgements, uncertified, plain_batches = _drive(name, lambda script, i: ())
-    hinted_log, *counts, batches = _drive(name, HINTS[hint])
+    log, judgements, uncertified, plain_batches, _ = _drive(name, lambda script, i: ())
+    hinted_log, *counts, batches, wasted = _drive(name, HINTS[hint])
     assert hinted_log == log
     assert counts == [judgements, uncertified]
     assert judgements > 0 or name == "SISA"
     if hint != "never_arrive":  # the kept verdicts were used, in fewer batches
         assert len(batches) < len(plain_batches)
+    if hint == "through_unlearning":  # an exact hint foresees every impacted set
+        assert not wasted
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_the_hint_never_changes_a_decision_with_shuffled_shards(name):
+    log, *counts, plain_batches, _ = _drive(name, lambda script, i: (), shuffle_shards=True)
+    hinted_log, *hinted_counts, batches, wasted = _drive(
+        name, HINTS["through_unlearning"], shuffle_shards=True
+    )
+    assert hinted_log == log
+    assert hinted_counts == counts
+    assert len(batches) < len(plain_batches)
+    assert not wasted  # the walk maps each arrival to its shuffled shard
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_the_lookahead_stops_before_a_target_shard_out_of_range(bad):
+    # Request rejects a negative target itself; one set after construction
+    # stands for a request that reaches the scheduler unchecked
+    stray = unlearn(2, 0, 1.0)
+    object.__setattr__(stray, "target_shard", bad)
+    x, a, b = infer(1, 11, 1.0), infer(3, 12, 1.0), infer(4, 13, 1.0)
+    runs = []
+    for hint in ([a, stray, b], []):
+        s = make_sched("STTU", K=6, C=3, accuracy=0.6, seed=2, threshold=1.0)
+        s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
+        log = [s.on_inference_arrival(x, 1.0, lambda: hint)]
+        if hint:  # the walk ended before the stray request, marking no shard for it
+            assert [(r, key) for r, key, _ in s._kept] == [(a, s._impacted_key)]
+        log.append(s.on_inference_arrival(a, 1.0, lambda: hint[2:]))
+        with pytest.raises(ValueError, match="target shard"):
+            s.on_unlearning_arrival(stray, 1.0)
+        runs.append((log, s.judgements, s.judgements_uncertified))
+    assert runs[0] == runs[1]
