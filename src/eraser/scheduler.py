@@ -49,6 +49,7 @@ answer-uncertified siblings.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ class PostponeInference:
     request: Request
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Respond:
     request: Request
     label: int
@@ -218,6 +219,7 @@ class Scheduler:
         self.cfg = cfg
         self.option_i, self.option_ii, self.option_iii = VARIANT_TABLE[cfg.name]
         self.certified = cfg.name != "SISA"
+        self.certifying = self.certified and cfg.cert_mode != "disabled"
         self.oracle_cfg = oracle_cfg
         self.retrain_duration = retrain_duration
         k = oracle_cfg.num_shards
@@ -240,11 +242,8 @@ class Scheduler:
         self.final_triggers = 0
         self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
-        # shards whose serving model lags behind their pending unlearning; the
-        # array is replaced, never written, when the set changes
-        self._impacted = self.pending > 0
-        self._impacted_key = self._impacted.tobytes()
-        self._kept: deque = deque()  # (request, impacted key, verdict) judged ahead, in order
+        self._kept: dict = {}  # request id -> (request, state key, verdict)
+        self._state_changed()
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled ahead by the simulator, or lazily
 
     # -- state inspection --------------------------------------------------
@@ -262,11 +261,15 @@ class Scheduler:
             self._hypo_cache = tuple(hypo.tolist())
         return self._hypo_cache
 
-    def _pending_changed(self, shard: int) -> None:
+    def _state_changed(self) -> None:
         self._hypo_cache = None
-        if (self.pending[shard] > 0) != self._impacted[shard]:
-            self._impacted = self.pending > 0
-            self._impacted_key = self._impacted.tobytes()
+        # shards whose serving model lags behind their pending unlearning
+        self._impacted = self.pending > 0
+        self._key = self._state_key(self.versions, self._impacted)
+
+    def _state_key(self, versions, impacted) -> bytes:
+        # all a verdict depends on besides its request
+        return versions.tobytes() + impacted.tobytes() if self.certifying else versions.tobytes()
 
     def _target(self, request: Request) -> int:
         """The shard an unlearning request lands on, remapped if shards are shuffled."""
@@ -276,88 +279,125 @@ class Scheduler:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, entries, impacted=None) -> list[_Eval]:
-        """Judge the entries' samples against the serving versions in one batch.
+    def _evaluate(self, entries, upcoming=None) -> list[_Eval]:
+        """The entries' verdicts under the current state.
 
-        ``impacted``, the current set by default, is the impacted-shard mask:
-        ``(K,)`` for every entry or ``(B, K)``, one row each. Counting the
-        judgements is left to the caller's per-entry loop (:meth:`_tally`),
-        which may stop before the last entry.
+        A verdict kept for the same request under the current state key is
+        reused. The rest are judged in one batch, together with the
+        inferences ``upcoming`` offers, each under the state :meth:`_ahead`
+        expects it to meet, and every verdict judged is kept under its key.
+        Counting the judgements is left to the caller's per-entry loop
+        (:meth:`_tally`), which may stop before the last entry.
         """
+        kept, key = self._kept, self._key
+        evals: list = [None] * len(entries)
+        todo, requests = [], []
+        for i, entry in enumerate(entries):
+            hit = kept.get(entry.request.request_id)
+            if hit is not None and hit[0] is entry.request and hit[1] == key:
+                evals[i] = hit[2]
+            else:
+                todo.append(i)
+                requests.append(entry.request)
+        if not todo:
+            return evals
+        versions, impacted, keys = self.versions, self._impacted, [key] * len(todo)
+        if upcoming is not None:
+            ahead, states = self._ahead(upcoming)
+            if ahead:
+                requests += ahead
+                states = [(versions, impacted, key)] * len(todo) + states
+                versions, impacted, keys = zip(*states)
+                versions, impacted = np.array(versions), np.array(impacted)
+        fresh = self._judge(requests, versions, impacted)
+        for request, k, ev in zip(requests, keys, fresh):
+            kept[request.request_id] = (request, k, ev)
+        for i, ev in zip(todo, fresh):
+            evals[i] = ev
+        return evals
+
+    def _judge(self, requests, versions, impacted) -> list[_Eval]:
+        """Judge the requests in one batch. ``versions`` and the impacted mask
+        ``impacted`` are ``(K,)``, shared by every request, or ``(B, K)``."""
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
         mit = self.cfg.mitigation if self.certified else None
-        evals: list = [None] * len(entries)
+        evals: list = [None] * len(requests)
         todo = []
-        for i, entry in enumerate(entries):
+        for i, request in enumerate(requests):
             if mit is not None and mit.detector_enabled:
-                rate = mit.detector_tpr if entry.request.is_noise else mit.detector_fpr
-                draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, entry.request.request_id)
+                rate = mit.detector_tpr if request.is_noise else mit.detector_fpr
+                draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
                 if draw < min(int(round(rate * 2.0**64)), 2**64):
                     evals[i] = _Eval("detected", False, -1, "refused", None)
                     continue
             todo.append(i)
         if not todo:
             return evals
-        keys = [(entries[i].request.sample, entries[i].request.is_noise) for i in todo]
-        preds = self.prefixes.predict(self.prefixes.rows(keys), self.versions)
-        certifying = self.certified and self.cfg.cert_mode != "disabled"
-        if impacted is None:
-            impacted = self._impacted
-        elif impacted.ndim == 2:
-            impacted = impacted[todo]
+        if versions.ndim == 2 and len(todo) < len(requests):
+            versions, impacted = versions[todo], impacted[todo]
+        keys = [(requests[i].sample, requests[i].is_noise) for i in todo]
+        preds = self.prefixes.predict(self.prefixes.rows(keys), versions)
         coarse = self.cfg.cert_mode == "coarse"
-        certified, winner, top = judge(preds, impacted & certifying, self.num_classes, coarse)
+        certified, winner, top = judge(preds, impacted & self.certifying, self.num_classes, coarse)
         threshold = mit.confidence_threshold if mit is not None else None
         rows = zip(todo, preds, certified.tolist(), winner.tolist(), top.tolist())
         for i, row, ok, label, votes in rows:
             if threshold is not None and votes / self.num_shards < threshold:
                 evals[i] = _Eval("low_confidence", False, label, "refused", row)
-            elif not certifying:
+            elif not self.certifying:
                 evals[i] = _Eval(None, True, label, "plain", row)
             else:
                 evals[i] = _Eval(None, ok, label, "certified" if ok else "uncertified", row)
         return evals
 
-    def _evaluate_one(self, entry: _Entry, upcoming) -> _Eval:
-        """Judge an arrival by its verdict kept under the current impacted set, or afresh."""
-        kept = self._kept
-        while kept and kept[0][0] is not entry.request:
-            kept.popleft()
-        if kept and kept[0][1] == self._impacted_key:
-            ev = kept.popleft()[2]
-        else:
-            ahead, keys, impacted = self._ahead(upcoming)
-            ev, *rest = self._evaluate([entry, *map(_Entry, ahead)], impacted)
-            self._kept = deque(zip(ahead, keys, rest))
-        self._tally(ev)
-        return ev
-
     def _ahead(self, upcoming):
-        """``(inferences, keys, impacted)`` of the requests ``upcoming`` offers.
+        """``(inferences, states)`` of the requests ``upcoming`` offers.
 
-        An inference meets the current impacted set plus the targets of the
-        unlearning arrivals before it: ``keys[i]`` is its bytes, ``impacted``
-        a ``(1 + n, K)`` mask led by the current row, or that row alone if no
-        arrival grows it. The walk stops at an arrival that starts a
-        retraining or whose target, out of range, raises on arrival.
+        The walk replays the scheduler's own completions in order: the jobs
+        in flight and, for an immediate variant, the jobs its unlearning
+        arrivals start while capacity allows. ``states[i]``, the
+        ``(versions, impacted mask, key)`` inference ``i`` is expected to be
+        judged under, holds the serving versions at its arrival in double
+        context and ``versions + jobs_scheduled``, where its halt ends, in
+        single context. The walk stops at a completion that would start a
+        queued job and at a target shard out of range. A trigger it cannot
+        see only wastes verdicts: each is used only under its own key.
         """
-        mask, key = self._impacted, self._impacted_key
-        ahead, keys, masks = [], [], [mask]
+        versions, pending = self.versions.copy(), self.pending.copy()
+        scheduled = self.jobs_scheduled.copy()
+        jobs = [(job.completion, job.shard, job.covered) for job in self.inflight.values()]
+        heapq.heapify(jobs)
+        single = self.option_i == SINGLE_CONTEXT
+        ahead, states, state = [], [], None
         for request in upcoming():
+            if jobs and jobs[0][0] <= request.arrival:
+                if self.queue:
+                    break
+                while jobs and jobs[0][0] <= request.arrival:
+                    _, shard, covered = heapq.heappop(jobs)
+                    versions[shard] += 1
+                    scheduled[shard] -= 1
+                    pending[shard] -= covered
+                state = None
             if request.kind == INFERENCE:
+                if state is None:
+                    v, mask = versions + scheduled if single else versions.copy(), pending > 0
+                    state = (v, mask, self._state_key(v, mask))
                 ahead.append(request)
-                keys.append(key)
-                masks.append(mask)
+                states.append(state)
                 continue
             shard = self._target(request)
-            if self.option_ii == IMMEDIATE or not 0 <= shard < self.num_shards:
+            if not 0 <= shard < self.num_shards:
                 break
-            if not mask[shard]:
-                mask = mask.copy()
-                mask[shard] = True
-                key = mask.tobytes()
-        return ahead, keys, self._impacted if mask is self._impacted else np.array(masks)
+            pending[shard] += 1
+            if self.option_ii == IMMEDIATE:
+                if len(jobs) >= self.cfg.parallel_capacity:
+                    break
+                heapq.heappush(jobs, (request.arrival + self.retrain_duration, shard, 1))
+                scheduled[shard] += 1
+            state = None
+        return ahead, states
 
     def _tally(self, ev: _Eval) -> None:
         """Count one judgement the control or response plane acted on."""
@@ -366,8 +406,14 @@ class Scheduler:
             if not ev.certified:
                 self.judgements_uncertified += 1
 
-    def _answer(self, entry: _Entry, ev: _Eval) -> list:
-        """Respond to, or refuse, a judged request from the current state."""
+    def _answer(self, entry: _Entry, ev: _Eval, keep: bool = False) -> list:
+        """Respond to, or refuse, a judged request from the current state,
+        once. Its kept verdict goes unless ``keep``: the control pass at this
+        completion acts on it again."""
+        if not keep:
+            del self._kept[entry.request.request_id]
+        if entry.responded:
+            return []
         entry.responded = True
         if ev.refusal is not None:
             return [Respond(entry.request, -1, f"refused_{ev.refusal}", (), ())]
@@ -428,7 +474,7 @@ class Scheduler:
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
         self.pending[shard] += 1
-        self._pending_changed(shard)
+        self._state_changed()
         if self.option_ii != IMMEDIATE:
             return []
         # one retraining per request, even when the shard already has jobs
@@ -438,33 +484,32 @@ class Scheduler:
 
     def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list:
         """Handle one inference arrival. ``upcoming``, a hint, returns the requests
-        expected next, unlearning ones included, before the next completion. On a
-        miss, the inferences among them are judged in one batch with this one, each
-        under the impacted set it will meet, and kept with that set; a kept verdict
-        is used only under its own set, so the hint never changes a decision."""
+        expected next, unlearning ones included. On a miss, the inferences among
+        them are judged in one batch with this one, each under the state it is
+        expected to meet, and kept with that state's key; a kept verdict is used
+        only under its own key, so the hint never changes a decision."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
-        entry = _Entry(request)
-        if self.busy():
-            if not self.certified or self.option_i == SINGLE_CONTEXT:
-                # halt; only the certification-free baseline reads
-                # release_after: it is unlearning-request-first, waits for
-                # every retraining that predates this request, not later ones,
-                # and claims to have forgotten exactly what arrived before it
-                entry.release_after = self.jobs_created
-                if not self.certified:
-                    entry.hypothetical = self._hypothetical_versions()
-                self.backlog.append(entry)
-                return [HaltInference(request)]
-            if self.option_ii != IMMEDIATE:
-                # mid-update: answer what we soundly can; counting waits for
-                # the control pass at update completion
-                self.backlog.append(entry)
-                ev = self._evaluate_one(entry, upcoming)
-                if ev.refusal is not None or ev.certified:
-                    return self._answer(entry, ev)
-                return [PostponeInference(request)]
-        ev = self._evaluate_one(entry, upcoming)
+        entry, busy = _Entry(request), self.busy()
+        if busy and (not self.certified or self.option_i == SINGLE_CONTEXT):
+            # halt; only the certification-free baseline reads
+            # release_after: it is unlearning-request-first, waits for
+            # every retraining that predates this request, not later ones,
+            # and claims to have forgotten exactly what arrived before it
+            entry.release_after = self.jobs_created
+            if not self.certified:
+                entry.hypothetical = self._hypothetical_versions()
+            self.backlog.append(entry)
+            return [HaltInference(request)]
+        (ev,) = self._evaluate([entry], upcoming)
+        self._tally(ev)
+        if busy and self.option_ii != IMMEDIATE:
+            # mid-update: answer what we soundly can; counting waits for
+            # the control pass at update completion
+            self.backlog.append(entry)
+            if ev.refusal is not None or ev.certified:
+                return self._answer(entry, ev)
+            return [PostponeInference(request)]
         step = self._control(entry, ev)
         if step == _ANSWER:
             return self._answer(entry, ev)
@@ -485,8 +530,7 @@ class Scheduler:
         self.pending[shard] -= job.covered
         self.covered[shard] -= job.covered
         self.jobs_scheduled[shard] -= 1
-        self._pending_changed(shard)
-        self._kept.clear()
+        self._state_changed()
         self.retrainings_completed += 1
         actions = []
         if self.queue:
@@ -523,7 +567,7 @@ class Scheduler:
         for entry, ev in zip(waiting, self._evaluate(waiting)):
             self._tally(ev)
             if ev.refusal is not None or ev.certified:
-                actions += self._answer(entry, ev)
+                actions += self._answer(entry, ev, keep=True)
         return actions
 
     def _drain(self, now: float) -> list:
@@ -534,8 +578,7 @@ class Scheduler:
             self._tally(ev)
             step = self._control(entry, ev)
             if step == _ANSWER:
-                if not entry.responded:
-                    actions += self._answer(entry, ev)
+                actions += self._answer(entry, ev)
                 continue
             remaining.append(entry)
             if step == _TRIGGER:

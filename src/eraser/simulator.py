@@ -8,10 +8,10 @@ completions are processed first, then unlearning arrivals, then inference
 arrivals, which keeps hand-traces unambiguous and maximizes certified
 responses.
 
-An inference arrival offers the scheduler the run that follows it: at most
-``_RUN_CHUNK`` requests, unlearning ones included, before the earliest
-scheduled completion. Versions stay fixed over a run and an unlearning arrival
-only grows the impacted set, so one batch judges the run's inferences.
+An inference arrival offers the scheduler the ``_RUN_CHUNK`` requests that
+follow it, unlearning ones included, across retraining completions. The
+scheduler replays its own completions through them, so one batch judges the
+run's inferences, each under the state it is expected to meet.
 Before the first event, the scheduler's table of prediction prefixes is
 filled with every inference sample of the workload in one array pass.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import takewhile
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .scheduler import (
 )
 from .workload import INFERENCE, UNLEARNING
 
-_RUN_CHUNK = 64  # requests offered as one run, at most; more is wasted on halts after a trigger
+_RUN_CHUNK = 64  # requests offered as one run; more is wasted on halts after a trigger
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class SimParams:
             raise ValueError("inference_service_time must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequestRecord:
     """Terminal outcome of one inference request."""
 
@@ -179,10 +178,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
                 raise SimulationError(f"unknown scheduler action {act!r}")
 
     def upcoming():
-        # the requests after requests[nxt] that arrive before the next completion
-        limit = heap[0][0] if heap else math.inf
-        return list(takewhile(lambda r: r.arrival < limit,
-                              requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]))
+        return requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]
 
     def drain_events():
         nonlocal now, nxt

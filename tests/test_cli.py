@@ -108,7 +108,7 @@ def test_theory_subcommand_prints_formulas(capsys):
     assert "dimp_upper_bound       0.0125" in out
 
 
-def test_gen_workload_roundtrips(config_file, tmp_path, capsys):
+def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):
     out = tmp_path / "wl.csv"
     assert main(["gen-workload", "--spec", config_file, "--out", str(out)]) == 0
     header, *rows = out.read_text().splitlines()

@@ -244,31 +244,45 @@ def _hint_script():
     return script
 
 
-def _drive(name, hint, **overrides):
-    """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i."""
-    s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2,
-                   threshold=0.2, **overrides)
-    evaluated, wasted, batch, one = [], [], s._evaluate, s._evaluate_one
+def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
+    """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i.
 
-    def counting(entries, *args, **kwargs):
-        evaluated.append(len(entries))
-        return batch(entries, *args, **kwargs)
+    Returns the action log, the judgement counts, the size of every judging
+    batch and the wasted verdicts: ``(request id, jobs created when it was
+    judged ahead, jobs created when it was judged again)`` for each verdict
+    judged ahead of its request's arrival and judged again, unused.
+    """
+    s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=r,
+                   parallel_capacity=parallel_capacity, threshold=0.2, **overrides)
+    batches, wasted, foreseen = [], [], {}
+    evaluate, judge, ahead = s._evaluate, s._judge, s._ahead
 
-    def checked(entry, upcoming):
-        keys = [key for r, key, _ in s._kept if r is entry.request]
-        current, calls = s._impacted_key, len(evaluated)
-        ev = one(entry, upcoming)
-        if len(evaluated) == calls:  # a kept verdict was consumed: under its own set
-            assert keys[0] == current
-        elif keys:  # one was kept, under another set, and is judged afresh
-            wasted.append(entry.request.request_id)
-        (fresh,) = batch([_Entry(entry.request)])
-        assert (ev.refusal, ev.certified, ev.label, ev.verdict) == (
-            fresh.refusal, fresh.certified, fresh.label, fresh.verdict
-        )
-        return ev
+    def counting(requests, *args):
+        batches.append(len(requests))
+        return judge(requests, *args)
 
-    s._evaluate, s._evaluate_one = counting, checked
+    def walking(upcoming):
+        requests, states = ahead(upcoming)
+        for request, (_, _, key) in zip(requests, states):
+            if request.request_id in foreseen:  # judged ahead twice, unused
+                wasted.append((request.request_id, foreseen[request.request_id][2], s.jobs_created))
+            foreseen[request.request_id] = (request, key, s.jobs_created)
+        return requests, states
+
+    def checked(entries, upcoming=None):
+        for entry in entries:
+            request, key, jobs = foreseen.pop(entry.request.request_id, (None, None, 0))
+            if request is not None and (request is not entry.request or key != s._key):
+                wasted.append((entry.request.request_id, jobs, s.jobs_created))
+        evals = evaluate(entries, upcoming)
+        for entry, ev in zip(entries, evals):  # every verdict equals a fresh one-row judgement
+            (fresh,) = judge([entry.request], s.versions, s._impacted)
+            assert (ev.refusal, ev.certified, ev.label, ev.verdict) == (
+                fresh.refusal, fresh.certified, fresh.label, fresh.verdict
+            )
+        return evals
+
+    s._evaluate, s._judge, s._ahead = checked, counting, walking
     script, heap, log = _hint_script(), [], []
 
     def apply(actions):
@@ -279,7 +293,6 @@ def _drive(name, hint, **overrides):
 
     def complete(t, job_id):
         apply(s.on_retraining_complete(job_id, t))
-        assert not s._kept  # no verdict outlives a completion
 
     for i, req in enumerate(script):
         while heap and heap[0][0] <= req.arrival:
@@ -295,7 +308,8 @@ def _drive(name, hint, **overrides):
         while heap:
             complete(*heapq.heappop(heap))
     assert s.quiet()
-    return log, s.judgements, s.judgements_uncertified, evaluated, wasted
+    assert not s._kept  # every request was answered, which drops its verdict
+    return log, s.judgements, s.judgements_uncertified, batches, wasted
 
 
 def _same_state_run(script, i):
@@ -336,20 +350,39 @@ def test_the_upcoming_hint_never_changes_a_decision(name, hint):
     assert judgements > 0 or name == "SISA"
     if hint != "never_arrive":  # the kept verdicts were used, in fewer batches
         assert len(batches) < len(plain_batches)
-    if hint == "through_unlearning":  # an exact hint foresees every impacted set
-        assert not wasted
+    if hint == "through_unlearning":
+        if name in ("DIMP", "SISA"):  # the walk foresees their whole state path
+            assert not wasted
+        # the rest waste only verdicts judged before a triggered retraining
+        assert all(before < after for _, before, after in wasted)
 
 
-@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
-def test_the_hint_never_changes_a_decision_with_shuffled_shards(name):
-    log, *counts, plain_batches, _ = _drive(name, lambda script, i: (), shuffle_shards=True)
+def _assert_the_exact_hint_holds(name, **overrides):
+    """The script's own next requests, offered as the hint, change no decision
+    and need fewer batches; DIMP and SISA waste no verdict, the rest only
+    verdicts judged before a triggered retraining, which the walk cannot see."""
+    log, *counts, plain_batches, _ = _drive(name, lambda script, i: (), **overrides)
     hinted_log, *hinted_counts, batches, wasted = _drive(
-        name, HINTS["through_unlearning"], shuffle_shards=True
+        name, HINTS["through_unlearning"], **overrides
     )
     assert hinted_log == log
     assert hinted_counts == counts
     assert len(batches) < len(plain_batches)
-    assert not wasted  # the walk maps each arrival to its shuffled shard
+    assert not wasted or name not in ("DIMP", "SISA")
+    assert all(before < after for _, before, after in wasted)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_the_hint_never_changes_a_decision_with_shuffled_shards(name):
+    # the walk must map each arrival to its shuffled shard
+    _assert_the_exact_hint_holds(name, shuffle_shards=True)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_the_hint_never_changes_a_decision_when_retraining_queues(name):
+    # one job at a time, each longer than the gap between unlearning
+    # arrivals: the walk must stop where a completion starts a queued job
+    _assert_the_exact_hint_holds(name, r=4.0, parallel_capacity=1)
 
 
 @pytest.mark.parametrize("bad", [-1, 6])
@@ -365,9 +398,109 @@ def test_the_lookahead_stops_before_a_target_shard_out_of_range(bad):
         s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
         log = [s.on_inference_arrival(x, 1.0, lambda: hint)]
         if hint:  # the walk ended before the stray request, marking no shard for it
-            assert [(r, key) for r, key, _ in s._kept] == [(a, s._impacted_key)]
+            assert [(r, key) for r, key, _ in s._kept.values()] == [(a, s._key)]
         log.append(s.on_inference_arrival(a, 1.0, lambda: hint[2:]))
         with pytest.raises(ValueError, match="target shard"):
             s.on_unlearning_arrival(stray, 1.0)
         runs.append((log, s.judgements, s.judgements_uncertified))
     assert runs[0] == runs[1]
+
+
+def test_the_lookahead_stops_where_a_retraining_would_queue():
+    # one job at a time: u2's retraining queues behind u1's and starts at 5,
+    # not at its arrival. The walk from x stops at u2, the one from a at the
+    # completion that starts it; a walk past either mispredicts b or c, whose
+    # verdict is then judged twice
+    u1, u2 = unlearn(0, 1, 0.0), unlearn(2, 2, 2.0)
+    x, a, b, c = infer(1, 11, 1.0), infer(3, 12, 3.0), infer(4, 13, 8.0), infer(5, 14, 11.0)
+    runs = []
+    for hints in ([[u2, a, b, c], [b, c], [c], []], [[]] * 4):
+        s = make_sched("DIMP", r=5.0, parallel_capacity=1)
+        rows = _counting_rows(s)
+        (start,) = s.on_unlearning_arrival(u1, 0.0)
+        log = [s.on_inference_arrival(x, 1.0, lambda: hints[0])]
+        log.append(s.on_unlearning_arrival(u2, 2.0))
+        log.append(s.on_inference_arrival(a, 3.0, lambda: hints[1]))
+        log.append(s.on_retraining_complete(start.job.job_id, 5.0))
+        (queued,) = log[-1]  # u2's retraining starts
+        log.append(s.on_inference_arrival(b, 8.0, lambda: hints[2]))
+        log.append(s.on_retraining_complete(queued.job.job_id, 10.0))
+        log.append(s.on_inference_arrival(c, 11.0, lambda: hints[3]))
+        assert [type(log[i][0]).__name__ for i in (0, 2, 4, 6)] == ["Respond"] * 4
+        runs.append((log, rows))
+    (log, rows), (plain_log, plain_rows) = runs
+    assert log == plain_log
+    assert rows == [1, 1, 2] and plain_rows == [1] * 4
+
+
+def _counting_rows(s):
+    """The size of every batch the scheduler's prediction table is asked for."""
+    rows, predict = [], s.prefixes.predict
+
+    def counting(r, versions):
+        rows.append(len(r))
+        return predict(r, versions)
+
+    s.prefixes.predict = counting
+    return rows
+
+
+def test_a_dimp_hint_across_an_in_flight_completion_wastes_nothing():
+    # b and c arrive after the retraining of shard 1 completes: the walk
+    # replays that completion, so one batch judges all four requests
+    x, a, b, c = infer(1, 11, 1.0), infer(2, 12, 2.0), infer(3, 13, 6.0), infer(4, 14, 7.0)
+    runs = []
+    for hint in ([a, b, c], []):
+        s = make_sched("DIMP", r=5.0)
+        rows = _counting_rows(s)
+        (start,) = s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
+        log = [s.on_inference_arrival(x, 1.0, lambda: hint)]
+        log.append(s.on_inference_arrival(a, 2.0, lambda: hint[1:]))
+        log.append(s.on_retraining_complete(start.job.job_id, 5.0))
+        log.append(s.on_inference_arrival(b, 6.0, lambda: hint[2:]))
+        log.append(s.on_inference_arrival(c, 7.0, lambda: hint[3:]))
+        assert [type(acts[0]).__name__ for acts in log if acts] == ["Respond"] * 4
+        runs.append((log, s.judgements, rows))
+    (log, judgements, rows), (plain_log, plain_judgements, plain_rows) = runs
+    assert (log, judgements) == (plain_log, plain_judgements)
+    assert rows == [4] and plain_rows == [1, 1, 1, 1]
+
+
+def test_the_control_pass_reuses_what_the_response_plane_judged_at_its_completion():
+    # samples 3, 6 and 7 fail the check while shard 0 is impacted, sample 0
+    # passes; the completion that ends the update re-judges the postponed
+    # three once, and the control pass judges only the request answered mid-update
+    s = make_sched("DUTP", K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
+    rows = _counting_rows(s)
+    s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
+    acts = s.on_inference_arrival(infer(1, 3, 1.0), 1.0)
+    (job,) = [a.job for a in acts if isinstance(a, StartRetraining)]
+    for rid, sample, t in ((2, 6, 2.0), (3, 7, 3.0), (4, 0, 4.0)):
+        s.on_inference_arrival(infer(rid, sample, t), t)
+    assert [e.responded for e in s.backlog] == [False, False, False, True]
+    del rows[:]
+    answered = s.on_retraining_complete(job.job_id, 6.0)
+    assert sorted(a.request.request_id for a in answered) == [1, 2, 3]
+    assert rows == [3, 1] and not s.backlog
+
+
+def test_sisa_releases_a_foreseen_halt_without_judging_it_again():
+    # the walk starts the retraining u would start and judges a and b where
+    # their halt ends, after it: the release at its completion judges nothing
+    x, u, a, b = infer(1, 11, 0.0), unlearn(2, 1, 1.0), infer(3, 12, 2.0), infer(4, 13, 3.0)
+    runs = []
+    for hint in ([u, a, b], []):
+        s = make_sched("SISA", r=5.0)
+        rows = _counting_rows(s)
+        log = [s.on_inference_arrival(x, 0.0, lambda: hint)]
+        log.append(s.on_unlearning_arrival(u, 1.0))
+        log.append(s.on_inference_arrival(a, 2.0, lambda: hint[2:]))
+        log.append(s.on_inference_arrival(b, 3.0, lambda: hint[3:]))
+        judged = len(rows)
+        log.append(s.on_retraining_complete(log[1][0].job.job_id, 6.0))
+        assert [a.request.request_id for a in log[-1]] == [3, 4]
+        runs.append((log, rows, judged))
+    (log, rows, judged), (plain_log, plain_rows, _) = runs
+    assert log == plain_log
+    assert rows == [3] and judged == 1
+    assert plain_rows == [1, 2]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ from eraser import simulator
 from eraser.ensemble import predict_label
 from eraser.oracle import OracleConfig, PredictionTrace, predict, sample_for
 from eraser.simulator import (
+    RequestRecord,
     SimParams,
     replay_privacy_check,
     run,
 )
-from eraser.scheduler import MitigationConfig, Scheduler, VariantConfig
+from eraser.scheduler import MitigationConfig, Respond, Scheduler, VariantConfig
 from eraser.workload import Request, WorkloadSpec, generate
 
 
@@ -307,3 +309,18 @@ def test_uncertified_responses_stay_within_the_budget():
         m = run(wl, VariantConfig(name, parallel_capacity=20), cfg,
                 SimParams(1.0, 500.0), collect_log=False)
         assert m.uncertified_responses == 0
+
+
+def test_records_keep_their_fields_and_compare_by_value():
+    # the benchmark digests a request log field by field, in this order
+    assert [f.name for f in dataclasses.fields(RequestRecord)] == [
+        "request_id", "arrival", "response", "wait", "verdict", "label",
+        "sample", "is_noise", "versions", "hypothetical_versions",
+    ]
+    fields = (7, 1.0, 2.5, 1.5, "certified", 3, 11, False, (1, 0), (1, 1))
+    assert RequestRecord(*fields) == RequestRecord(*fields)
+    assert RequestRecord(*fields) != RequestRecord(*fields[:5], 4, *fields[6:])
+    request = q(7, 11, 1.0)
+    answer = (request, 3, "certified", (1, 0), (1, 1))
+    assert Respond(*answer) == Respond(q(7, 11, 1.0), *answer[1:])
+    assert Respond(*answer) != Respond(request, 4, *answer[2:])

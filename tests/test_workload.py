@@ -148,7 +148,7 @@ def test_equal_time_unlearning_sorts_first():
     assert [r.kind for r in stream] == [UNLEARNING, INFERENCE]
 
 
-def test_csv_roundtrip(tmp_path):
+def test_csv_export_writes_header_and_fields(tmp_path):
     spec = WorkloadSpec(20, 30, 50.0, seed=11, noise_fraction=0.1)
     stream = generate(spec, 6)
     path = tmp_path / "workload.csv"
