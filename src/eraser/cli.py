@@ -16,7 +16,8 @@ Subcommands:
   described by a config file's [workload]/[oracle] sections.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
-config error is reported on one line, ``eraser: <message>``, with exit
+config error, or a bad argument to ``sweep``, ``verify-cert`` or
+``theory``, is reported on one line, ``eraser: <message>``, with exit
 status 2.
 """
 
@@ -82,7 +83,7 @@ def _cmd_sweep(args) -> int:
         values = parse_config_text(fh.read())
     sweep_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not sweep_values:
-        print("sweep: --values is empty", file=sys.stderr)
+        print("eraser: --values is empty", file=sys.stderr)
         return 2
     return run_sweep(values, args.param, sweep_values, args.out, jobs=args.jobs)
 
@@ -106,7 +107,11 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    params = TheoryParams(args.n_u, args.t, args.r, args.p_uc)
+    try:
+        params = TheoryParams(args.n_u, args.t, args.r, args.p_uc)
+    except ValueError as exc:
+        print(f"eraser: {exc}", file=sys.stderr)
+        return 2
     print(f"expected_wait_sisa     {expected_wait_sisa(params)!r}")
     print(f"dimp_upper_bound       {dimp_upper_bound(params)!r}")
     print(f"dimp_series            {expected_wait_dimp_series(params)!r}")

@@ -25,7 +25,12 @@ SISA   single          immediate  postpone            no certification
 
 The scheduler is a deterministic state machine driven by the simulator's
 events; it holds no clock of its own and draws no randomness beyond the
-seeded hashes shared with the oracle.
+seeded hashes shared with the oracle. It alone owns its retraining jobs:
+a heap of the jobs in flight, ordered by completion time and then job id,
+and a FIFO queue of jobs waiting for a slot. The simulator reads
+:meth:`Scheduler.next_completion` and calls
+:meth:`Scheduler.on_retraining_complete` at that time. Every handler
+returns only the answers it gives, as :class:`Respond` records.
 
 Bookkeeping is split into two planes so that variants differing only in
 Option I make identical retraining decisions and differ in response
@@ -144,30 +149,7 @@ class VariantConfig:
             raise ValueError("context_switch_latency must be finite and >= 0")
 
 
-# --- actions emitted toward the simulator ---------------------------------
-
-
-@dataclass
-class Job:
-    job_id: int
-    shard: int
-    covered: int  # oldest pending requests this retraining clears
-    completion: float | None = None
-
-
-@dataclass(frozen=True)
-class StartRetraining:
-    job: Job
-
-
-@dataclass(frozen=True)
-class HaltInference:
-    request: Request
-
-
-@dataclass(frozen=True)
-class PostponeInference:
-    request: Request
+# --- answers returned to the simulator ------------------------------------
 
 
 @dataclass(slots=True)
@@ -229,13 +211,14 @@ class Scheduler:
         self.pending = np.zeros(k, dtype=np.int64)  # unlearning requests per shard
         self.covered = np.zeros(k, dtype=np.int64)  # pendings already claimed by scheduled jobs
         self.jobs_scheduled = np.zeros(k, dtype=np.int64)  # in-flight plus queued jobs per shard
-        self.inflight = {}
-        self.queue = deque()
+        self.inflight: list = []  # heap of (completion, job id, shard, covered)
+        self.queue = deque()  # (job id, shard, covered) waiting for a slot, FIFO
         self.backlog: list[_Entry] = []
         self.window_inferences = 0
         self.window_uncertified = 0
         self.judgements = 0
         self.judgements_uncertified = 0
+        self.postponed = 0  # inferences that could not be answered on arrival
         self.jobs_created = 0  # also the id of the latest job
         self.retrainings_completed = 0
         self.uncertification_triggers = 0
@@ -250,6 +233,10 @@ class Scheduler:
 
     def busy(self) -> bool:
         return bool(self.inflight) or bool(self.queue)
+
+    def next_completion(self) -> float | None:
+        """When the next retraining job in flight completes, or ``None``."""
+        return self.inflight[0][0] if self.inflight else None
 
     def quiet(self) -> bool:
         return not self.busy() and not self.backlog and not self.pending.any()
@@ -365,9 +352,7 @@ class Scheduler:
         see only wastes verdicts: each is used only under its own key.
         """
         versions, pending = self.versions.copy(), self.pending.copy()
-        scheduled = self.jobs_scheduled.copy()
-        jobs = [(job.completion, job.shard, job.covered) for job in self.inflight.values()]
-        heapq.heapify(jobs)
+        scheduled, jobs, job_id = self.jobs_scheduled.copy(), self.inflight.copy(), self.jobs_created
         single = self.option_i == SINGLE_CONTEXT
         ahead, states, state = [], [], None
         for request in upcoming():
@@ -375,7 +360,7 @@ class Scheduler:
                 if self.queue:
                     break
                 while jobs and jobs[0][0] <= request.arrival:
-                    _, shard, covered = heapq.heappop(jobs)
+                    _, _, shard, covered = heapq.heappop(jobs)
                     versions[shard] += 1
                     scheduled[shard] -= 1
                     pending[shard] -= covered
@@ -394,7 +379,8 @@ class Scheduler:
             if self.option_ii == IMMEDIATE:
                 if len(jobs) >= self.cfg.parallel_capacity:
                     break
-                heapq.heappush(jobs, (request.arrival + self.retrain_duration, shard, 1))
+                job_id += 1
+                heapq.heappush(jobs, (request.arrival + self.retrain_duration, job_id, shard, 1))
                 scheduled[shard] += 1
             state = None
         return ahead, states
@@ -406,7 +392,7 @@ class Scheduler:
             if not ev.certified:
                 self.judgements_uncertified += 1
 
-    def _answer(self, entry: _Entry, ev: _Eval, keep: bool = False) -> list:
+    def _answer(self, entry: _Entry, ev: _Eval, keep: bool = False) -> list[Respond]:
         """Respond to, or refuse, a judged request from the current state,
         once. Its kept verdict goes unless ``keep``: the control pass at this
         completion acts on it again."""
@@ -451,23 +437,25 @@ class Scheduler:
 
     # -- retraining job plumbing ----------------------------------------------
 
-    def _start_or_enqueue(self, job: Job, now: float, delay: float = 0.0) -> list:
-        self.jobs_scheduled[job.shard] += 1
-        self._hypo_cache = None
-        if len(self.inflight) < self.cfg.parallel_capacity:
-            job.completion = now + delay + self.retrain_duration
-            self.inflight[job.job_id] = job
-            return [StartRetraining(job)]
-        self.queue.append(job)
-        return []
-
-    def _new_job(self, shard: int, covered: int) -> Job:
+    def _start_or_enqueue(self, shard: int, covered: int, now: float, delay: float = 0.0) -> None:
+        """Create a retraining of ``shard`` that clears its ``covered`` oldest
+        pending requests; it starts after ``delay`` unless every slot is taken."""
         self.jobs_created += 1
-        return Job(self.jobs_created, shard, covered)
+        self.covered[shard] += covered
+        self.jobs_scheduled[shard] += 1
+        self._hypo_cache = None
+        job = (self.jobs_created, shard, covered)
+        if len(self.inflight) < self.cfg.parallel_capacity:
+            self._start(job, now + delay)
+        else:
+            self.queue.append(job)
+
+    def _start(self, job: tuple, now: float) -> None:
+        heapq.heappush(self.inflight, (now + self.retrain_duration, *job))
 
     # -- arrival handling -------------------------------------------------------
 
-    def on_unlearning_arrival(self, request: Request, now: float) -> list:
+    def on_unlearning_arrival(self, request: Request, now: float) -> list[Respond]:
         if request.kind != UNLEARNING:
             raise ValueError(f"expected an unlearning request, got {request.kind}")
         shard = self._target(request)
@@ -475,14 +463,12 @@ class Scheduler:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
         self.pending[shard] += 1
         self._state_changed()
-        if self.option_ii != IMMEDIATE:
-            return []
-        # one retraining per request, even when the shard already has jobs
-        job = self._new_job(shard, covered=1)
-        self.covered[shard] += 1
-        return self._start_or_enqueue(job, now)
+        if self.option_ii == IMMEDIATE:
+            # one retraining per request, even when the shard already has jobs
+            self._start_or_enqueue(shard, 1, now)
+        return []
 
-    def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list:
+    def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list[Respond]:
         """Handle one inference arrival. ``upcoming``, a hint, returns the requests
         expected next, unlearning ones included. On a miss, the inferences among
         them are judged in one batch with this one, each under the state it is
@@ -491,16 +477,17 @@ class Scheduler:
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
         entry, busy = _Entry(request), self.busy()
-        if busy and (not self.certified or self.option_i == SINGLE_CONTEXT):
-            # halt; only the certification-free baseline reads
-            # release_after: it is unlearning-request-first, waits for
-            # every retraining that predates this request, not later ones,
-            # and claims to have forgotten exactly what arrived before it
+        if busy and self.option_i == SINGLE_CONTEXT:
+            # halt. A certifying variant answers once a re-judgement passes;
+            # SISA certifies nothing, so only release_after tells it when its
+            # answer is sound: it is unlearning-request-first, waits for every
+            # retraining that predates this request, not later ones, and
+            # claims to have forgotten exactly what arrived before it
             entry.release_after = self.jobs_created
             if not self.certified:
                 entry.hypothetical = self._hypothetical_versions()
             self.backlog.append(entry)
-            return [HaltInference(request)]
+            return []
         (ev,) = self._evaluate([entry], upcoming)
         self._tally(ev)
         if busy and self.option_ii != IMMEDIATE:
@@ -509,35 +496,35 @@ class Scheduler:
             self.backlog.append(entry)
             if ev.refusal is not None or ev.certified:
                 return self._answer(entry, ev)
-            return [PostponeInference(request)]
+            self.postponed += 1
+            return []
         step = self._control(entry, ev)
         if step == _ANSWER:
             return self._answer(entry, ev)
         self.backlog.append(entry)
+        self.postponed += 1
         if step == _TRIGGER:
-            return [PostponeInference(request)] + self.trigger_update(now, ev)
-        return [PostponeInference(request)]
+            self.trigger_update(now, ev)
+        return []
 
     # -- retraining completion -----------------------------------------------
 
-    def on_retraining_complete(self, job_id: int, now: float) -> list:
-        job = self.inflight.pop(job_id, None)
-        if job is None:
-            raise RuntimeError(f"completion for unknown retraining job {job_id}")
-        shard = job.shard
+    def on_retraining_complete(self, now: float) -> list[Respond]:
+        """Complete the job in flight that is due at ``now``, the lowest job id
+        first at a tie, and start the oldest queued job in its slot."""
+        if self.next_completion() != now:
+            raise RuntimeError(f"no retraining job completes at {now}")
+        _, _, shard, covered = heapq.heappop(self.inflight)
         self.versions[shard] += 1
         self._versions_tuple = tuple(self.versions.tolist())
-        self.pending[shard] -= job.covered
-        self.covered[shard] -= job.covered
+        self.pending[shard] -= covered
+        self.covered[shard] -= covered
         self.jobs_scheduled[shard] -= 1
         self._state_changed()
         self.retrainings_completed += 1
-        actions = []
         if self.queue:
-            nxt = self.queue.popleft()
-            nxt.completion = now + self.retrain_duration
-            self.inflight[nxt.job_id] = nxt
-            actions.append(StartRetraining(nxt))
+            self._start(self.queue.popleft(), now)
+        actions = []
         if not self.certified:
             actions += self._release_baseline()
         elif self.option_i == DOUBLE_CONTEXT:
@@ -548,7 +535,7 @@ class Scheduler:
             actions += self._drain(now)
         return actions
 
-    def _release_baseline(self) -> list:
+    def _release_baseline(self) -> list[Respond]:
         # jobs finish in creation order, so an entry is safe to answer once
         # the completion count reaches the jobs outstanding at its arrival
         ready = [e for e in self.backlog if e.release_after <= self.retrainings_completed]
@@ -558,7 +545,7 @@ class Scheduler:
             actions += self._answer(entry, ev)
         return actions
 
-    def _respond_ready(self) -> list:
+    def _respond_ready(self) -> list[Respond]:
         # response plane: every completion shrinks the impacted set, so
         # postponed requests are re-judged and answered as soon as they pass,
         # or refused once their agreement falls below the threshold
@@ -570,7 +557,7 @@ class Scheduler:
                 actions += self._answer(entry, ev, keep=True)
         return actions
 
-    def _drain(self, now: float) -> list:
+    def _drain(self, now: float) -> list[Respond]:
         """Control pass over the backlog after an update (or at shutdown)."""
         actions: list = []
         remaining: list[_Entry] = []
@@ -584,7 +571,7 @@ class Scheduler:
             if step == _TRIGGER:
                 # the rest of the backlog rides along to the next update
                 self.backlog = remaining + self.backlog[i + 1 :]
-                actions += self.trigger_update(now, ev)
+                self.trigger_update(now, ev)
                 if self.option_i == DOUBLE_CONTEXT:
                     actions += self._respond_ready()
                 return actions
@@ -593,7 +580,7 @@ class Scheduler:
 
     # -- update triggering -----------------------------------------------------
 
-    def trigger_update(self, now: float, trigger_ev=None) -> list:
+    def trigger_update(self, now: float, trigger_ev=None) -> None:
         """Batch-retrain every shard with pending unlearning requests.
 
         ``trigger_ev`` is the judgement that failed; without one this is the
@@ -603,7 +590,7 @@ class Scheduler:
             raise RuntimeError("update triggered while retraining is in progress")
         candidates = np.flatnonzero(self._impacted).tolist()
         if not candidates:
-            return []
+            return
         if self.cfg.retrain_policy == RETRAIN_MINIMAL and trigger_ev is not None:
             chosen = self._minimal_shard_set(candidates, trigger_ev)
         else:
@@ -617,12 +604,8 @@ class Scheduler:
             if self.option_i == SINGLE_CONTEXT
             else 0.0
         )
-        actions = []
         for k in chosen:
-            job = self._new_job(k, covered=int(self.pending[k]))
-            self.covered[k] = self.pending[k]
-            actions += self._start_or_enqueue(job, now, delay)
-        return actions
+            self._start_or_enqueue(k, int(self.pending[k]), now, delay)
 
     def _minimal_shard_set(self, candidates, trigger_ev) -> list:
         # most-loaded shards first; retrain just enough that the triggering
@@ -640,7 +623,7 @@ class Scheduler:
 
     # -- shutdown ---------------------------------------------------------------
 
-    def finalize(self, now: float) -> list:
+    def finalize(self, now: float) -> list[Respond]:
         """Drain step run at end of workload: execute leftover unlearning.
 
         The serving period ends with every pending request actually
@@ -650,7 +633,6 @@ class Scheduler:
         if self.busy():
             return []
         if self.pending.any():
-            return self.trigger_update(now)
-        if self.backlog:
-            return self._drain(now)
-        return []
+            self.trigger_update(now)
+            return []
+        return self._drain(now)

@@ -1,12 +1,13 @@
 """Deterministic discrete-event engine.
 
 Feeds a sorted request stream into a scheduler plus prediction oracle and
-collects latency/retraining metrics. Events come from two sources: the
-workload's requests, sorted once by (arrival, kind, position), and a heap
-of scheduled retraining completions. At equal timestamps retraining
-completions are processed first, then unlearning arrivals, then inference
-arrivals, which keeps hand-traces unambiguous and maximizes certified
-responses.
+collects latency/retraining metrics. The workload's requests are sorted
+once by (arrival, kind, position); the scheduler owns its retraining jobs,
+and the loop compares the time it reports for its next completion with
+the next arrival. At equal timestamps retraining completions are
+processed first, then unlearning arrivals, then inference arrivals, which
+keeps hand-traces unambiguous and maximizes certified responses. Every
+handler returns only the answers it gives.
 
 An inference arrival offers the scheduler the ``_RUN_CHUNK`` requests that
 follow it, unlearning ones included, across retraining completions. The
@@ -23,7 +24,6 @@ full toward the average waiting time.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -31,14 +31,7 @@ import numpy as np
 
 from .certify import judge
 from .oracle import SamplePrefixes
-from .scheduler import (
-    HaltInference,
-    PostponeInference,
-    Respond,
-    Scheduler,
-    StartRetraining,
-    VariantConfig,
-)
+from .scheduler import Respond, Scheduler, VariantConfig
 from .workload import INFERENCE, UNLEARNING
 
 _RUN_CHUNK = 64  # requests offered as one run; more is wasted on halts after a trigger
@@ -121,88 +114,75 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     sched.prefixes.rows([(r.sample, r.is_noise) for r in workload if r.kind == INFERENCE])
 
     requests = sorted(workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
-    heap = []  # (completion, seq, job) of started retrainings
-    seq = 0
     nxt = 0  # index of the next request to arrive
 
     records: list[RequestRecord] = []
     waits: list[float] = []
     terminal: set[int] = set()
-    postponed: set[int] = set()
     n_inferences = sum(1 for r in workload if r.kind == INFERENCE)
     n_unlearnings = len(workload) - n_inferences
     uncertified_responses = 0
     refused = 0
     now = 0.0
 
-    def record_response(act, now):
+    def apply(answers: list[Respond], now):
         nonlocal uncertified_responses, refused
-        request, verdict = act.request, act.verdict
-        if request.request_id in terminal:
-            raise SimulationError(
-                f"request {request.request_id} answered more than once"
-            )
-        terminal.add(request.request_id)
-        response = now + params.inference_service_time
-        wait = response - request.arrival
-        if wait < -1e-9:
-            raise SimulationError(
-                f"request {request.request_id} answered before its arrival"
-            )
-        waits.append(wait)
-        if verdict == "uncertified":
-            uncertified_responses += 1
-        if verdict.startswith("refused"):
-            refused += 1
-        if collect_log:
-            records.append(
-                RequestRecord(
-                    request.request_id, request.arrival, response, wait, verdict, act.label,
-                    request.sample, request.is_noise, act.versions, act.hypothetical_versions,
+        for answer in answers:
+            request, verdict = answer.request, answer.verdict
+            if request.request_id in terminal:
+                raise SimulationError(
+                    f"request {request.request_id} answered more than once"
                 )
-            )
-
-    def apply(actions, now):
-        nonlocal seq
-        for act in actions:
-            if isinstance(act, StartRetraining):
-                heapq.heappush(heap, (act.job.completion, seq, act.job))
-                seq += 1
-            elif isinstance(act, Respond):
-                record_response(act, now)
-            elif isinstance(act, PostponeInference):
-                postponed.add(act.request.request_id)
-            elif isinstance(act, HaltInference):
-                pass
-            else:
-                raise SimulationError(f"unknown scheduler action {act!r}")
+            terminal.add(request.request_id)
+            response = now + params.inference_service_time
+            wait = response - request.arrival
+            if wait < -1e-9:
+                raise SimulationError(
+                    f"request {request.request_id} answered before its arrival"
+                )
+            waits.append(wait)
+            if verdict == "uncertified":
+                uncertified_responses += 1
+            if verdict.startswith("refused"):
+                refused += 1
+            if collect_log:
+                records.append(
+                    RequestRecord(
+                        request.request_id, request.arrival, response, wait, verdict, answer.label,
+                        request.sample, request.is_noise, answer.versions,
+                        answer.hypothetical_versions,
+                    )
+                )
 
     def upcoming():
         return requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]
 
     def drain_events():
         nonlocal now, nxt
-        while nxt < len(requests) or heap:
-            if heap and (nxt == len(requests) or heap[0][0] <= requests[nxt].arrival):
-                now, _, job = heapq.heappop(heap)
-                apply(sched.on_retraining_complete(job.job_id, now), now)
+        while True:
+            due = sched.next_completion()
+            if due is not None and (nxt == len(requests) or due <= requests[nxt].arrival):
+                now = due
+                apply(sched.on_retraining_complete(now), now)
                 continue
+            if nxt == len(requests):
+                return
             r = requests[nxt]
             now = r.arrival
             if r.kind == UNLEARNING:
-                actions = sched.on_unlearning_arrival(r, now)
+                answers = sched.on_unlearning_arrival(r, now)
             else:
-                actions = sched.on_inference_arrival(r, now, upcoming)
+                answers = sched.on_inference_arrival(r, now, upcoming)
             nxt += 1
-            apply(actions, now)
+            apply(answers, now)
 
     drain_events()
     now = max(now, params.horizon)
     while not sched.quiet():
-        actions = sched.finalize(now)
-        if not actions and not heap:
+        answers = sched.finalize(now)
+        if not answers and not sched.busy():
             raise SimulationError("simulation cannot make progress toward quiescence")
-        apply(actions, now)
+        apply(answers, now)
         drain_events()
         now = max(now, params.horizon)
 
@@ -227,7 +207,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         awt=awt,
         nor=sched.retrainings_completed,
         uncertified_responses=uncertified_responses,
-        postponed_count=len(postponed),
+        postponed_count=sched.postponed,
         refused_count=refused,
         p50=p50,
         p95=p95,

@@ -25,8 +25,8 @@ class TheoryParams:
     def __post_init__(self):
         if self.n_u < 1:
             raise ValueError("n_u must be a positive integer")
-        if self.horizon <= 0 or self.retrain_duration <= 0:
-            raise ValueError("horizon and retrain_duration must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.horizon, self.retrain_duration)):
+            raise ValueError("horizon and retrain_duration must be positive and finite")
         if not 0.0 <= self.p_uc <= 1.0:
             raise ValueError(f"p_uc must be in [0, 1], got {self.p_uc}")
 

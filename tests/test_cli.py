@@ -108,6 +108,28 @@ def test_theory_subcommand_prints_formulas(capsys):
     assert "dimp_upper_bound       0.0125" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-u", "0", "--t", "100", "--r", "5"], "n_u must be a positive integer"),
+    (["--n-u", "10", "--t", "100", "--r", "5", "--p-uc", "2"], "p_uc must be in [0, 1], got 2.0"),
+    (["--n-u", "10", "--t", "nan", "--r", "5"],
+     "horizon and retrain_duration must be positive and finite"),
+    (["--n-u", "10", "--t", "100", "--r", "inf", "--grid"],
+     "horizon and retrain_duration must be positive and finite"),
+])
+def test_theory_bad_arguments_exit_2_on_one_line(capsys, argv, message):
+    assert main(["theory", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"eraser: {message}\n"
+
+
+def test_sweep_with_no_values_exits_2_on_one_line(config_file, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["--config", config_file, "--param", "oracle.num_shards", "--values", " , "]
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "eraser: --values is empty\n")
+    assert not out.exists()
+
+
 def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):
     out = tmp_path / "wl.csv"
     assert main(["gen-workload", "--spec", config_file, "--out", str(out)]) == 0

@@ -1,14 +1,19 @@
 """The event loop against a reference loop with one heap and no lookahead.
 
-``run`` keeps the workload's requests in one sorted list, the scheduled
-retraining completions on a heap, and offers the scheduler each run of
-inference arrivals to judge in one batch. The reference below pushes every
-event onto one heap, ordered by (time, kind priority, sequence), and feeds
-the same ``Scheduler`` one event at a time with no hint, and it records
-each answer's versions and hypothetical versions from the scheduler's
-state with no cache; a SISA answer to a halted inference claims the
-hypothetical versions as of its arrival. Both must return equal
-``Metrics``, every ``RequestRecord`` included.
+``run`` keeps the workload's requests in one sorted list, asks the
+scheduler, which owns its retraining jobs, when the next one completes,
+and offers it each run of inference arrivals to judge in one batch. The
+reference below keeps every event on one heap of its own, ordered by
+(time, kind priority, sequence): after each call it pushes the completion
+of every job that call started, read from ``sched.inflight`` in job id
+order, and checks that each completion it pops is the job the scheduler
+completes. It feeds the same ``Scheduler`` one event at a time with no
+hint. It counts an inference as postponed when its arrival gets no answer
+and did not halt, and records each answer's versions and hypothetical
+versions from the scheduler's state with no cache; a SISA answer to a
+halted inference claims the hypothetical versions taken before its
+arrival. Both must return equal ``Metrics``, every ``RequestRecord``
+included.
 """
 
 import dataclasses
@@ -23,13 +28,12 @@ from eraser.ensemble import predict_label
 from eraser.hashing import mix64
 from eraser.oracle import OracleConfig, PredictionTrace, predict, sample_for
 from eraser.scheduler import (
+    SINGLE_CONTEXT,
     VARIANT_NAMES,
-    HaltInference,
+    VARIANT_TABLE,
     MitigationConfig,
-    PostponeInference,
     Respond,
     Scheduler,
-    StartRetraining,
     VariantConfig,
 )
 from eraser.simulator import Metrics, RequestRecord, SimParams, replay_privacy_check, run
@@ -48,47 +52,54 @@ def reference_run(workload, variant, oracle_cfg, params):
     sched = Scheduler(variant, oracle_cfg, params.retrain_duration)
     heap = [(r.arrival, 1 if r.kind == UNLEARNING else 2, seq, r) for seq, r in enumerate(workload)]
     heapq.heapify(heap)
-    seq, now, records, postponed = len(workload), 0.0, [], set()
+    seq, now, records, postponed = len(workload), 0.0, [], 0
+    single = VARIANT_TABLE[variant.name][0] == SINGLE_CONTEXT
+    started = set()  # ids of the jobs whose completion is on the heap
     halted = {}  # SISA: request id -> hypothetical versions at arrival
 
-    def apply(actions):
+    def apply(answers):
         nonlocal seq
-        for act in actions:
-            if isinstance(act, StartRetraining):
-                heapq.heappush(heap, (act.job.completion, 0, seq, act.job))
+        for t, job_id, _, _ in sorted(sched.inflight, key=lambda job: job[1]):
+            if job_id not in started:
+                started.add(job_id)
+                heapq.heappush(heap, (t, 0, seq, job_id))
                 seq += 1
-            elif isinstance(act, PostponeInference):
-                postponed.add(act.request.request_id)
-            elif isinstance(act, HaltInference) and variant.name == "SISA":
-                halted[act.request.request_id] = _hypothetical(sched)
-            elif isinstance(act, Respond):
-                req, response = act.request, now + params.inference_service_time
-                refused = act.verdict.startswith("refused")
-                hypo = halted.pop(req.request_id, None) or _hypothetical(sched)
-                records.append(RequestRecord(
-                    req.request_id, req.arrival, response, response - req.arrival,
-                    act.verdict, -1 if refused else act.label, req.sample, req.is_noise,
-                    () if refused else tuple(sched.versions.tolist()),
-                    () if refused else hypo,
-                ))
+        for act in answers:
+            assert isinstance(act, Respond)
+            req, response = act.request, now + params.inference_service_time
+            refused = act.verdict.startswith("refused")
+            hypo = halted.pop(req.request_id, None) or _hypothetical(sched)
+            records.append(RequestRecord(
+                req.request_id, req.arrival, response, response - req.arrival,
+                act.verdict, -1 if refused else act.label, req.sample, req.is_noise,
+                () if refused else tuple(sched.versions.tolist()),
+                () if refused else hypo,
+            ))
 
     def drain():
-        nonlocal now
+        nonlocal now, postponed
         while heap:
             now, prio, _, payload = heapq.heappop(heap)
             if prio == 0:
-                apply(sched.on_retraining_complete(payload.job_id, now))
+                apply(sched.on_retraining_complete(now))
+                assert payload not in {job_id for _, job_id, _, _ in sched.inflight}
             elif prio == 1:
                 apply(sched.on_unlearning_arrival(payload, now))
             else:
-                apply(sched.on_inference_arrival(payload, now))
+                halts, hypo = single and sched.busy(), _hypothetical(sched)
+                answers = sched.on_inference_arrival(payload, now)
+                if not answers and halts and variant.name == "SISA":
+                    halted[payload.request_id] = hypo
+                elif not answers and not halts:
+                    postponed += 1
+                apply(answers)
 
     drain()
     now = max(now, params.horizon)
     while not sched.quiet():
-        actions = sched.finalize(now)
-        assert actions or heap, "no progress toward quiescence"
-        apply(actions)
+        answers = sched.finalize(now)
+        apply(answers)
+        assert answers or heap, "no progress toward quiescence"
         drain()
         now = max(now, params.horizon)
 
@@ -101,7 +112,7 @@ def reference_run(workload, variant, oracle_cfg, params):
     return Metrics(
         awt=awt, nor=sched.retrainings_completed,
         uncertified_responses=sum(rec.verdict == "uncertified" for rec in records),
-        postponed_count=len(postponed),
+        postponed_count=postponed,
         refused_count=sum(rec.verdict.startswith("refused") for rec in records),
         p50=p50, p95=p95, p99=p99,
         p_uc=sched.judgements_uncertified / sched.judgements if sched.judgements else 0.0,

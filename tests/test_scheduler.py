@@ -2,8 +2,6 @@
 re-checks) is covered end to end in test_simulator; these drive the
 Scheduler directly for the single-step contracts."""
 
-import heapq
-
 import pytest
 
 from eraser.oracle import OracleConfig, PredictionTrace
@@ -12,7 +10,6 @@ from eraser.scheduler import (
     MitigationConfig,
     Respond,
     Scheduler,
-    StartRetraining,
     VARIANT_TABLE,
     VariantConfig,
 )
@@ -43,10 +40,8 @@ def test_variant_table_is_the_supported_set():
 
 def test_immediate_unlearning_starts_retraining_now():
     s = make_sched("DIMP", r=5.0)
-    acts = s.on_unlearning_arrival(unlearn(0, 3, 10.0), 10.0)
-    (start,) = acts
-    assert isinstance(start, StartRetraining)
-    assert start.job.shard == 3 and start.job.completion == 15.0
+    assert s.on_unlearning_arrival(unlearn(0, 3, 10.0), 10.0) == []
+    assert s.inflight == [(15.0, 1, 3, 1)]  # completion, job id, shard, covered
 
 
 def test_accumulating_variants_only_record_pending():
@@ -69,10 +64,9 @@ def test_batch_update_covers_all_pending_of_a_shard():
     s = make_sched("SUTP", r=5.0)
     for rid in range(4):
         s.on_unlearning_arrival(unlearn(rid, 2, 0.0), 0.0)
-    acts = s.trigger_update(1.0)
-    (start,) = acts
-    assert start.job.shard == 2 and start.job.covered == 4
-    s.on_retraining_complete(start.job.job_id, 6.0)
+    s.trigger_update(1.0)
+    assert s.inflight == [(6.0, 1, 2, 4)]  # completion, job id, shard, covered
+    s.on_retraining_complete(6.0)
     assert not s.pending[2]
     assert s.retrainings_completed == 1
 
@@ -81,19 +75,17 @@ def test_capacity_queues_jobs_fifo():
     s = make_sched("SUTP", r=5.0, parallel_capacity=2)
     for rid, shard in enumerate([0, 1, 2]):
         s.on_unlearning_arrival(unlearn(rid, shard, 0.0), 0.0)
-    acts = s.trigger_update(0.0)
-    started = [a.job for a in acts if isinstance(a, StartRetraining)]
-    assert [(j.shard, j.completion) for j in started] == [(0, 5.0), (1, 5.0)]
-    assert len(s.queue) == 1
-    follow = s.on_retraining_complete(started[0].job_id, 5.0)
-    next_jobs = [a.job for a in follow if isinstance(a, StartRetraining)]
-    assert [(j.shard, j.completion) for j in next_jobs] == [(2, 10.0)]
-    assert len(s.inflight) <= 2
+    s.trigger_update(0.0)
+    assert [(shard, t) for t, _, shard, _ in sorted(s.inflight)] == [(0, 5.0), (1, 5.0)]
+    assert list(s.queue) == [(3, 2, 1)]  # job id, shard, covered
+    assert s.on_retraining_complete(5.0) == []
+    assert sorted(s.inflight) == [(5.0, 2, 1, 1), (10.0, 3, 2, 1)] and not s.queue
 
 
 def test_trigger_with_nothing_pending_is_a_noop():
     s = make_sched("SUTP")
-    assert s.trigger_update(0.0) == []
+    s.trigger_update(0.0)
+    assert not s.busy() and s.jobs_created == 0 and s.final_triggers == 0
 
 
 def test_certified_inference_with_no_impacted_shards_responds_at_once():
@@ -115,9 +107,8 @@ def test_threshold_ratio_arithmetic_matches_the_window_rule():
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
     s.on_unlearning_arrival(unlearn(1, 1, 0.0), 0.0)
     sample = _find_uncertain_sample(s)
-    acts = s.on_inference_arrival(infer(99, sample, 1.0), 1.0)
-    kinds = [type(a).__name__ for a in acts]
-    assert "PostponeInference" in kinds and "StartRetraining" in kinds
+    assert s.on_inference_arrival(infer(99, sample, 1.0), 1.0) == []
+    assert s.postponed == 1 and s.uncertification_triggers == 1 and s.inflight
     assert s.window_inferences == 101 and s.window_uncertified == 6
 
 
@@ -140,8 +131,8 @@ def test_postpone_variant_without_trigger_just_postpones():
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
     s.on_unlearning_arrival(unlearn(1, 1, 0.0), 0.0)
     sample = _find_uncertain_sample(s)
-    acts = s.on_inference_arrival(infer(99, sample, 1.0), 1.0)
-    assert [type(a).__name__ for a in acts] == ["PostponeInference"]
+    assert s.on_inference_arrival(infer(99, sample, 1.0), 1.0) == []
+    assert s.postponed == 1
     assert not s.busy()
 
 
@@ -155,9 +146,57 @@ def _find_uncertain_sample(s):
 
 
 def test_unknown_completion_is_an_internal_error():
-    s = make_sched("DIMP")
+    s = make_sched("DIMP", r=5.0)
     with pytest.raises(RuntimeError):
-        s.on_retraining_complete(123, 0.0)
+        s.on_retraining_complete(0.0)  # nothing in flight
+    s.on_unlearning_arrival(unlearn(0, 3, 0.0), 0.0)
+    for early_or_late in (4.0, 6.0):  # the job is due at 5.0
+        with pytest.raises(RuntimeError):
+            s.on_retraining_complete(early_or_late)
+    assert s.busy() and s.retrainings_completed == 0
+
+
+def test_next_completion_is_none_when_idle():
+    s = make_sched("DIMP", r=5.0)
+    assert s.next_completion() is None
+    s.on_unlearning_arrival(unlearn(0, 3, 1.0), 1.0)
+    assert s.next_completion() == 6.0
+    s.on_retraining_complete(6.0)
+    assert s.next_completion() is None and not s.busy()
+
+
+def test_equal_completions_go_in_job_id_order_across_a_queue_hand_off():
+    # two slots: jobs 1 and 2 start after the context switch and both complete
+    # at 7; job 3 waits for a slot and starts at 7, without the switch
+    s = make_sched("SUTP", r=5.0, parallel_capacity=2, context_switch_latency=2.0)
+    for rid, shard in enumerate([1, 3, 5]):
+        s.on_unlearning_arrival(unlearn(rid, shard, 0.0), 0.0)
+    s.trigger_update(0.0)
+    order = []
+    while s.busy():
+        t = s.next_completion()
+        ids = {job_id for _, job_id, _, _ in s.inflight}
+        s.on_retraining_complete(t)
+        (done,) = ids - {job_id for _, job_id, _, _ in s.inflight}
+        order.append((t, done, s.versions.nonzero()[0].tolist()))
+    assert order == [(7.0, 1, [1]), (7.0, 2, [1, 3]), (12.0, 3, [1, 3, 5])]
+
+
+def test_postponed_counts_a_request_once():
+    # sample 0 wins 2 votes to 1 and fails the check while shard 0 or 1 is
+    # impacted. It waits through two updates and is re-judged at each
+    # completion, yet it was postponed once, on arrival
+    votes = [0, 0, 1]
+    trace = PredictionTrace(2, 3, {(0, k, v): votes[k] for k in range(3) for v in range(3)})
+    oracle_cfg = OracleConfig(2, 3, 0.9, seed=0, backend="trace", trace=trace)
+    s = Scheduler(VariantConfig("DUTP", parallel_capacity=3), oracle_cfg, 5.0)
+    s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
+    assert s.on_inference_arrival(infer(1, 0, 1.0), 1.0) == []  # triggers shard 0's update
+    s.on_unlearning_arrival(unlearn(2, 1, 2.0), 2.0)
+    assert s.on_retraining_complete(6.0) == []  # shard 1 is impacted: a second update
+    (answer,) = s.on_retraining_complete(11.0)
+    assert answer.request.request_id == 1 and answer.verdict == "certified"
+    assert s.postponed == 1 and s.judgements_uncertified >= 3
 
 
 def test_detector_degenerate_rates():
@@ -213,12 +252,12 @@ def test_retrain_minimal_retrains_a_subset():
 def test_context_switch_latency_delays_triggered_jobs():
     s = make_sched("SUTP", r=5.0, context_switch_latency=2.0)
     s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
-    (start,) = s.trigger_update(10.0)
-    assert start.job.completion == pytest.approx(17.0)  # 10 + 2 + 5
+    s.trigger_update(10.0)
+    assert s.next_completion() == pytest.approx(17.0)  # 10 + 2 + 5
     d = make_sched("DUTP", r=5.0, context_switch_latency=2.0)
     d.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
-    (start,) = d.trigger_update(10.0)
-    assert start.job.completion == pytest.approx(15.0)  # double context: no switch
+    d.trigger_update(10.0)
+    assert d.next_completion() == pytest.approx(15.0)  # double context: no switch
 
 
 def test_threshold_counters_read_zero_after_an_update_completes():
@@ -227,8 +266,8 @@ def test_threshold_counters_read_zero_after_an_update_completes():
     s.window_inferences = 80
     s.window_uncertified = 3
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
-    (start,) = s.trigger_update(1.0)
-    s.on_retraining_complete(start.job.job_id, 6.0)
+    s.trigger_update(1.0)
+    s.on_retraining_complete(6.0)
     assert s.window_inferences == 0 and s.window_uncertified == 0
 
 
@@ -247,10 +286,13 @@ def _hint_script():
 def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
     """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i.
 
-    Returns the action log, the judgement counts, the size of every judging
-    batch and the wasted verdicts: ``(request id, jobs created when it was
-    judged ahead, jobs created when it was judged again)`` for each verdict
-    judged ahead of its request's arrival and judged again, unused.
+    Returns the log, the judgement counts, the size of every judging batch
+    and the wasted verdicts. The log has one entry per handler call: its
+    answers, then the jobs in flight as ``(shard, covered, completion)`` and
+    the postponed count after it. A wasted verdict is ``(request id, jobs
+    created when it was judged ahead, jobs created when it was judged
+    again)`` for each verdict judged ahead of its request's arrival and
+    judged again, unused.
     """
     s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=r,
                    parallel_capacity=parallel_capacity, threshold=0.2, **overrides)
@@ -283,20 +325,18 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
         return evals
 
     s._evaluate, s._judge, s._ahead = checked, counting, walking
-    script, heap, log = _hint_script(), [], []
+    script, log = _hint_script(), []
 
-    def apply(actions):
-        for act in actions:
-            if isinstance(act, StartRetraining):
-                heapq.heappush(heap, (act.job.completion, act.job.job_id))
-        log.append(actions)
+    def apply(answers):
+        jobs = [(shard, covered, t) for t, _, shard, covered in sorted(s.inflight)]
+        log.append((answers, jobs, s.postponed))
 
-    def complete(t, job_id):
-        apply(s.on_retraining_complete(job_id, t))
+    def complete_until(t):
+        while s.next_completion() is not None and s.next_completion() <= t:
+            apply(s.on_retraining_complete(s.next_completion()))
 
     for i, req in enumerate(script):
-        while heap and heap[0][0] <= req.arrival:
-            complete(*heapq.heappop(heap))
+        complete_until(req.arrival)
         if req.kind == "unlearning":
             apply(s.on_unlearning_arrival(req, req.arrival))
         else:
@@ -305,8 +345,7 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
         if s.quiet():
             break
         apply(s.finalize(100.0))
-        while heap:
-            complete(*heapq.heappop(heap))
+        complete_until(float("inf"))
     assert s.quiet()
     assert not s._kept  # every request was answered, which drops its verdict
     return log, s.judgements, s.judgements_uncertified, batches, wasted
@@ -417,14 +456,14 @@ def test_the_lookahead_stops_where_a_retraining_would_queue():
     for hints in ([[u2, a, b, c], [b, c], [c], []], [[]] * 4):
         s = make_sched("DIMP", r=5.0, parallel_capacity=1)
         rows = _counting_rows(s)
-        (start,) = s.on_unlearning_arrival(u1, 0.0)
+        s.on_unlearning_arrival(u1, 0.0)
         log = [s.on_inference_arrival(x, 1.0, lambda: hints[0])]
         log.append(s.on_unlearning_arrival(u2, 2.0))
         log.append(s.on_inference_arrival(a, 3.0, lambda: hints[1]))
-        log.append(s.on_retraining_complete(start.job.job_id, 5.0))
-        (queued,) = log[-1]  # u2's retraining starts
+        log.append(s.on_retraining_complete(5.0))
+        assert s.inflight == [(10.0, 2, 2, 1)]  # u2's retraining starts
         log.append(s.on_inference_arrival(b, 8.0, lambda: hints[2]))
-        log.append(s.on_retraining_complete(queued.job.job_id, 10.0))
+        log.append(s.on_retraining_complete(10.0))
         log.append(s.on_inference_arrival(c, 11.0, lambda: hints[3]))
         assert [type(log[i][0]).__name__ for i in (0, 2, 4, 6)] == ["Respond"] * 4
         runs.append((log, rows))
@@ -453,10 +492,10 @@ def test_a_dimp_hint_across_an_in_flight_completion_wastes_nothing():
     for hint in ([a, b, c], []):
         s = make_sched("DIMP", r=5.0)
         rows = _counting_rows(s)
-        (start,) = s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
+        s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
         log = [s.on_inference_arrival(x, 1.0, lambda: hint)]
         log.append(s.on_inference_arrival(a, 2.0, lambda: hint[1:]))
-        log.append(s.on_retraining_complete(start.job.job_id, 5.0))
+        log.append(s.on_retraining_complete(5.0))
         log.append(s.on_inference_arrival(b, 6.0, lambda: hint[2:]))
         log.append(s.on_inference_arrival(c, 7.0, lambda: hint[3:]))
         assert [type(acts[0]).__name__ for acts in log if acts] == ["Respond"] * 4
@@ -473,13 +512,13 @@ def test_the_control_pass_reuses_what_the_response_plane_judged_at_its_completio
     s = make_sched("DUTP", K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
     rows = _counting_rows(s)
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
-    acts = s.on_inference_arrival(infer(1, 3, 1.0), 1.0)
-    (job,) = [a.job for a in acts if isinstance(a, StartRetraining)]
+    assert s.on_inference_arrival(infer(1, 3, 1.0), 1.0) == []
+    assert s.next_completion() == 6.0  # the update it triggers
     for rid, sample, t in ((2, 6, 2.0), (3, 7, 3.0), (4, 0, 4.0)):
         s.on_inference_arrival(infer(rid, sample, t), t)
     assert [e.responded for e in s.backlog] == [False, False, False, True]
     del rows[:]
-    answered = s.on_retraining_complete(job.job_id, 6.0)
+    answered = s.on_retraining_complete(6.0)
     assert sorted(a.request.request_id for a in answered) == [1, 2, 3]
     assert rows == [3, 1] and not s.backlog
 
@@ -497,7 +536,7 @@ def test_sisa_releases_a_foreseen_halt_without_judging_it_again():
         log.append(s.on_inference_arrival(a, 2.0, lambda: hint[2:]))
         log.append(s.on_inference_arrival(b, 3.0, lambda: hint[3:]))
         judged = len(rows)
-        log.append(s.on_retraining_complete(log[1][0].job.job_id, 6.0))
+        log.append(s.on_retraining_complete(6.0))
         assert [a.request.request_id for a in log[-1]] == [3, 4]
         runs.append((log, rows, judged))
     (log, rows, judged), (plain_log, plain_rows, _) = runs

@@ -267,29 +267,15 @@ def test_metrics_p_uc():
 
 
 def test_at_most_capacity_jobs_in_flight():
-    import heapq
-
-    from eraser.scheduler import Scheduler, StartRetraining
-
     s = Scheduler(VariantConfig("DIMP", parallel_capacity=2), oc(K=10, C=2, seed=6), 3.0)
-    heap = []
-    seq = 0
-
-    def push(acts):
-        nonlocal seq
-        for a in acts:
-            if isinstance(a, StartRetraining):
-                heapq.heappush(heap, (a.job.completion, seq, a.job))
-                seq += 1
-            assert len(s.inflight) <= 2
-
     for rid in range(100):
-        push(s.on_unlearning_arrival(u(rid, rid % 10, 0.0), 0.0))
+        s.on_unlearning_arrival(u(rid, rid % 10, 0.0), 0.0)
+        assert len(s.inflight) <= 2
     last = 0.0
-    while heap:
-        t, _, job = heapq.heappop(heap)
-        last = t
-        push(s.on_retraining_complete(job.job_id, t))
+    while s.next_completion() is not None:
+        last = s.next_completion()
+        s.on_retraining_complete(last)
+        assert len(s.inflight) <= 2
     assert s.retrainings_completed == 100
     assert last == pytest.approx(150.0)  # 100 jobs, 2 slots, 3s each
 

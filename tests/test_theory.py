@@ -155,3 +155,11 @@ def test_param_validation():
         TheoryParams(10, 100.0, -1.0)
     with pytest.raises(ValueError):
         TheoryParams(10, 100.0, 5.0, 1.5)
+
+
+@pytest.mark.parametrize("horizon, r", [
+    (float("nan"), 5.0), (float("inf"), 5.0), (100.0, float("nan")), (100.0, float("inf")),
+])
+def test_non_finite_horizon_or_retrain_duration_is_refused(horizon, r):
+    with pytest.raises(ValueError, match="positive and finite"):
+        TheoryParams(10, horizon, r)
