@@ -16,9 +16,9 @@ Subcommands:
   described by a config file's [workload]/[oracle] sections.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
-config error, or a bad argument to ``sweep``, ``verify-cert`` or
-``theory``, is reported on one line, ``eraser: <message>``, with exit
-status 2.
+config error, a config or spec file that cannot be read, ``--jobs`` below
+1, or a bad argument to ``sweep``, ``verify-cert`` or ``theory``, is
+reported on one line, ``eraser: <message>``, with exit status 2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, build_experiment_config, load_config, parse_config_text
+from .config import (
+    ConfigError,
+    build_experiment_config,
+    load_config,
+    parse_config_text,
+    read_config_values,
+)
 from .experiment import compare_theory, run_experiment, run_sweep, verify_cert
 from .theory import TheoryParams, dimp_upper_bound, expected_wait_dimp_series, expected_wait_sisa
 from .workload import export_csv
@@ -79,8 +85,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+    values = read_config_values(args.config)
     sweep_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not sweep_values:
         print("eraser: --values is empty", file=sys.stderr)
@@ -157,6 +162,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("run", "sweep") and args.jobs < 1:
+        print(f"eraser: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -270,9 +270,18 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     return cfg
 
 
+def read_config_values(path) -> dict:
+    """Parse a config file; a file that cannot be opened is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    return parse_config_text(text)
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return build_experiment_config(parse_config_text(fh.read()))
+    return build_experiment_config(read_config_values(path))
 
 
 def apply_override(values: dict, dotted_key: str, value: str) -> dict:

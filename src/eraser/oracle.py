@@ -224,9 +224,12 @@ class SamplePrefixes:
         the version into each chain's per-shard states: a noise row's label
         is the label hash mod C, and a clean row keeps its true label where
         that hash passes the accept test and takes the wrong-label hash's
-        label where it fails. The flip extension first maps the versions to
-        their last flips, over the whole batch; the trace backend looks
-        each label up in its table instead.
+        label where it fails. The versions are read as uint64 once, for both
+        chains; a batch with no noise row skips the mod-C pass, and one
+        with no clean row (or accuracy 1) skips the wrong-label chain. The
+        flip extension first maps the versions to their last flips, over
+        the whole batch; the trace backend looks each label up in its
+        table instead.
         """
         cfg, b, k = self.cfg, len(rows), self.cfg.num_shards
         versions = np.asarray(versions, dtype=np.int64)
@@ -240,15 +243,23 @@ class SamplePrefixes:
             return np.array(labels, dtype=np.int64).reshape(b, k)
         if cfg.flip_probability is not None:
             versions = _last_flip(cfg, self.samples[rows, None], self.shards, versions)
-        h = mix64_array_chain(self.base[rows], versions)
-        noise, true = self.noise[rows, None], self.true[rows, None]
-        out = np.where(noise, h % np.uint64(cfg.num_classes), true)
+        versions = versions.view(np.uint64)  # non-negative, so the bits are the same
+        h = mix64_array_chain(self.base.take(rows, axis=0), versions)
+        noise, true = self.noise.take(rows)[:, None], self.true.take(rows)[:, None]
+        n_noise = np.count_nonzero(noise)
+        out = np.where(noise, h % np.uint64(cfg.num_classes), true) if n_noise else true
         thr = cfg.accept_threshold
-        if thr <= _MASK:
-            wrong = mix64_array_chain(self.wrong[rows], versions) % np.uint64(cfg.num_classes - 1)
+        if thr <= _MASK and n_noise < b:
+            wrong = mix64_array_chain(self.wrong.take(rows, axis=0), versions)
+            wrong %= np.uint64(cfg.num_classes - 1)
             wrong += wrong >= true
-            out = np.where((h >= np.uint64(thr)) & ~noise, wrong, out)
-        return out.astype(np.int64)
+            miss = h >= np.uint64(thr)
+            if n_noise:
+                miss &= ~noise
+            out = np.where(miss, wrong, out)
+        labels = np.empty(h.shape, dtype=np.int64)
+        labels[...] = out  # also widens a column of true labels to every shard
+        return labels
 
 
 def load_trace(path) -> PredictionTrace:

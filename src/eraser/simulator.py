@@ -236,7 +236,10 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
     and refused responses are excluded: they were never claimed
     consistent. The records are replayed in batches: one table of
     :class:`~eraser.oracle.SamplePrefixes`, one array pass of predictions
-    and one row-wise plurality vote per batch.
+    and one row-wise plurality vote per batch. Records answered under one
+    serving state share its versions, so each batch converts every
+    distinct tuple of hypothetical versions (equal by value) to an array
+    row once and gathers each record's row by index.
     """
     records = [rec for rec in per_request_log if rec.verdict in ("certified", "plain")]
     violations = 0
@@ -245,9 +248,13 @@ def replay_privacy_check(per_request_log, oracle_cfg) -> int:
         prefixes = SamplePrefixes(
             oracle_cfg, [rec.sample for rec in batch], [rec.is_noise for rec in batch]
         )
-        preds = prefixes.predict(
-            np.arange(len(batch)), [rec.hypothetical_versions for rec in batch]
+        states: dict = {}  # hypothetical versions -> row of the distinct states
+        state_of = np.fromiter(
+            (states.setdefault(rec.hypothetical_versions, len(states)) for rec in batch),
+            dtype=np.intp, count=len(batch),
         )
+        versions = np.array(list(states), dtype=np.int64)[state_of]
+        preds = prefixes.predict(np.arange(len(batch)), versions)
         _, winner, _ = judge(preds, np.zeros(preds.shape[1], dtype=bool), oracle_cfg.num_classes)
         labels = np.fromiter((rec.label for rec in batch), dtype=np.int64, count=len(batch))
         violations += int(np.count_nonzero(winner != labels))

@@ -130,6 +130,38 @@ def test_sweep_with_no_values_exits_2_on_one_line(config_file, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config"],
+        ["sweep", "--param", "oracle.num_shards", "--values", "5", "--config"],
+        ["gen-workload", "--spec"],
+    ],
+    ids=["run", "sweep", "gen-workload"],
+)
+def test_missing_input_file_exits_2_on_one_line(tmp_path, capsys, argv):
+    missing, out = tmp_path / "missing.cfg", tmp_path / "out"
+    assert main([*argv, str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"eraser: cannot read config file {missing}: No such file or directory\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep", "--param", "oracle.num_shards", "--values", "5"]],
+    ids=["run", "sweep"],
+)
+def test_jobs_below_one_exit_2_on_one_line(config_file, tmp_path, capsys, argv, jobs):
+    out = tmp_path / "out"
+    code = main([*argv, "--config", config_file, "--out", str(out), "--jobs", str(jobs)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"eraser: --jobs must be at least 1, got {jobs}\n")
+    assert not out.exists()
+
+
 def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):
     out = tmp_path / "wl.csv"
     assert main(["gen-workload", "--spec", config_file, "--out", str(out)]) == 0

@@ -104,21 +104,30 @@ def _trace_cfg(num_classes, num_shards, samples, versions):
 )
 def test_predict_matrix_matches_per_shard_predict(b, k, c, accuracy, extension, seed, data):
     samples = data.draw(st.lists(st.integers(0, 2**40), min_size=b, max_size=b))
-    noise = data.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    # an all-clean batch skips the noise pass, an all-noise one the wrong-label chain
+    pattern = data.draw(st.sampled_from(["clean", "noise", "mixed"]))
+    if pattern == "mixed":
+        noise = data.draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    else:
+        noise = [pattern == "noise"] * b
     rows = st.lists(st.integers(0, 2**20), min_size=k, max_size=k)
-    versions = data.draw(st.lists(rows, min_size=b, max_size=b))
+    if data.draw(st.booleans(), label="one shared row"):
+        versions = data.draw(rows)
+        per_sample = [versions] * b
+    else:
+        versions = per_sample = data.draw(st.lists(rows, min_size=b, max_size=b))
     if extension == "trace":
-        cfg = _trace_cfg(c, k, samples, versions)
+        cfg = _trace_cfg(c, k, samples, per_sample)
     else:
         cfg = OracleConfig(c, k, accuracy, seed=seed, flip_probability=extension)
     out = SamplePrefixes(cfg, samples, noise).predict(np.arange(b), versions)
     assert out.dtype == np.int64 and out.shape == (b, k)
     expected = [
         [predict(cfg, sample_for(cfg, s, n), j, v) for j, v in enumerate(row)]
-        for s, n, row in zip(samples, noise, versions)
+        for s, n, row in zip(samples, noise, per_sample)
     ]
     assert out.tolist() == expected
-    assert predict_row(cfg, sample_for(cfg, samples[0], noise[0]), versions[0]).tolist() == (
+    assert predict_row(cfg, sample_for(cfg, samples[0], noise[0]), per_sample[0]).tolist() == (
         expected[0]
     )
 

@@ -224,6 +224,34 @@ def test_batched_replay_matches_the_record_by_record_replay(monkeypatch, chunk, 
     assert replay_privacy_check(subset, cfg) == _replay_one_by_one(subset, cfg)
 
 
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_replay_indexes_states_by_value(monkeypatch, chunk):
+    """Records sharing one tuple object, equal but distinct tuples and a
+    planted wrong label: the state index must give every record its own row."""
+    monkeypatch.setattr(simulator, "_REPLAY_CHUNK", chunk)
+    cfg = oc(K=6, C=4, accuracy=0.6, seed=9)
+    shared = tuple([1, 0, 2, 0, 5, 3])
+    states = [shared, shared, tuple([0, 0, 0, 0, 0, 0]), tuple(list(shared)),
+              tuple([1, 0, 2, 0, 5, 4]), tuple([7, 1, 0, 2, 0, 0])]
+    assert states[3] == shared and states[3] is not shared
+    verdicts = ["certified", "plain", "certified", "uncertified", "refused_detected"]
+    log = []
+    for i in range(40):
+        hypothetical = states[i % len(states)] if i % 4 else shared
+        sample = sample_for(cfg, 100 + i % 13, is_noise=i % 3 == 0)
+        preds = [predict(cfg, sample, k, v) for k, v in enumerate(hypothetical)]
+        label = predict_label(preds, cfg.num_classes)
+        if verdicts[i % len(verdicts)] == "uncertified":
+            label = (label + 1) % cfg.num_classes  # excluded from the audit
+        log.append(RequestRecord(i, float(i), float(i), 0.0, verdicts[i % len(verdicts)], label,
+                                 sample.value, sample.is_noise, hypothetical, hypothetical))
+    assert replay_privacy_check(log, cfg) == _replay_one_by_one(log, cfg) == 0
+    planted = log[17]
+    assert planted.verdict in ("certified", "plain")
+    log[17] = dataclasses.replace(planted, label=(planted.label + 1) % cfg.num_classes)
+    assert replay_privacy_check(log, cfg) == _replay_one_by_one(log, cfg) == 1
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize(
     "make",
