@@ -16,9 +16,9 @@ Subcommands:
   described by a config file's [workload]/[oracle] sections.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
-config error, a config or spec file that cannot be read, ``--jobs`` below
-1, or a bad argument to ``sweep``, ``verify-cert`` or ``theory``, is
-reported on one line, ``eraser: <message>``, with exit status 2.
+config error, an unreadable config or spec file, an unwritable output path,
+``--jobs`` below 1, or a bad argument to ``sweep``, ``verify-cert`` or
+``theory``, is reported on one line, ``eraser: <message>``, with exit 2.
 """
 
 from __future__ import annotations
@@ -169,6 +169,13 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"eraser: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # configs are read as ConfigError, so a file named here is an output;
+        # run and sweep make their output directory before they simulate
+        if exc.filename is None:
+            raise
+        print(f"eraser: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -68,16 +68,10 @@ def _run_job(args):
 
 def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool):
     work = [(cfg, name, seed, collect_log) for name in cfg.variants for seed in cfg.seeds()]
-    results = {}
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, metrics in pool.map(_run_job, work):
-                results[key] = metrics
-    else:
-        for item in work:
-            key, metrics = _run_job(item)
-            results[key] = metrics
-    return results
+            return dict(pool.map(_run_job, work))
+    return dict(map(_run_job, work))
 
 
 def _canonical_order(cfg):
@@ -178,6 +172,42 @@ class FuzzReport:
 
 
 _FUZZ_CELLS = 1 << 17
+_RAW_WORDS = 1024  # 64-bit outputs per read of the bit generator
+
+
+def _words(bit_generator):
+    """The 32-bit words numpy's bounded draws read, in order: each PCG64
+    output's low half, then its high half (little-endian pairs)."""
+    while True:
+        yield from bit_generator.random_raw(_RAW_WORDS).astype("<u8").view("<u4").tolist()
+
+
+def _bounded(next_word, r):
+    """``Generator.integers(0, r + 1)`` for ``r < 2**32``: Lemire's multiply-shift."""
+    if r == 0:  # numpy reads no word for a range of one value
+        return 0
+    x = next_word() * (r + 1)
+    if (x & 0xFFFF_FFFF) <= r:  # numpy's cheap test before its modulo
+        while (x & 0xFFFF_FFFF) < 2**32 % (r + 1):  # numpy's (2**32 - 1 - r) % (r + 1)
+            x = next_word() * (r + 1)
+    return x >> 32
+
+
+def _choose(next_word, k, m):
+    """The set ``Generator.choice(k, m, replace=False)`` returns."""
+    if k > 10_000 and m > k // 50:  # numpy's tail shuffle of arange(k)
+        idx = list(range(k))
+        for i in range(k - 1, max(k - m, 1) - 1, -1):
+            j = _bounded(next_word, i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return set(idx[k - m:])
+    chosen = set()
+    for j in range(k - m, k):  # Floyd's algorithm, then m - 1 draws of a shuffle
+        v = _bounded(next_word, j)
+        chosen.add(j if v in chosen else v)
+    for i in range(m - 1, 0, -1):
+        _bounded(next_word, i)
+    return chosen
 
 
 def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
@@ -189,37 +219,39 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
     The shared-margin variant is expected to produce brute-force-refuted
     certificates; their count documents why it must not be used.
 
-    Trials are drawn one at a time and judged in blocks of
-    ``_FUZZ_CELLS // max_shards`` (at least one), so memory is bounded.
-    Storing a trial's predictions with its impacted shards first leaves its
-    votes unchanged, so a (K, C, m) group shares the impacted set
-    ``arange(m)`` and takes one call of each row-wise check.
+    Trials are parsed in one pass from the 32-bit words that numpy's
+    ``integers`` and ``choice`` calls on ``np.random.default_rng(seed)``
+    would read, so both maxima must be below ``2**32``. They are judged in
+    blocks of ``_FUZZ_CELLS // max_shards`` (at least one), so memory is
+    bounded. Storing a trial's predictions with its impacted shards first
+    leaves its votes unchanged, so a (K, C, m) group shares the impacted
+    set ``arange(m)`` and takes one call of each row-wise check.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if max_shards < 1 or max_classes < 2:
-        raise ValueError("need max_shards >= 1 and max_classes >= 2")
-    rng = np.random.default_rng(seed)
+    if not (1 <= max_shards < 2**32 and 2 <= max_classes < 2**32):
+        raise ValueError("need max_shards >= 1 and max_classes >= 2, both below 2**32")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    next_word = _words(np.random.default_rng(seed).bit_generator).__next__
     start = time.monotonic()
     # soundness, dominance, shared-margin, fine, coarse, brute, gap
     totals = np.zeros(7, dtype=np.int64)
     block = max(1, _FUZZ_CELLS // max_shards)
     for first in range(0, trials, block):
-        size = min(block, trials - first)
-        drawn = np.zeros((size, max_shards), dtype=np.int64)
-        later = np.ones((size, max_shards), dtype=bool)
         groups = {}
-        for i in range(size):
-            k = int(rng.integers(1, max_shards + 1))
-            c = int(rng.integers(2, max_classes + 1))
-            drawn[i, :k] = rng.integers(0, c, k)
-            m = int(rng.integers(0, k + 1))
-            later[i, rng.choice(k, size=m, replace=False)] = False
-            groups.setdefault((k, c, m), []).append(i)
+        for _ in range(min(block, trials - first)):
+            k = 1 + _bounded(next_word, max_shards - 1)
+            c = 2 + _bounded(next_word, max_classes - 2)
+            preds = [_bounded(next_word, c - 1) for _ in range(k)]
+            m = _bounded(next_word, k)
+            chosen = _choose(next_word, k, m)
+            row = [preds[j] for j in sorted(chosen)]
+            row += [p for j, p in enumerate(preds) if j not in chosen]
+            groups.setdefault((k, c, m), []).append(row)
         # in order of first appearance, so the first over-cap draw raises
-        for (k, c, m), sel in groups.items():
-            first_impacted = np.argsort(later[sel, :k], axis=1, kind="stable")
-            rows = np.take_along_axis(drawn[sel, :k], first_impacted, axis=1)
+        for (k, c, m), rows in groups.items():
+            rows = np.array(rows, dtype=np.int64)
             fine, coarse, shared = certify_rows(rows, np.arange(k) < m, c)
             brute = consistent_rows(rows, np.arange(m), c, cap=enumeration_cap)
             totals += np.count_nonzero([fine & ~brute, coarse & ~fine, shared & ~brute,

@@ -1,5 +1,6 @@
 import pytest
 
+from eraser import cli, experiment
 from eraser.cli import main
 
 DESK_SMALL = """
@@ -93,6 +94,12 @@ def test_verify_cert_exit_status_and_report(capsys):
      "eraser: need max_shards >= 1 and max_classes >= 2"),
     (["--trials", "2000", "--max-shards", "14"],
      "eraser: 13 impacted shards exceed the enumeration cap of 12;"),
+    # the parser follows numpy's 32-bit draws only; trials=0, so nothing is drawn
+    (["--trials", "0", "--max-shards", str(2**32)],
+     "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32"),
+    (["--trials", "0", "--max-classes", str(2**32)],
+     "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32"),
+    (["--trials", "0", "--seed", "-1"], "eraser: seed must be >= 0, got -1"),
 ])
 def test_verify_cert_bad_arguments_exit_2_on_one_line(capsys, argv, message):
     # exit 1 means a soundness or dominance violation was found
@@ -160,6 +167,47 @@ def test_jobs_below_one_exit_2_on_one_line(config_file, tmp_path, capsys, argv, 
     assert code == 2
     assert capsys.readouterr() == ("", f"eraser: --jobs must be at least 1, got {jobs}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep", "--param", "oracle.num_shards", "--values", "5"]],
+    ids=["run", "sweep"],
+)
+def test_output_path_that_is_a_file_exits_2_before_simulating(
+    config_file, tmp_path, capsys, monkeypatch, argv
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr(experiment, "_run_all", no_simulation)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main([*argv, "--config", config_file, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"eraser: cannot write {out}: File exists\n")
+    assert out.read_text() == "kept\n"
+
+
+def test_gen_workload_into_a_missing_directory_exits_2_on_one_line(
+    config_file, tmp_path, capsys
+):
+    out = tmp_path / "missing" / "wl.csv"
+    assert main(["gen-workload", "--spec", config_file, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"eraser: cannot write {out}: No such file or directory\n"
+    )
+
+
+def test_theory_grid_into_a_missing_directory_exits_2_on_one_line(
+    tmp_path, capsys, monkeypatch
+):
+    # the grid's simulations are beside the point: a one-row report stands in
+    monkeypatch.setattr(cli, "compare_theory", lambda *args, **kwargs: [{"r": 0.5}])
+    out = tmp_path / "missing" / "grid.csv"
+    argv = ["theory", "--n-u", "10", "--t", "100", "--r", "5", "--grid", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"eraser: cannot write {out}: No such file or directory\n"
 
 
 def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):

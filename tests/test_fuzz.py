@@ -1,8 +1,12 @@
 """Differential guard for the certification fuzzer.
 
-``verify_cert`` draws its trials one at a time and judges them in blocks,
-grouped by (K, C, m). The reference below is the per-trial loop it
-replaced: the same ``rng`` calls in the same order, each instance judged
+``verify_cert`` parses its trials in one pass from the bit generator's
+32-bit words, as numpy's ``integers`` and ``choice`` read them, and judges
+them in blocks, grouped by (K, C, m). The parser's draws are checked
+against those numpy calls themselves, each followed by four more draws
+from both sides, so a parser that reads a word too many or too few fails.
+The reference report below is the per-trial loop it replaced: the
+``Generator`` calls themselves, in the same order, each instance judged
 alone by the three verdict functions, with ground truth from a copy of
 the per-instance enumeration that shares no code with the row-wise one.
 """
@@ -48,6 +52,51 @@ def reference_consistent(preds, impacted, num_classes, cap=12):
         if not (np.argmax(trial, axis=1) == winner).all():
             return False
     return True
+
+
+def parser_and_generator(seed):
+    """The parser's word reader and a ``Generator``, both fresh from ``seed``."""
+    next_word = experiment._words(np.random.default_rng(seed).bit_generator).__next__
+    return next_word, np.random.default_rng(seed)
+
+
+def assert_aligned(next_word, rng):
+    """Both sides are at the same word: their next draws agree."""
+    for _ in range(4):
+        assert experiment._bounded(next_word, 999) == rng.integers(0, 1000)
+
+
+# 2**31 rejects about half the words; 2**32 - 1 is numpy's plain 32-bit path
+@pytest.mark.parametrize("r", [0, 1, 7, 2**31, 2**32 - 1])
+def test_bounded_matches_scalar_integers(r):
+    for seed in range(4):
+        next_word, rng = parser_and_generator(seed)
+        for _ in range(100):
+            assert experiment._bounded(next_word, r) == rng.integers(0, r + 1)
+        assert_aligned(next_word, rng)
+
+
+@pytest.mark.parametrize("c", [2, 3, 5, 2**31 + 1])
+def test_bounded_matches_vector_integers(c):
+    for seed, k in [(0, 1), (1, 8), (2, 200)]:
+        next_word, rng = parser_and_generator(seed)
+        got = [experiment._bounded(next_word, c - 1) for _ in range(k)]
+        assert got == rng.integers(0, c, k).tolist()
+        assert_aligned(next_word, rng)
+
+
+# numpy takes Floyd's algorithm unless k > 10,000 and m > k // 50, where it
+# shuffles the tail of arange(k) instead
+@pytest.mark.parametrize("k, m", [
+    (1, 0), (1, 1), (8, 0), (8, 1), (8, 3), (8, 8), (10_000, 5_000),
+    (20_000, 1), (20_000, 400), (20_000, 401), (20_000, 20_000),
+])
+def test_choose_matches_choice_without_replacement(k, m):
+    for seed in range(3):
+        next_word, rng = parser_and_generator(seed)
+        chosen = experiment._choose(next_word, k, m)
+        assert chosen == set(rng.choice(k, size=m, replace=False).tolist())
+        assert_aligned(next_word, rng)
 
 
 def reference_report(trials, max_shards, max_classes, seed, enumeration_cap=12):
