@@ -16,9 +16,10 @@ Subcommands:
   described by a config file's [workload]/[oracle] sections.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
-config error, an unreadable config or spec file, an unwritable output path,
-``--jobs`` below 1, or a bad argument to ``sweep``, ``verify-cert`` or
-``theory``, is reported on one line, ``eraser: <message>``, with exit 2.
+config error, an unreadable config or spec file, an unwritable output path
+(found before any simulation or generation), ``--jobs`` below 1, or a bad
+argument to ``sweep``, ``verify-cert`` or ``theory``, is reported on one
+line, ``eraser: <message>``, with exit 2.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def _cmd_theory(args) -> int:
     except ValueError as exc:
         print(f"eraser: {exc}", file=sys.stderr)
         return 2
+    if args.grid and args.out:
+        with open(args.out, "w", encoding="utf-8") as report:  # before the grid simulates
+            return _print_theory(args, params, report)
+    return _print_theory(args, params, sys.stdout)
+
+
+def _print_theory(args, params, report) -> int:
     print(f"expected_wait_sisa     {expected_wait_sisa(params)!r}")
     print(f"dimp_upper_bound       {dimp_upper_bound(params)!r}")
     print(f"dimp_series            {expected_wait_dimp_series(params)!r}")
@@ -134,19 +142,15 @@ def _cmd_theory(args) -> int:
         ",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header)
         for row in rows
     ]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print("\n".join(lines), file=report)
     return 0
 
 
 def _cmd_gen_workload(args) -> int:
     cfg = load_config(args.spec)
-    stream = cfg.build_workload(cfg.base_seed)
-    export_csv(stream, args.out)
+    with open(args.out, "w", encoding="utf-8") as out:  # before the workload is generated
+        stream = cfg.build_workload(cfg.base_seed)
+        export_csv(stream, out)
     print(f"wrote {len(stream)} requests to {args.out}")
     return 0
 

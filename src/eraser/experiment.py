@@ -7,7 +7,6 @@ configuration produce byte-identical files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
@@ -41,11 +40,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _column(values) -> map:
+    """One column's cells as ``_fmt`` writes them, in one pass when every
+    value has one type: ``repr`` over floats, checked finite at once, and
+    ``str`` over any other type."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return map(_fmt, values)
+    if issubclass(kinds.pop(), float):
+        finite = np.isfinite(values)
+        if not finite.all():
+            _fmt(values[int(np.argmin(finite))])  # raises, naming the value
+        return map(repr, values)
+    return map(str, values)
+
+
 def write_csv(path, header, rows) -> None:
+    columns = [_column(values) for values in zip(*rows)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
 
 
 def run_one(cfg: ExperimentConfig, variant_name: str, seed: int,
@@ -69,6 +83,8 @@ def _run_job(args):
 def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool):
     work = [(cfg, name, seed, collect_log) for name in cfg.variants for seed in cfg.seeds()]
     if jobs > 1:
+        import concurrent.futures  # here alone: it imports logging, a cost serial runs skip
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return dict(pool.map(_run_job, work))
     return dict(map(_run_job, work))

@@ -30,7 +30,8 @@ a heap of the jobs in flight, ordered by completion time and then job id,
 and a FIFO queue of jobs waiting for a slot. The simulator reads
 :meth:`Scheduler.next_completion` and calls
 :meth:`Scheduler.on_retraining_complete` at that time. Every handler
-returns only the answers it gives, as :class:`Respond` records.
+returns only the answers it gives, each the :class:`RequestRecord` of its
+request, answered at the handler's ``now`` plus the inference service time.
 
 Bookkeeping is split into two planes so that variants differing only in
 Option I make identical retraining decisions and differ in response
@@ -153,12 +154,19 @@ class VariantConfig:
 
 
 @dataclass(slots=True)
-class Respond:
-    request: Request
-    label: int
-    verdict: str  # "certified", "uncertified", "plain" or "refused_<reason>"
+class RequestRecord:
+    """Terminal outcome of one inference request."""
+
+    request_id: int
+    arrival: float
+    response: float
+    wait: float
+    verdict: str  # certified | uncertified | plain | refused_*
+    label: int  # -1 for a refusal
+    sample: int
+    is_noise: bool
     versions: tuple  # () for a refusal
-    hypothetical_versions: tuple
+    hypothetical_versions: tuple  # () for a refusal
 
 
 @dataclass
@@ -195,15 +203,19 @@ class _Entry:
 class Scheduler:
     """Deterministic policy state machine for one simulation run."""
 
-    def __init__(self, cfg: VariantConfig, oracle_cfg: OracleConfig, retrain_duration: float):
+    def __init__(self, cfg: VariantConfig, oracle_cfg: OracleConfig, retrain_duration: float,
+                 inference_service_time: float = 0.0):
         if not (math.isfinite(retrain_duration) and retrain_duration > 0):
             raise ValueError("retrain_duration must be positive and finite")
+        if not (math.isfinite(inference_service_time) and inference_service_time >= 0):
+            raise ValueError("inference_service_time must be finite and >= 0")
         self.cfg = cfg
         self.option_i, self.option_ii, self.option_iii = VARIANT_TABLE[cfg.name]
         self.certified = cfg.name != "SISA"
         self.certifying = self.certified and cfg.cert_mode != "disabled"
         self.oracle_cfg = oracle_cfg
         self.retrain_duration = retrain_duration
+        self.service_time = inference_service_time
         k = oracle_cfg.num_shards
         self.num_shards = k
         self.num_classes = oracle_cfg.num_classes
@@ -276,18 +288,11 @@ class Scheduler:
         Counting the judgements is left to the caller's per-entry loop
         (:meth:`_tally`), which may stop before the last entry.
         """
-        kept, key = self._kept, self._key
-        evals: list = [None] * len(entries)
-        todo, requests = [], []
-        for i, entry in enumerate(entries):
-            hit = kept.get(entry.request.request_id)
-            if hit is not None and hit[0] is entry.request and hit[1] == key:
-                evals[i] = hit[2]
-            else:
-                todo.append(i)
-                requests.append(entry.request)
+        evals = [self._kept_verdict(entry.request) for entry in entries]
+        todo = [i for i, ev in enumerate(evals) if ev is None]
         if not todo:
             return evals
+        requests, key = [entries[i].request for i in todo], self._key
         versions, impacted, keys = self.versions, self._impacted, [key] * len(todo)
         if upcoming is not None:
             ahead, states = self._ahead(upcoming)
@@ -298,10 +303,17 @@ class Scheduler:
                 versions, impacted = np.array(versions), np.array(impacted)
         fresh = self._judge(requests, versions, impacted)
         for request, k, ev in zip(requests, keys, fresh):
-            kept[request.request_id] = (request, k, ev)
+            self._kept[request.request_id] = (request, k, ev)
         for i, ev in zip(todo, fresh):
             evals[i] = ev
         return evals
+
+    def _kept_verdict(self, request: Request) -> _Eval | None:
+        """The verdict kept for this request object under the current state key."""
+        hit = self._kept.get(request.request_id)
+        if hit is not None and hit[0] is request and hit[1] == self._key:
+            return hit[2]
+        return None
 
     def _judge(self, requests, versions, impacted) -> list[_Eval]:
         """Judge the requests in one batch. ``versions`` and the impacted mask
@@ -392,19 +404,26 @@ class Scheduler:
             if not ev.certified:
                 self.judgements_uncertified += 1
 
-    def _answer(self, entry: _Entry, ev: _Eval, keep: bool = False) -> list[Respond]:
-        """Respond to, or refuse, a judged request from the current state,
-        once. Its kept verdict goes unless ``keep``: the control pass at this
-        completion acts on it again."""
+    def _answer(self, entry: _Entry, ev: _Eval, now: float,
+                keep: bool = False) -> list[RequestRecord]:
+        """Answer, or refuse, a judged request at ``now`` from the current
+        state, once. Its kept verdict goes unless ``keep``: the control pass
+        at this completion acts on it again."""
+        request = entry.request
         if not keep:
-            del self._kept[entry.request.request_id]
+            del self._kept[request.request_id]
         if entry.responded:
             return []
         entry.responded = True
+        response = now + self.service_time
         if ev.refusal is not None:
-            return [Respond(entry.request, -1, f"refused_{ev.refusal}", (), ())]
-        hypothetical = entry.hypothetical or self._hypothetical_versions()
-        return [Respond(entry.request, ev.label, ev.verdict, self._versions_tuple, hypothetical)]
+            verdict, label, versions, hypothetical = f"refused_{ev.refusal}", -1, (), ()
+        else:
+            verdict, label, versions = ev.verdict, ev.label, self._versions_tuple
+            hypothetical = entry.hypothetical or self._hypothetical_versions()
+        return [RequestRecord(request.request_id, request.arrival, response,
+                              response - request.arrival, verdict, label, request.sample,
+                              request.is_noise, versions, hypothetical)]
 
     def _control(self, entry: _Entry, ev: _Eval) -> str:
         """Control-plane decision for one judged request: answer, wait or trigger.
@@ -455,7 +474,7 @@ class Scheduler:
 
     # -- arrival handling -------------------------------------------------------
 
-    def on_unlearning_arrival(self, request: Request, now: float) -> list[Respond]:
+    def on_unlearning_arrival(self, request: Request, now: float) -> list[RequestRecord]:
         if request.kind != UNLEARNING:
             raise ValueError(f"expected an unlearning request, got {request.kind}")
         shard = self._target(request)
@@ -468,7 +487,8 @@ class Scheduler:
             self._start_or_enqueue(shard, 1, now)
         return []
 
-    def on_inference_arrival(self, request: Request, now: float, upcoming=tuple) -> list[Respond]:
+    def on_inference_arrival(self, request: Request, now: float,
+                             upcoming=tuple) -> list[RequestRecord]:
         """Handle one inference arrival. ``upcoming``, a hint, returns the requests
         expected next, unlearning ones included. On a miss, the inferences among
         them are judged in one batch with this one, each under the state it is
@@ -488,19 +508,21 @@ class Scheduler:
                 entry.hypothetical = self._hypothetical_versions()
             self.backlog.append(entry)
             return []
-        (ev,) = self._evaluate([entry], upcoming)
+        ev = self._kept_verdict(request)
+        if ev is None:
+            (ev,) = self._evaluate([entry], upcoming)
         self._tally(ev)
         if busy and self.option_ii != IMMEDIATE:
             # mid-update: answer what we soundly can; counting waits for
             # the control pass at update completion
             self.backlog.append(entry)
             if ev.refusal is not None or ev.certified:
-                return self._answer(entry, ev)
+                return self._answer(entry, ev, now)
             self.postponed += 1
             return []
         step = self._control(entry, ev)
         if step == _ANSWER:
-            return self._answer(entry, ev)
+            return self._answer(entry, ev, now)
         self.backlog.append(entry)
         self.postponed += 1
         if step == _TRIGGER:
@@ -509,7 +531,7 @@ class Scheduler:
 
     # -- retraining completion -----------------------------------------------
 
-    def on_retraining_complete(self, now: float) -> list[Respond]:
+    def on_retraining_complete(self, now: float) -> list[RequestRecord]:
         """Complete the job in flight that is due at ``now``, the lowest job id
         first at a tie, and start the oldest queued job in its slot."""
         if self.next_completion() != now:
@@ -526,26 +548,26 @@ class Scheduler:
             self._start(self.queue.popleft(), now)
         actions = []
         if not self.certified:
-            actions += self._release_baseline()
+            actions += self._release_baseline(now)
         elif self.option_i == DOUBLE_CONTEXT:
-            actions += self._respond_ready()
+            actions += self._respond_ready(now)
         if not self.busy():
             self.window_inferences = 0
             self.window_uncertified = 0
             actions += self._drain(now)
         return actions
 
-    def _release_baseline(self) -> list[Respond]:
+    def _release_baseline(self, now: float) -> list[RequestRecord]:
         # jobs finish in creation order, so an entry is safe to answer once
         # the completion count reaches the jobs outstanding at its arrival
         ready = [e for e in self.backlog if e.release_after <= self.retrainings_completed]
         self.backlog = [e for e in self.backlog if e.release_after > self.retrainings_completed]
         actions = []
         for entry, ev in zip(ready, self._evaluate(ready)):
-            actions += self._answer(entry, ev)
+            actions += self._answer(entry, ev, now)
         return actions
 
-    def _respond_ready(self) -> list[Respond]:
+    def _respond_ready(self, now: float) -> list[RequestRecord]:
         # response plane: every completion shrinks the impacted set, so
         # postponed requests are re-judged and answered as soon as they pass,
         # or refused once their agreement falls below the threshold
@@ -554,10 +576,10 @@ class Scheduler:
         for entry, ev in zip(waiting, self._evaluate(waiting)):
             self._tally(ev)
             if ev.refusal is not None or ev.certified:
-                actions += self._answer(entry, ev, keep=True)
+                actions += self._answer(entry, ev, now, keep=True)
         return actions
 
-    def _drain(self, now: float) -> list[Respond]:
+    def _drain(self, now: float) -> list[RequestRecord]:
         """Control pass over the backlog after an update (or at shutdown)."""
         actions: list = []
         remaining: list[_Entry] = []
@@ -565,7 +587,7 @@ class Scheduler:
             self._tally(ev)
             step = self._control(entry, ev)
             if step == _ANSWER:
-                actions += self._answer(entry, ev)
+                actions += self._answer(entry, ev, now)
                 continue
             remaining.append(entry)
             if step == _TRIGGER:
@@ -573,7 +595,7 @@ class Scheduler:
                 self.backlog = remaining + self.backlog[i + 1 :]
                 self.trigger_update(now, ev)
                 if self.option_i == DOUBLE_CONTEXT:
-                    actions += self._respond_ready()
+                    actions += self._respond_ready(now)
                 return actions
         self.backlog = remaining
         return actions
@@ -623,7 +645,7 @@ class Scheduler:
 
     # -- shutdown ---------------------------------------------------------------
 
-    def finalize(self, now: float) -> list[Respond]:
+    def finalize(self, now: float) -> list[RequestRecord]:
         """Drain step run at end of workload: execute leftover unlearning.
 
         The serving period ends with every pending request actually

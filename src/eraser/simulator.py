@@ -7,7 +7,10 @@ and the loop compares the time it reports for its next completion with
 the next arrival. At equal timestamps retraining completions are
 processed first, then unlearning arrivals, then inference arrivals, which
 keeps hand-traces unambiguous and maximizes certified responses. Every
-handler returns only the answers it gives.
+handler returns only the answers it gives, each already the
+:class:`~eraser.scheduler.RequestRecord` the run reports (re-exported
+here); the loop appends them in answer order and checks them in one pass
+after quiescence: one answer per inference, none before its arrival.
 
 An inference arrival offers the scheduler the ``_RUN_CHUNK`` requests that
 follow it, unlearning ones included, across retraining completions. The
@@ -31,7 +34,7 @@ import numpy as np
 
 from .certify import judge
 from .oracle import SamplePrefixes
-from .scheduler import Respond, Scheduler, VariantConfig
+from .scheduler import RequestRecord, Scheduler, VariantConfig
 from .workload import INFERENCE, UNLEARNING
 
 _RUN_CHUNK = 64  # requests offered as one run; more is wasted on halts after a trigger
@@ -50,22 +53,6 @@ class SimParams:
             raise ValueError("horizon must be positive and finite")
         if not (math.isfinite(self.inference_service_time) and self.inference_service_time >= 0):
             raise ValueError("inference_service_time must be finite and >= 0")
-
-
-@dataclass(slots=True)
-class RequestRecord:
-    """Terminal outcome of one inference request."""
-
-    request_id: int
-    arrival: float
-    response: float
-    wait: float
-    verdict: str  # certified | uncertified | plain | refused_*
-    label: int
-    sample: int
-    is_noise: bool
-    versions: tuple
-    hypothetical_versions: tuple
 
 
 @dataclass
@@ -110,49 +97,13 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         collect_log: bool = True) -> Metrics:
     """Simulate one variant over one workload to quiescence."""
     _validate_workload(workload, params.horizon)
-    sched = Scheduler(variant, oracle_cfg, params.retrain_duration)
+    sched = Scheduler(variant, oracle_cfg, params.retrain_duration, params.inference_service_time)
     sched.prefixes.rows([(r.sample, r.is_noise) for r in workload if r.kind == INFERENCE])
 
     requests = sorted(workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
     nxt = 0  # index of the next request to arrive
-
-    records: list[RequestRecord] = []
-    waits: list[float] = []
-    terminal: set[int] = set()
-    n_inferences = sum(1 for r in workload if r.kind == INFERENCE)
-    n_unlearnings = len(workload) - n_inferences
-    uncertified_responses = 0
-    refused = 0
+    records: list[RequestRecord] = []  # in answer order
     now = 0.0
-
-    def apply(answers: list[Respond], now):
-        nonlocal uncertified_responses, refused
-        for answer in answers:
-            request, verdict = answer.request, answer.verdict
-            if request.request_id in terminal:
-                raise SimulationError(
-                    f"request {request.request_id} answered more than once"
-                )
-            terminal.add(request.request_id)
-            response = now + params.inference_service_time
-            wait = response - request.arrival
-            if wait < -1e-9:
-                raise SimulationError(
-                    f"request {request.request_id} answered before its arrival"
-                )
-            waits.append(wait)
-            if verdict == "uncertified":
-                uncertified_responses += 1
-            if verdict.startswith("refused"):
-                refused += 1
-            if collect_log:
-                records.append(
-                    RequestRecord(
-                        request.request_id, request.arrival, response, wait, verdict, answer.label,
-                        request.sample, request.is_noise, answer.versions,
-                        answer.hypothetical_versions,
-                    )
-                )
 
     def upcoming():
         return requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]
@@ -163,18 +114,17 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
             due = sched.next_completion()
             if due is not None and (nxt == len(requests) or due <= requests[nxt].arrival):
                 now = due
-                apply(sched.on_retraining_complete(now), now)
+                records.extend(sched.on_retraining_complete(now))
                 continue
             if nxt == len(requests):
                 return
             r = requests[nxt]
             now = r.arrival
             if r.kind == UNLEARNING:
-                answers = sched.on_unlearning_arrival(r, now)
+                records.extend(sched.on_unlearning_arrival(r, now))
             else:
-                answers = sched.on_inference_arrival(r, now, upcoming)
+                records.extend(sched.on_inference_arrival(r, now, upcoming))
             nxt += 1
-            apply(answers, now)
 
     drain_events()
     now = max(now, params.horizon)
@@ -182,10 +132,25 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         answers = sched.finalize(now)
         if not answers and not sched.busy():
             raise SimulationError("simulation cannot make progress toward quiescence")
-        apply(answers, now)
+        records.extend(answers)
         drain_events()
         now = max(now, params.horizon)
 
+    terminal: set[int] = set()
+    waits: list[float] = []
+    uncertified_responses = refused = 0
+    for rec in records:
+        if rec.request_id in terminal:
+            raise SimulationError(f"request {rec.request_id} answered more than once")
+        terminal.add(rec.request_id)
+        if rec.wait < -1e-9:
+            raise SimulationError(f"request {rec.request_id} answered before its arrival")
+        waits.append(rec.wait)
+        if rec.verdict == "uncertified":
+            uncertified_responses += 1
+        elif rec.verdict.startswith("refused"):
+            refused += 1
+    n_inferences = sum(1 for r in workload if r.kind == INFERENCE)
     if len(terminal) != n_inferences:
         raise SimulationError(
             f"{n_inferences} inference arrivals but {len(terminal)} terminal actions"
@@ -202,7 +167,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     p_uc = (
         sched.judgements_uncertified / sched.judgements if sched.judgements else 0.0
     )
-    records.sort(key=lambda rec: rec.request_id)
+    records = sorted(records, key=lambda rec: rec.request_id) if collect_log else []
     return Metrics(
         awt=awt,
         nor=sched.retrainings_completed,
@@ -218,7 +183,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         uncertification_triggers=sched.uncertification_triggers,
         final_triggers=sched.final_triggers,
         num_inferences=n_inferences,
-        num_unlearnings=n_unlearnings,
+        num_unlearnings=len(workload) - n_inferences,
         per_request_log=records,
     )
 

@@ -25,9 +25,6 @@ import numpy as np
 INFERENCE = "inference"
 UNLEARNING = "unlearning"
 
-# Merge order at equal arrival times: unlearning ahead of inference.
-_KIND_PRIORITY = {UNLEARNING: 0, INFERENCE: 1}
-
 # Least share of a profile's draws inside [0, horizon]; below it re-drawing never ends.
 _MIN_MASS_INSIDE = 1e-6
 
@@ -164,14 +161,6 @@ def _sample_arrivals(rng, dist, n, horizon):
     return out
 
 
-def _finalize(requests):
-    requests.sort(key=lambda r: (r.arrival, _KIND_PRIORITY[r.kind], r.request_id))
-    return [
-        Request(r.kind, r.arrival, i, r.sample, r.is_noise, r.target_shard)
-        for i, r in enumerate(requests)
-    ]
-
-
 def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
     """Produce the sorted request stream described by ``spec``.
 
@@ -205,20 +194,24 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
     if n_noise:
         noise[rng.choice(spec.n_inference, size=n_noise, replace=False)] = True
 
-    requests = [
-        Request(UNLEARNING, float(t), i, target_shard=int(shards[i]))
-        for i, t in enumerate(u_arrivals)
+    # one order over both kinds: by arrival, unlearning ahead of inference
+    # at a tie, then by position within the kind; request ids follow it
+    n_u = spec.n_unlearning
+    arrivals = np.concatenate([u_arrivals, i_arrivals])
+    position = np.concatenate([np.arange(n_u), np.arange(spec.n_inference)])
+    is_inference = np.arange(len(arrivals)) >= n_u
+    order = np.lexsort((position, is_inference, arrivals))
+    shards, noise = shards.tolist(), noise.tolist()
+    return [
+        Request(UNLEARNING, t, rid, target_shard=shards[j]) if j < n_u
+        else Request(INFERENCE, t, rid, sample=j - n_u, is_noise=noise[j - n_u])
+        for rid, (j, t) in enumerate(zip(order.tolist(), arrivals[order].tolist()))
     ]
-    requests += [
-        Request(INFERENCE, float(t), i, sample=i, is_noise=bool(noise[i]))
-        for i, t in enumerate(i_arrivals)
-    ]
-    return _finalize(requests)
 
 
-def export_csv(stream, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("request_id,kind,arrival,shard_or_sample,is_noise\n")
-        for r in stream:
-            payload = r.target_shard if r.kind == UNLEARNING else r.sample
-            fh.write(f"{r.request_id},{r.kind},{r.arrival!r},{payload},{int(r.is_noise)}\n")
+def export_csv(stream, out) -> None:
+    """Write the stream as CSV to the open text file ``out``."""
+    out.write("request_id,kind,arrival,shard_or_sample,is_noise\n")
+    for r in stream:
+        payload = r.target_shard if r.kind == UNLEARNING else r.sample
+        out.write(f"{r.request_id},{r.kind},{r.arrival!r},{payload},{int(r.is_noise)}\n")

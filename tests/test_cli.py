@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from eraser import cli, experiment
+from eraser import cli, config, experiment
 from eraser.cli import main
 
 DESK_SMALL = """
@@ -210,12 +213,43 @@ def test_theory_grid_into_a_missing_directory_exits_2_on_one_line(
     assert err == f"eraser: cannot write {out}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["theory", "gen-workload"])
+def test_unwritable_out_exits_2_before_simulating_or_generating(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the output path")
+
+    monkeypatch.setattr(cli, "compare_theory", no_work)
+    monkeypatch.setattr(config.ExperimentConfig, "build_workload", no_work)
+    out = tmp_path / "missing" / "out.csv"
+    argv = {
+        "theory": ["theory", "--n-u", "10", "--t", "100", "--r", "5", "--grid"],
+        "gen-workload": ["gen-workload", "--spec", config_file],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"eraser: cannot write {out}: No such file or directory\n")
+
+
 def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):
     out = tmp_path / "wl.csv"
     assert main(["gen-workload", "--spec", config_file, "--out", str(out)]) == 0
     header, *rows = out.read_text().splitlines()
     assert header == "request_id,kind,arrival,shard_or_sample,is_noise"
     assert [int(row.split(",")[0]) for row in rows] == list(range(330))
+
+
+def test_csv_columns_are_written_as_their_cells_format(tmp_path):
+    # one type per column is formatted in one pass; mixed columns per cell
+    rows = [("DIMP", 1, 0.1, np.float64(2.5), True, 3, "x"),
+            ("SISA", 22, 1e-20, np.float64(3.0), False, 4.0, 5)]
+    path = tmp_path / "t.csv"
+    experiment.write_csv(path, "abcdefg", rows)
+    cells = ["a,b,c,d,e,f,g"] + [",".join(experiment._fmt(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(cells) + "\n"
+    for bad in ([(1.0,), (math.inf,)], [(1,), (math.nan,)]):
+        with pytest.raises(ValueError, match="non-finite value (inf|nan)"):
+            experiment.write_csv(path, "a", bad)
 
 
 def test_default_config_covers_all_eight_variants(tmp_path):

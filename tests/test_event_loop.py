@@ -9,8 +9,10 @@ of every job that call started, read from ``sched.inflight`` in job id
 order, and checks that each completion it pops is the job the scheduler
 completes. It feeds the same ``Scheduler`` one event at a time with no
 hint. It counts an inference as postponed when its arrival gets no answer
-and did not halt, and records each answer's versions and hypothetical
-versions from the scheduler's state with no cache; a SISA answer to a
+and did not halt. Of each answer it takes only the request id, verdict and
+label: it rebuilds the rest from the request and the event's time, and
+the versions and hypothetical versions from the scheduler's state with
+no cache; a SISA answer to a
 halted inference claims the hypothetical versions taken before its
 arrival. Both must return equal ``Metrics``, every ``RequestRecord``
 included.
@@ -32,7 +34,6 @@ from eraser.scheduler import (
     VARIANT_NAMES,
     VARIANT_TABLE,
     MitigationConfig,
-    Respond,
     Scheduler,
     VariantConfig,
 )
@@ -56,6 +57,7 @@ def reference_run(workload, variant, oracle_cfg, params):
     single = VARIANT_TABLE[variant.name][0] == SINGLE_CONTEXT
     started = set()  # ids of the jobs whose completion is on the heap
     halted = {}  # SISA: request id -> hypothetical versions at arrival
+    arrived = {r.request_id: r for r in workload}
 
     def apply(answers):
         nonlocal seq
@@ -65,8 +67,8 @@ def reference_run(workload, variant, oracle_cfg, params):
                 heapq.heappush(heap, (t, 0, seq, job_id))
                 seq += 1
         for act in answers:
-            assert isinstance(act, Respond)
-            req, response = act.request, now + params.inference_service_time
+            assert isinstance(act, RequestRecord)
+            req, response = arrived[act.request_id], now + params.inference_service_time
             refused = act.verdict.startswith("refused")
             hypo = halted.pop(req.request_id, None) or _hypothetical(sched)
             records.append(RequestRecord(

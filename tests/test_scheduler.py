@@ -8,7 +8,7 @@ from eraser.oracle import OracleConfig, PredictionTrace
 from eraser.scheduler import (
     _Entry,
     MitigationConfig,
-    Respond,
+    RequestRecord,
     Scheduler,
     VARIANT_TABLE,
     VariantConfig,
@@ -92,7 +92,7 @@ def test_certified_inference_with_no_impacted_shards_responds_at_once():
     s = make_sched("DIMP")
     acts = s.on_inference_arrival(infer(0, 5, 1.0), 1.0)
     (resp,) = acts
-    assert isinstance(resp, Respond)
+    assert isinstance(resp, RequestRecord)
     assert resp.verdict == "certified"
 
 
@@ -120,7 +120,7 @@ def test_threshold_within_budget_answers_uncertified():
     s.on_unlearning_arrival(unlearn(1, 1, 0.0), 0.0)
     sample = _find_uncertain_sample(s)
     acts = s.on_inference_arrival(infer(99, sample, 1.0), 1.0)
-    assert [type(a).__name__ for a in acts] == ["Respond"]
+    assert [type(a).__name__ for a in acts] == ["RequestRecord"]
     assert acts[0].verdict == "uncertified"
 
 
@@ -195,7 +195,7 @@ def test_postponed_counts_a_request_once():
     s.on_unlearning_arrival(unlearn(2, 1, 2.0), 2.0)
     assert s.on_retraining_complete(6.0) == []  # shard 1 is impacted: a second update
     (answer,) = s.on_retraining_complete(11.0)
-    assert answer.request.request_id == 1 and answer.verdict == "certified"
+    assert answer.request_id == 1 and answer.verdict == "certified"
     assert s.postponed == 1 and s.judgements_uncertified >= 3
 
 
@@ -203,9 +203,9 @@ def test_detector_degenerate_rates():
     mit = MitigationConfig(detector_enabled=True, detector_tpr=1.0, detector_fpr=0.0)
     s = make_sched("DUTP", mitigation=mit)
     (refusal,) = s.on_inference_arrival(infer(0, 1, 0.0, True), 0.0)
-    assert isinstance(refusal, Respond) and refusal.verdict == "refused_detected"
+    assert isinstance(refusal, RequestRecord) and refusal.verdict == "refused_detected"
     (resp,) = s.on_inference_arrival(infer(1, 2, 0.0), 0.0)
-    assert isinstance(resp, Respond) and resp.verdict == "certified"
+    assert isinstance(resp, RequestRecord) and resp.verdict == "certified"
     assert s.judgements == 1  # a refused request is never judged
 
 
@@ -218,7 +218,7 @@ def test_confidence_discard_threshold():
         mit = MitigationConfig(confidence_threshold=threshold)
         s = Scheduler(VariantConfig("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)
         (act,) = s.on_inference_arrival(infer(0, 0, 0.0), 0.0)
-        assert isinstance(act, Respond) and act.verdict == expect
+        assert isinstance(act, RequestRecord) and act.verdict == expect
 
 
 def test_shard_shuffle_remaps_round_robin_targets():
@@ -297,7 +297,7 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
     s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=r,
                    parallel_capacity=parallel_capacity, threshold=0.2, **overrides)
     batches, wasted, foreseen = [], [], {}
-    evaluate, judge, ahead = s._evaluate, s._judge, s._ahead
+    evaluate, judge, ahead, kept_verdict = s._evaluate, s._judge, s._ahead, s._kept_verdict
 
     def counting(requests, *args):
         batches.append(len(requests))
@@ -311,20 +311,28 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
             foreseen[request.request_id] = (request, key, s.jobs_created)
         return requests, states
 
+    def assert_fresh(request, ev):  # a verdict acted on equals a fresh one-row judgement
+        (fresh,) = judge([request], s.versions, s._impacted)
+        assert (ev.refusal, ev.certified, ev.label, ev.verdict) == (
+            fresh.refusal, fresh.certified, fresh.label, fresh.verdict
+        )
+
+    def looked_up(request):  # every read of a kept verdict: on arrival and in _evaluate
+        seen, key, jobs = foreseen.pop(request.request_id, (None, None, 0))
+        if seen is not None and (seen is not request or key != s._key):
+            wasted.append((request.request_id, jobs, s.jobs_created))
+        ev = kept_verdict(request)
+        if ev is not None:
+            assert_fresh(request, ev)
+        return ev
+
     def checked(entries, upcoming=None):
-        for entry in entries:
-            request, key, jobs = foreseen.pop(entry.request.request_id, (None, None, 0))
-            if request is not None and (request is not entry.request or key != s._key):
-                wasted.append((entry.request.request_id, jobs, s.jobs_created))
         evals = evaluate(entries, upcoming)
-        for entry, ev in zip(entries, evals):  # every verdict equals a fresh one-row judgement
-            (fresh,) = judge([entry.request], s.versions, s._impacted)
-            assert (ev.refusal, ev.certified, ev.label, ev.verdict) == (
-                fresh.refusal, fresh.certified, fresh.label, fresh.verdict
-            )
+        for entry, ev in zip(entries, evals):
+            assert_fresh(entry.request, ev)
         return evals
 
-    s._evaluate, s._judge, s._ahead = checked, counting, walking
+    s._evaluate, s._judge, s._ahead, s._kept_verdict = checked, counting, walking, looked_up
     script, log = _hint_script(), []
 
     def apply(answers):
@@ -465,7 +473,7 @@ def test_the_lookahead_stops_where_a_retraining_would_queue():
         log.append(s.on_inference_arrival(b, 8.0, lambda: hints[2]))
         log.append(s.on_retraining_complete(10.0))
         log.append(s.on_inference_arrival(c, 11.0, lambda: hints[3]))
-        assert [type(log[i][0]).__name__ for i in (0, 2, 4, 6)] == ["Respond"] * 4
+        assert [type(log[i][0]).__name__ for i in (0, 2, 4, 6)] == ["RequestRecord"] * 4
         runs.append((log, rows))
     (log, rows), (plain_log, plain_rows) = runs
     assert log == plain_log
@@ -498,7 +506,7 @@ def test_a_dimp_hint_across_an_in_flight_completion_wastes_nothing():
         log.append(s.on_retraining_complete(5.0))
         log.append(s.on_inference_arrival(b, 6.0, lambda: hint[2:]))
         log.append(s.on_inference_arrival(c, 7.0, lambda: hint[3:]))
-        assert [type(acts[0]).__name__ for acts in log if acts] == ["Respond"] * 4
+        assert [type(acts[0]).__name__ for acts in log if acts] == ["RequestRecord"] * 4
         runs.append((log, s.judgements, rows))
     (log, judgements, rows), (plain_log, plain_judgements, plain_rows) = runs
     assert (log, judgements) == (plain_log, plain_judgements)
@@ -519,7 +527,7 @@ def test_the_control_pass_reuses_what_the_response_plane_judged_at_its_completio
     assert [e.responded for e in s.backlog] == [False, False, False, True]
     del rows[:]
     answered = s.on_retraining_complete(6.0)
-    assert sorted(a.request.request_id for a in answered) == [1, 2, 3]
+    assert sorted(a.request_id for a in answered) == [1, 2, 3]
     assert rows == [3, 1] and not s.backlog
 
 
@@ -537,7 +545,7 @@ def test_sisa_releases_a_foreseen_halt_without_judging_it_again():
         log.append(s.on_inference_arrival(b, 3.0, lambda: hint[3:]))
         judged = len(rows)
         log.append(s.on_retraining_complete(6.0))
-        assert [a.request.request_id for a in log[-1]] == [3, 4]
+        assert [a.request_id for a in log[-1]] == [3, 4]
         runs.append((log, rows, judged))
     (log, rows, judged), (plain_log, plain_rows, _) = runs
     assert log == plain_log

@@ -13,7 +13,8 @@ from eraser.simulator import (
     replay_privacy_check,
     run,
 )
-from eraser.scheduler import MitigationConfig, Respond, Scheduler, VariantConfig
+from eraser import scheduler
+from eraser.scheduler import MitigationConfig, Scheduler, VariantConfig
 from eraser.workload import Request, WorkloadSpec, generate
 
 
@@ -261,9 +262,11 @@ def test_replay_indexes_states_by_value(monkeypatch, chunk):
         lambda x: SimParams(retrain_duration=1.0, horizon=x),
         lambda x: SimParams(1.0, 10.0, inference_service_time=x),
         lambda x: Scheduler(VariantConfig("SUTP"), oc(), retrain_duration=x),
+        lambda x: Scheduler(VariantConfig("SUTP"), oc(), 1.0, inference_service_time=x),
     ],
     ids=["context_switch_latency", "retrain_duration", "horizon",
-         "inference_service_time", "scheduler_retrain_duration"],
+         "inference_service_time", "scheduler_retrain_duration",
+         "scheduler_inference_service_time"],
 )
 def test_non_finite_parameters_are_rejected(make, value):
     with pytest.raises(ValueError, match="finite"):
@@ -334,7 +337,29 @@ def test_records_keep_their_fields_and_compare_by_value():
     fields = (7, 1.0, 2.5, 1.5, "certified", 3, 11, False, (1, 0), (1, 1))
     assert RequestRecord(*fields) == RequestRecord(*fields)
     assert RequestRecord(*fields) != RequestRecord(*fields[:5], 4, *fields[6:])
-    request = q(7, 11, 1.0)
-    answer = (request, 3, "certified", (1, 0), (1, 1))
-    assert Respond(*answer) == Respond(q(7, 11, 1.0), *answer[1:])
-    assert Respond(*answer) != Respond(request, 4, *answer[2:])
+    # the scheduler builds the records the simulator reports
+    assert RequestRecord is scheduler.RequestRecord
+    assert RequestRecord(*fields) == RequestRecord(*fields[:8], tuple([1, 0]), tuple([1, 1]))
+    assert RequestRecord(*fields) != RequestRecord(*fields[:8], (1, 0), (1, 0))
+
+
+class _AnswersTwice(Scheduler):
+    def on_inference_arrival(self, request, now, upcoming=tuple):
+        return 2 * super().on_inference_arrival(request, now, upcoming)
+
+
+class _AnswersEarly(Scheduler):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.service_time = -1.0  # every answer lands a second before its arrival
+
+
+@pytest.mark.parametrize("patched, message", [
+    (_AnswersTwice, "request 1 answered more than once"),
+    (_AnswersEarly, "request 1 answered before its arrival"),
+])
+def test_run_refuses_a_scheduler_that_breaks_an_answer_rule(monkeypatch, patched, message):
+    monkeypatch.setattr(simulator, "Scheduler", patched)
+    wl = [u(0, 1, 0.0), q(1, 0, 2.0), q(2, 1, 3.0)]
+    with pytest.raises(simulator.SimulationError, match=message):
+        run(wl, VariantConfig("DIMP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from eraser.workload import (
     GRID,
     INFERENCE,
     SCATTERED_ROUND_ROBIN,
+    UNIFORM,
+    UNIFORM_RANDOM,
     UNLEARNING,
     Gaussian,
     Multimodal,
     Request,
     WorkloadSpec,
-    _finalize,
     _mass_inside,
+    _sample_arrivals,
     export_csv,
     generate,
     symmetric_multimodal,
@@ -141,18 +144,71 @@ def test_merge_streams_reassigns_ids():
     ]
 
 
+# sigma so small that every draw is exactly mu: arrivals tie with each other
+# and with the grid point 30.0 of 10 unlearning requests over T = 100
+_AT_30 = Gaussian(30.0, 1e-300)
+
+
 def test_equal_time_unlearning_sorts_first():
-    stream = _finalize(
-        [Request(INFERENCE, 5.0, 0, sample=0), Request(UNLEARNING, 5.0, 0, target_shard=1)]
-    )
-    assert [r.kind for r in stream] == [UNLEARNING, INFERENCE]
+    stream = on_grid(10, 100.0, 5, 4, distribution_i=_AT_30)
+    tied = [r for r in stream if r.arrival == 30.0]
+    assert [r.kind for r in tied] == [UNLEARNING] + [INFERENCE] * 5
+    assert [r.sample for r in tied[1:]] == list(range(5))
+    assert [r.request_id for r in stream] == list(range(15))
+
+
+def _sort_then_rebuild(spec, num_shards):
+    """The reference: each kind built with ids that count within the kind,
+    sorted by (arrival, unlearning first, id), then rebuilt with final ids."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.distribution_u == GRID:
+        u_times = np.arange(spec.n_unlearning) * spec.horizon / spec.n_unlearning
+        shard_rng = np.random.default_rng(spec.seed)
+    else:
+        u_times = np.sort(_sample_arrivals(rng, spec.distribution_u, spec.n_unlearning,
+                                           spec.horizon))
+        shard_rng = rng
+    i_times = np.sort(_sample_arrivals(rng, spec.distribution_i, spec.n_inference, spec.horizon))
+    if spec.shard_assignment == SCATTERED_ROUND_ROBIN:
+        shards = np.arange(spec.n_unlearning) % num_shards
+    else:
+        shards = shard_rng.integers(0, num_shards, spec.n_unlearning)
+    noise = np.zeros(spec.n_inference, dtype=bool)
+    n_noise = round(spec.noise_fraction * spec.n_inference)
+    if n_noise:
+        noise[rng.choice(spec.n_inference, size=n_noise, replace=False)] = True
+    requests = [Request(UNLEARNING, float(t), i, target_shard=int(shards[i]))
+                for i, t in enumerate(u_times)]
+    requests += [Request(INFERENCE, float(t), i, sample=i, is_noise=bool(noise[i]))
+                 for i, t in enumerate(i_times)]
+    requests.sort(key=lambda r: (r.arrival, r.kind != UNLEARNING, r.request_id))
+    return [Request(r.kind, r.arrival, i, r.sample, r.is_noise, r.target_shard)
+            for i, r in enumerate(requests)]
+
+
+_PROFILES = [UNIFORM, _AT_30, Gaussian(50.0, 20.0), symmetric_multimodal(3, 100.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 30), st.integers(0, 60), st.integers(0, 2**32),
+    st.sampled_from([GRID] + _PROFILES), st.sampled_from(_PROFILES),
+    st.sampled_from([UNIFORM_RANDOM, SCATTERED_ROUND_ROBIN]),
+    st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 9),
+)
+def test_generate_matches_the_sort_then_rebuild_reference(
+    n_u, n_i, seed, dist_u, dist_i, assignment, noise, num_shards
+):
+    spec = WorkloadSpec(n_u, n_i, 100.0, seed, dist_u, dist_i, assignment, noise)
+    assert generate(spec, num_shards) == _sort_then_rebuild(spec, num_shards)
 
 
 def test_csv_export_writes_header_and_fields(tmp_path):
     spec = WorkloadSpec(20, 30, 50.0, seed=11, noise_fraction=0.1)
     stream = generate(spec, 6)
     path = tmp_path / "workload.csv"
-    export_csv(stream, path)
+    with open(path, "w", encoding="utf-8") as out:
+        export_csv(stream, out)
     header, *rows = path.read_text().splitlines()
     assert header == "request_id,kind,arrival,shard_or_sample,is_noise"
     assert len(rows) == len(stream) and any(r.is_noise for r in stream)
