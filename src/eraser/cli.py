@@ -9,11 +9,16 @@ Subcommands:
 * ``verify-cert --trials N [--max-shards K] [--max-classes C] [--seed S]``
   — fuzz the consistency checks against the brute-force oracle; exits 1
   on any soundness or dominance violation, 2 on a bad argument.
-* ``theory --n-u N --t T --r R [--p-uc P] [--grid]`` — print the
-  closed-form waiting times; with ``--grid``, also simulate over a grid
-  of retrain durations and report relative errors as CSV.
+* ``theory --n-u N --t T --r R [--p-uc P] [--grid [--out <csv>]]`` —
+  print the closed-form waiting times; with ``--grid``, also simulate over
+  a grid of retrain durations and report relative errors as CSV, on stdout
+  or into ``--out``, which needs ``--grid``.
 * ``gen-workload --spec <path> --out <csv>`` — generate the workload
-  described by a config file's [workload]/[oracle] sections.
+  described by a config file's [workload]/[oracle] sections and export it
+  as CSV (schema: ``request_id,kind,arrival,shard_or_sample,is_noise``)
+  for external tools; no command reads the file back.
+
+Every CSV is written by ``experiment.write_csv``: each cell is its ``str``.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
 config error, an unreadable config or spec file, an unwritable output path
@@ -34,9 +39,9 @@ from .config import (
     parse_config_text,
     read_config_values,
 )
-from .experiment import compare_theory, run_experiment, run_sweep, verify_cert
+from .experiment import compare_theory, run_experiment, run_sweep, verify_cert, write_csv
 from .theory import TheoryParams, dimp_upper_bound, expected_wait_dimp_series, expected_wait_sisa
-from .workload import export_csv
+from .workload import UNLEARNING
 
 
 def _build_parser():
@@ -113,12 +118,15 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if args.out is not None and not args.grid:
+        print("eraser: theory --out needs --grid", file=sys.stderr)
+        return 2
     try:
         params = TheoryParams(args.n_u, args.t, args.r, args.p_uc)
     except ValueError as exc:
         print(f"eraser: {exc}", file=sys.stderr)
         return 2
-    if args.grid and args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as report:  # before the grid simulates
             return _print_theory(args, params, report)
     return _print_theory(args, params, sys.stdout)
@@ -137,12 +145,7 @@ def _print_theory(args, params, report) -> int:
     period = args.t / args.n_u
     r_values = [0.5 * period, period, 2 * period, 4 * period]
     rows = compare_theory(base, r_values, n_inference=20_000)
-    header = list(rows[0].keys())
-    lines = [",".join(header)] + [
-        ",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header)
-        for row in rows
-    ]
-    print("\n".join(lines), file=report)
+    write_csv(report, rows[0].keys(), [row.values() for row in rows])
     return 0
 
 
@@ -150,7 +153,11 @@ def _cmd_gen_workload(args) -> int:
     cfg = load_config(args.spec)
     with open(args.out, "w", encoding="utf-8") as out:  # before the workload is generated
         stream = cfg.build_workload(cfg.base_seed)
-        export_csv(stream, out)
+        write_csv(out, ("request_id", "kind", "arrival", "shard_or_sample", "is_noise"), [
+            (r.request_id, r.kind, r.arrival,
+             r.target_shard if r.kind == UNLEARNING else r.sample, int(r.is_noise))
+            for r in stream
+        ])
     print(f"wrote {len(stream)} requests to {args.out}")
     return 0
 

@@ -7,9 +7,12 @@ configuration produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,36 +33,19 @@ METRICS_COLUMNS = (
     "variant", "seed", "awt", "nor", "uncertified_responses", "p_uc",
     "p50", "p95", "p99",
 )
+_metrics = attrgetter(*METRICS_COLUMNS[2:])
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if not np.isfinite(x):
-            raise ValueError(f"non-finite value {x} has no place in a CSV artifact")
-        return repr(x)
-    return str(x)
-
-
-def _column(values) -> map:
-    """One column's cells as ``_fmt`` writes them, in one pass when every
-    value has one type: ``repr`` over floats, checked finite at once, and
-    ``str`` over any other type."""
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return map(_fmt, values)
-    if issubclass(kinds.pop(), float):
-        finite = np.isfinite(values)
-        if not finite.all():
-            _fmt(values[int(np.argmin(finite))])  # raises, naming the value
-        return map(repr, values)
-    return map(str, values)
-
-
-def write_csv(path, header, rows) -> None:
-    columns = [_column(values) for values in zip(*rows)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+def write_csv(out, header, rows) -> None:
+    """Write ``header`` and the sequence ``rows`` as CSV to the open text
+    file ``out``. Every cell is its ``str``, a float's shortest ``repr``; a
+    non-finite float is refused before anything is written."""
+    text = "".join(",".join(map(str, cells)) + "\n" for cells in (header, *rows))
+    if "inf" in text or "nan" in text:  # a cheap screen: the strs of the non-finite floats
+        floats = (v for row in rows for v in row if isinstance(v, float))
+        for bad in filterfalse(math.isfinite, floats):
+            raise ValueError(f"non-finite value {bad} has no place in a CSV artifact")
+    out.write(text)
 
 
 def run_one(cfg: ExperimentConfig, variant_name: str, seed: int,
@@ -90,59 +76,52 @@ def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool):
     return dict(map(_run_job, work))
 
 
-def _canonical_order(cfg):
-    names = [n for n in VARIANT_NAMES if n in cfg.variants]
-    names += [n for n in cfg.variants if n not in names]
-    return [(n, s) for n in names for s in cfg.seeds()]
+def _canonical_names(cfg):
+    return [n for n in VARIANT_NAMES if n in cfg.variants]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
     """Run every variant x replication; emit metrics/requests/summary CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     results = _run_all(cfg, jobs, collect_log=True)
-    order = _canonical_order(cfg)
+    names = _canonical_names(cfg)
 
     metrics_rows = []
     request_rows = []
-    for name, seed in order:
-        m = results[(name, seed)]
-        metrics_rows.append(
-            (name, seed, m.awt, m.nor, m.uncertified_responses, m.p_uc,
-             m.p50, m.p95, m.p99)
-        )
-        for rec in m.per_request_log:
-            request_rows.append(
-                (name, seed, rec.request_id, rec.arrival, rec.response,
-                 rec.wait, rec.verdict, rec.label)
-            )
-    write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_COLUMNS, metrics_rows)
-    write_csv(
-        os.path.join(out_dir, "requests.csv"),
-        ("variant", "seed", "request_id", "arrival", "response", "wait", "verdict", "label"),
-        request_rows,
-    )
+    for name in names:
+        for seed in cfg.seeds():
+            m = results[(name, seed)]
+            metrics_rows.append((name, seed, *_metrics(m)))
+            request_rows += [
+                (name, seed, rec.request_id, rec.arrival, rec.response, rec.wait,
+                 rec.verdict, rec.label)
+                for rec in m.per_request_log
+            ]
 
-    names = [n for n, _ in order]
-    unique_names = list(dict.fromkeys(names))
     mean = {
         n: (
             float(np.mean([results[(n, s)].awt for s in cfg.seeds()])),
             float(np.mean([results[(n, s)].nor for s in cfg.seeds()])),
         )
-        for n in unique_names
+        for n in names
     }
     sisa_awt, sisa_nor = mean.get("SISA", (float("nan"), float("nan")))
     summary_rows = []
-    for n in unique_names:
+    for n in names:
         awt, nor = mean[n]
         speedup = sisa_awt / awt if "SISA" in mean and awt > 0 else 0.0
         ratio = nor / sisa_nor if "SISA" in mean and sisa_nor > 0 else 0.0
         summary_rows.append((n, awt, speedup, nor, ratio))
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ("variant", "awt", "awt_speedup_vs_sisa", "nor", "nor_ratio_vs_sisa"),
-        summary_rows,
-    )
+
+    for name, header, rows in (
+        ("metrics.csv", METRICS_COLUMNS, metrics_rows),
+        ("requests.csv", ("variant", "seed", "request_id", "arrival", "response", "wait",
+                          "verdict", "label"), request_rows),
+        ("summary.csv", ("variant", "awt", "awt_speedup_vs_sisa", "nor", "nor_ratio_vs_sisa"),
+         summary_rows),
+    ):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as out:
+            write_csv(out, header, rows)
     return 0
 
 
@@ -153,17 +132,12 @@ def run_sweep(values: dict, param: str, sweep_values, out_dir, jobs: int = 1) ->
     for value in sweep_values:
         cfg = build_experiment_config(apply_override(values, param, str(value)))
         results = _run_all(cfg, jobs, collect_log=False)
-        for name, seed in _canonical_order(cfg):
-            m = results[(name, seed)]
-            rows.append(
-                (param, value, name, seed, m.awt, m.nor, m.uncertified_responses,
-                 m.p_uc, m.p50, m.p95, m.p99)
-            )
-    write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        ("param", "value") + METRICS_COLUMNS,
-        rows,
-    )
+        rows += [
+            (param, value, name, seed, *_metrics(results[(name, seed)]))
+            for name in _canonical_names(cfg) for seed in cfg.seeds()
+        ]
+    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as out:
+        write_csv(out, ("param", "value") + METRICS_COLUMNS, rows)
     return 0
 
 
@@ -283,12 +257,12 @@ def compare_theory(cfg: ExperimentConfig, r_values, n_inference: int = 50_000,
     """Formula-vs-simulation rows over a grid of retrain durations."""
     rows = []
     horizon = cfg.horizon
+    spec = WorkloadSpec(cfg.n_unlearning, n_inference, horizon, seed, distribution_u=GRID)
+    workload = generate(spec, cfg.num_shards)
+    oracle_cfg = cfg.oracle_config(seed)
     for r in r_values:
-        spec = WorkloadSpec(cfg.n_unlearning, n_inference, horizon, seed, distribution_u=GRID)
-        workload = generate(spec, cfg.num_shards)
         params = simulator.SimParams(retrain_duration=r, horizon=horizon)
         theory = TheoryParams(cfg.n_unlearning, horizon, r)
-        oracle_cfg = cfg.oracle_config(seed)
 
         sisa = run_sim(workload, cfg.variant("SISA"), oracle_cfg, params, collect_log=False)
         dimp = run_sim(workload, cfg.variant("DIMP"), oracle_cfg, params, collect_log=False)

@@ -9,10 +9,6 @@ Unlearning requests target shards either uniformly at random or in the
 adversarial round-robin pattern that maximizes how scattered the pending
 set is. A configurable fraction of inference samples
 is flagged as noise (the hard-to-classify attack inputs).
-
-Streams export to CSV (schema:
-``request_id,kind,arrival,shard_or_sample,is_noise``) for external tools;
-no command reads the file back.
 """
 
 from __future__ import annotations
@@ -208,10 +204,3 @@ def generate(spec: WorkloadSpec, num_shards: int) -> list[Request]:
         for rid, (j, t) in enumerate(zip(order.tolist(), arrivals[order].tolist()))
     ]
 
-
-def export_csv(stream, out) -> None:
-    """Write the stream as CSV to the open text file ``out``."""
-    out.write("request_id,kind,arrival,shard_or_sample,is_noise\n")
-    for r in stream:
-        payload = r.target_shard if r.kind == UNLEARNING else r.sample
-        out.write(f"{r.request_id},{r.kind},{r.arrival!r},{payload},{int(r.is_noise)}\n")

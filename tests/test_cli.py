@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,20 @@ retrain_duration = 1.0
 """
 
 
+# sha256 of artifacts on DESK_SMALL, and of the theory grid report, as the
+# per-column writer that preceded experiment.write_csv wrote them
+PINNED = {
+    "summary.csv": "c1e303aa24883ba29c182dcc09edb9f9780e03c8820f210e10b85939ee2f0844",
+    "sweep.csv": "58991a92555f3bdde309b1a8d8de8b4582f511623e8d4d2c035a1d7066e850ae",
+    "workload.csv": "526045d076e8a7e8afe594c68956d0cb97cf054965cd8eb97102a3d0945d27c8",
+    "theory-grid.csv": "bed2c7033e3af644e9a4f3f0db224450c71f676e4fba843c1bd6c4822fcba557",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -38,6 +53,7 @@ def test_run_emits_the_three_artifacts(config_file, tmp_path, capsys):
     assert (out / "requests.csv").exists()
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == "variant,awt,awt_speedup_vs_sisa,nor,nor_ratio_vs_sisa"
+    assert sha256(out / "summary.csv") == PINNED["summary.csv"]
 
 
 def test_rerun_is_byte_identical(config_file, tmp_path):
@@ -73,6 +89,7 @@ def test_sweep_emits_one_block_per_value(config_file, tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("param,value,variant,seed")
     assert len(lines) == 1 + 2 * 3 * 2  # values x variants x replications
+    assert sha256(out / "sweep.csv") == PINNED["sweep.csv"]
 
 
 def test_config_error_is_reported_on_one_line(tmp_path, capsys):
@@ -116,6 +133,33 @@ def test_theory_subcommand_prints_formulas(capsys):
     out = capsys.readouterr().out
     assert "expected_wait_sisa     1.25" in out
     assert "dimp_upper_bound       0.0125" in out
+
+
+def test_theory_grid_report_is_pinned_on_stdout_and_in_out(tmp_path, capsys, monkeypatch):
+    argv = ["theory", "--n-u", "10", "--t", "100", "--r", "5", "--grid"]
+    out = tmp_path / "grid.csv"
+    rows = []
+
+    def simulate_once(*args, **kwargs):
+        if not rows:
+            rows.extend(experiment.compare_theory(*args, **kwargs))
+        return rows
+
+    monkeypatch.setattr(cli, "compare_theory", simulate_once)
+    assert main([*argv, "--out", str(out)]) == 0
+    formulas = "expected_wait_sisa     1.25\ndimp_upper_bound       0.0\ndimp_series            0.0\n"
+    assert capsys.readouterr() == (formulas, "")
+    assert sha256(out) == PINNED["theory-grid.csv"]
+    # stdout takes the same report; the grid is simulated once for both
+    assert main(argv) == 0
+    assert capsys.readouterr() == (formulas + out.read_text(), "")
+
+
+def test_theory_out_without_grid_exits_2_before_printing(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["theory", "--n-u", "10", "--t", "100", "--r", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "eraser: theory --out needs --grid\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -237,19 +281,27 @@ def test_gen_workload_writes_the_csv(config_file, tmp_path, capsys):
     header, *rows = out.read_text().splitlines()
     assert header == "request_id,kind,arrival,shard_or_sample,is_noise"
     assert [int(row.split(",")[0]) for row in rows] == list(range(330))
+    assert sha256(out) == PINNED["workload.csv"]
 
 
 def test_csv_columns_are_written_as_their_cells_format(tmp_path):
-    # one type per column is formatted in one pass; mixed columns per cell
+    # every cell is its str: a float, numpy's too, as its shortest repr
     rows = [("DIMP", 1, 0.1, np.float64(2.5), True, 3, "x"),
             ("SISA", 22, 1e-20, np.float64(3.0), False, 4.0, 5)]
     path = tmp_path / "t.csv"
-    experiment.write_csv(path, "abcdefg", rows)
-    cells = ["a,b,c,d,e,f,g"] + [",".join(experiment._fmt(v) for v in row) for row in rows]
-    assert path.read_text() == "\n".join(cells) + "\n"
-    for bad in ([(1.0,), (math.inf,)], [(1,), (math.nan,)]):
-        with pytest.raises(ValueError, match="non-finite value (inf|nan)"):
-            experiment.write_csv(path, "a", bad)
+    with open(path, "w", encoding="utf-8") as out:
+        experiment.write_csv(out, "abcdefg", rows)
+    assert path.read_text() == "a,b,c,d,e,f,g\nDIMP,1,0.1,2.5,True,3,x\nSISA,22,1e-20,3.0,False,4.0,5\n"
+    for bad in ([(1.0,), (math.inf,)], [(1,), (math.nan,)], [("nan", 2.0, 0.5), ("x", -math.inf, 1.5)],
+                [(0.5, np.float64(math.nan))]):
+        with open(path, "w", encoding="utf-8") as out:
+            with pytest.raises(ValueError, match="non-finite value (-?inf|nan)"):
+                experiment.write_csv(out, "abc"[:len(bad[0])], bad)
+        assert path.read_text() == ""
+    # a str cell that reads inf or nan is text, not a non-finite float
+    with open(path, "w", encoding="utf-8") as out:
+        experiment.write_csv(out, "ab", [("inf", "nan"), ("inference", 1.0)])
+    assert path.read_text() == "a,b\ninf,nan\ninference,1.0\n"
 
 
 def test_default_config_covers_all_eight_variants(tmp_path):

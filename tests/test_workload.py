@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from eraser.cli import main
 from eraser.workload import (
     GRID,
     INFERENCE,
@@ -16,7 +17,6 @@ from eraser.workload import (
     WorkloadSpec,
     _mass_inside,
     _sample_arrivals,
-    export_csv,
     generate,
     symmetric_multimodal,
 )
@@ -203,12 +203,16 @@ def test_generate_matches_the_sort_then_rebuild_reference(
     assert generate(spec, num_shards) == _sort_then_rebuild(spec, num_shards)
 
 
-def test_csv_export_writes_header_and_fields(tmp_path):
+def test_csv_export_writes_header_and_fields(tmp_path, capsys):
+    # eraser gen-workload exports the config's workload at its base seed
     spec = WorkloadSpec(20, 30, 50.0, seed=11, noise_fraction=0.1)
     stream = generate(spec, 6)
-    path = tmp_path / "workload.csv"
-    with open(path, "w", encoding="utf-8") as out:
-        export_csv(stream, out)
+    cfg, path = tmp_path / "spec.cfg", tmp_path / "workload.csv"
+    cfg.write_text("[experiment]\nbase_seed = 11\n[workload]\nn_unlearning = 20\n"
+                   "n_inference = 30\nhorizon = 50.0\nnoise_fraction = 0.1\n"
+                   "[oracle]\nnum_shards = 6\n")
+    assert main(["gen-workload", "--spec", str(cfg), "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote 50 requests to {path}\n"
     header, *rows = path.read_text().splitlines()
     assert header == "request_id,kind,arrival,shard_or_sample,is_noise"
     assert len(rows) == len(stream) and any(r.is_noise for r in stream)
