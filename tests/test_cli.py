@@ -147,7 +147,8 @@ def test_theory_grid_report_is_pinned_on_stdout_and_in_out(tmp_path, capsys, mon
 
     monkeypatch.setattr(cli, "compare_theory", simulate_once)
     assert main([*argv, "--out", str(out)]) == 0
-    formulas = "expected_wait_sisa     1.25\ndimp_upper_bound       0.0\ndimp_series            0.0\n"
+    formulas = ("expected_wait_sisa     1.25\ndimp_upper_bound       0.0\n"
+                "dimp_series            0.0\n")
     assert capsys.readouterr() == (formulas, "")
     assert sha256(out) == PINNED["theory-grid.csv"]
     # stdout takes the same report; the grid is simulated once for both
@@ -291,12 +292,14 @@ def test_csv_columns_are_written_as_their_cells_format(tmp_path):
     path = tmp_path / "t.csv"
     with open(path, "w", encoding="utf-8") as out:
         experiment.write_csv(out, "abcdefg", rows)
-    assert path.read_text() == "a,b,c,d,e,f,g\nDIMP,1,0.1,2.5,True,3,x\nSISA,22,1e-20,3.0,False,4.0,5\n"
-    for bad in ([(1.0,), (math.inf,)], [(1,), (math.nan,)], [("nan", 2.0, 0.5), ("x", -math.inf, 1.5)],
-                [(0.5, np.float64(math.nan))]):
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g\nDIMP,1,0.1,2.5,True,3,x\nSISA,22,1e-20,3.0,False,4.0,5\n"
+    )
+    for bad in ([(1.0,), (math.inf,)], [(1,), (math.nan,)],
+                [("nan", 2.0, 0.5), ("x", -math.inf, 1.5)], [(0.5, np.float64(math.nan))]):
         with open(path, "w", encoding="utf-8") as out:
             with pytest.raises(ValueError, match="non-finite value (-?inf|nan)"):
-                experiment.write_csv(out, "abc"[:len(bad[0])], bad)
+                experiment.write_csv(out, "abc", bad)
         assert path.read_text() == ""
     # a str cell that reads inf or nan is text, not a non-finite float
     with open(path, "w", encoding="utf-8") as out:
