@@ -20,7 +20,7 @@ from . import simulator
 from .certify import certify_rows, consistent_rows
 from .config import ExperimentConfig, apply_override, build_experiment_config
 from .scheduler import VARIANT_NAMES
-from .simulator import Metrics, run as run_sim
+from .simulator import run as run_sim
 from .theory import (
     TheoryParams,
     dimp_upper_bound,
@@ -48,26 +48,20 @@ def write_csv(out, header, rows) -> None:
     out.write(text)
 
 
-def run_one(cfg: ExperimentConfig, variant_name: str, seed: int,
-            collect_log: bool = True) -> Metrics:
-    """One (variant, seed) simulation under an experiment config."""
-    workload = cfg.build_workload(seed)
-    return run_sim(
-        workload,
-        cfg.variant(variant_name),
-        cfg.oracle_config(seed),
-        cfg.sim_params(seed),
-        collect_log=collect_log,
-    )
-
-
 def _run_job(args):
-    cfg, name, seed, collect_log = args
-    return (name, seed), run_one(cfg, name, seed, collect_log)
+    key, variant, (workload, oracle_cfg, params), collect_log = args
+    return key, run_sim(workload, variant, oracle_cfg, params, collect_log)
 
 
 def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool):
-    work = [(cfg, name, seed, collect_log) for name in cfg.variants for seed in cfg.seeds()]
+    """``(variant, seed) -> Metrics`` for each variant named in ``cfg``, once
+    however often it is listed. Each seed's workload, oracle config and
+    simulation parameters are built once and shared by its variants."""
+    work = []
+    for seed in cfg.seeds():
+        inputs = cfg.build_workload(seed), cfg.oracle_config(seed), cfg.sim_params(seed)
+        work += [((name, seed), cfg.variant(name), inputs, collect_log)
+                 for name in _canonical_names(cfg)]
     if jobs > 1:
         import concurrent.futures  # here alone: it imports logging, a cost serial runs skip
 

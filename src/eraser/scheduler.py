@@ -171,11 +171,9 @@ class RequestRecord:
 
 @dataclass
 class _Eval:
-    refusal: str | None
-    certified: bool
-    label: int
-    verdict: str
-    preds: np.ndarray | None
+    verdict: str  # the RequestRecord's verdict
+    label: int  # -1 for a refusal
+    preds: np.ndarray | None  # the judged row; None for a detector refusal
 
 
 # outcomes of the control step
@@ -328,7 +326,7 @@ class Scheduler:
                 rate = mit.detector_tpr if request.is_noise else mit.detector_fpr
                 draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
                 if draw < min(int(round(rate * 2.0**64)), 2**64):
-                    evals[i] = _Eval("detected", False, -1, "refused", None)
+                    evals[i] = _Eval("refused_detected", -1, None)
                     continue
             todo.append(i)
         if not todo:
@@ -343,11 +341,11 @@ class Scheduler:
         rows = zip(todo, preds, certified.tolist(), winner.tolist(), top.tolist())
         for i, row, ok, label, votes in rows:
             if threshold is not None and votes / self.num_shards < threshold:
-                evals[i] = _Eval("low_confidence", False, label, "refused", row)
+                evals[i] = _Eval("refused_low_confidence", -1, row)
             elif not self.certifying:
-                evals[i] = _Eval(None, True, label, "plain", row)
+                evals[i] = _Eval("plain", label, row)
             else:
-                evals[i] = _Eval(None, ok, label, "certified" if ok else "uncertified", row)
+                evals[i] = _Eval("certified" if ok else "uncertified", label, row)
         return evals
 
     def _ahead(self, upcoming):
@@ -401,7 +399,7 @@ class Scheduler:
         """Count one judgement the control or response plane acted on."""
         if ev.verdict in ("certified", "uncertified"):
             self.judgements += 1
-            if not ev.certified:
+            if ev.verdict == "uncertified":
                 self.judgements_uncertified += 1
 
     def _answer(self, entry: _Entry, ev: _Eval, now: float,
@@ -416,13 +414,13 @@ class Scheduler:
             return []
         entry.responded = True
         response = now + self.service_time
-        if ev.refusal is not None:
-            verdict, label, versions, hypothetical = f"refused_{ev.refusal}", -1, (), ()
+        if ev.label < 0:  # a refusal
+            versions = hypothetical = ()
         else:
-            verdict, label, versions = ev.verdict, ev.label, self._versions_tuple
+            versions = self._versions_tuple
             hypothetical = entry.hypothetical or self._hypothetical_versions()
         return [RequestRecord(request.request_id, request.arrival, response,
-                              response - request.arrival, verdict, label, request.sample,
+                              response - request.arrival, ev.verdict, ev.label, request.sample,
                               request.is_noise, versions, hypothetical)]
 
     def _control(self, entry: _Entry, ev: _Eval) -> str:
@@ -431,16 +429,16 @@ class Scheduler:
         Feeds the threshold window, once per request; refused requests
         never count toward it.
         """
-        if ev.refusal is not None:
+        if ev.label < 0:  # a refusal
             return _ANSWER
         threshold = self.option_ii == THRESHOLD_TRIGGERED
         if threshold and entry.control_counted:
             # reprocessing of an already-counted request: answer if the
             # fresh state certifies it, otherwise keep waiting
-            return _ANSWER if ev.certified else _WAIT
+            return _WAIT if ev.verdict == "uncertified" else _ANSWER
         if threshold:
             self.window_inferences += 1
-        if ev.certified:
+        if ev.verdict != "uncertified":
             return _ANSWER
         if self.option_ii == IMMEDIATE:
             return _WAIT
@@ -516,7 +514,7 @@ class Scheduler:
             # mid-update: answer what we soundly can; counting waits for
             # the control pass at update completion
             self.backlog.append(entry)
-            if ev.refusal is not None or ev.certified:
+            if ev.verdict != "uncertified":
                 return self._answer(entry, ev, now)
             self.postponed += 1
             return []
@@ -575,12 +573,13 @@ class Scheduler:
         actions = []
         for entry, ev in zip(waiting, self._evaluate(waiting)):
             self._tally(ev)
-            if ev.refusal is not None or ev.certified:
+            if ev.verdict != "uncertified":
                 actions += self._answer(entry, ev, now, keep=True)
         return actions
 
     def _drain(self, now: float) -> list[RequestRecord]:
-        """Control pass over the backlog after an update (or at shutdown)."""
+        """Control pass over the backlog at a completion that leaves the
+        scheduler idle, the final update's last one included."""
         actions: list = []
         remaining: list[_Entry] = []
         for i, (entry, ev) in enumerate(zip(self.backlog, self._evaluate(self.backlog))):
@@ -613,14 +612,13 @@ class Scheduler:
         candidates = np.flatnonzero(self._impacted).tolist()
         if not candidates:
             return
-        if self.cfg.retrain_policy == RETRAIN_MINIMAL and trigger_ev is not None:
-            chosen = self._minimal_shard_set(candidates, trigger_ev)
-        else:
-            chosen = candidates
+        chosen = candidates
         if trigger_ev is None:
             self.final_triggers += 1
         else:
             self.uncertification_triggers += 1
+            if self.cfg.retrain_policy == RETRAIN_MINIMAL:
+                chosen = self._minimal_shard_set(candidates, trigger_ev)
         delay = (
             self.cfg.context_switch_latency
             if self.option_i == SINGLE_CONTEXT
@@ -645,16 +643,16 @@ class Scheduler:
 
     # -- shutdown ---------------------------------------------------------------
 
-    def finalize(self, now: float) -> list[RequestRecord]:
-        """Drain step run at end of workload: execute leftover unlearning.
+    def finalize(self, now: float) -> None:
+        """Start the final update at the end of the workload; answer nothing.
 
         The serving period ends with every pending request actually
         unlearned, so schedulers that batch lazily still pay for their
-        leftovers and postponed inferences always resolve.
+        leftovers. An idle scheduler with nothing pending has an empty
+        backlog: a control pass leaves only uncertified entries there, and
+        an uncertified verdict needs a pending request. So once the final
+        update's last job completes, its control pass answers every
+        postponed inference.
         """
-        if self.busy():
-            return []
-        if self.pending.any():
+        if not self.busy() and self.pending.any():
             self.trigger_update(now)
-            return []
-        return self._drain(now)

@@ -71,6 +71,39 @@ def test_parallel_jobs_match_serial(config_file, tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+def test_each_replication_builds_its_workload_once(tmp_path, monkeypatch):
+    # the eight variants of a seed share its workload
+    seeds, build = [], config.ExperimentConfig.build_workload
+
+    def counted(self, seed):
+        seeds.append(seed)
+        return build(self, seed)
+
+    monkeypatch.setattr(config.ExperimentConfig, "build_workload", counted)
+    path = tmp_path / "two-seeds.cfg"
+    path.write_text("[experiment]\nreplications = 2\nbase_seed = 7\n"
+                    "[workload]\nn_unlearning = 10\nn_inference = 100\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + 8 * 2
+    assert seeds == [7, 8]
+
+
+def test_a_variant_listed_twice_is_simulated_once(tmp_path, monkeypatch):
+    names, run_sim = [], experiment.run_sim
+
+    def counted(workload, variant, *args, **kwargs):
+        names.append(variant.name)
+        return run_sim(workload, variant, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_sim", counted)
+    path = tmp_path / "twice.cfg"
+    path.write_text("[experiment]\nvariants = DIMP,DIMP\n"
+                    "[workload]\nn_unlearning = 10\nn_inference = 100\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 2
+    assert names == ["DIMP"]
+
+
 def test_env_seed_changes_results(config_file, tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", config_file, "--out", str(a)])

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from eraser.config import build_experiment_config, parse_config_text
-from eraser.experiment import run_experiment, run_one
+from eraser.experiment import _run_all, run_experiment
 from eraser.oracle import predict, sample_for
 
 BASE = """
@@ -140,8 +140,7 @@ def _wide_judgements():
     cfg = build_experiment_config(parse_config_text(WIDE))
     return {
         v: (m.judgements, m.judgements_uncertified)
-        for v in cfg.variants
-        for m in [run_one(cfg, v, cfg.base_seed, collect_log=False)]
+        for (v, _), m in _run_all(cfg, jobs=1, collect_log=False).items()
     }
 
 
@@ -168,7 +167,8 @@ def test_confidence_threshold_holds_for_every_answer(variant):
     # those re-checks answer under the same agreement threshold as arrivals
     cfg = build_experiment_config(parse_config_text(BASE + OPTION_PATHS["confidence_threshold"]))
     oracle_cfg = cfg.oracle_config(cfg.base_seed)
-    log = run_one(cfg, variant, cfg.base_seed).per_request_log
+    cfg.variants = (variant,)
+    log = _run_all(cfg, jobs=1, collect_log=True)[(variant, cfg.base_seed)].per_request_log
     answered = [rec for rec in log if rec.verdict in ("certified", "uncertified")]
     assert answered
     low = [rec.request_id for rec in answered if _top_vote_share(oracle_cfg, rec) < 0.5]

@@ -363,3 +363,16 @@ def test_run_refuses_a_scheduler_that_breaks_an_answer_rule(monkeypatch, patched
     wl = [u(0, 1, 0.0), q(1, 0, 2.0), q(2, 1, 3.0)]
     with pytest.raises(simulator.SimulationError, match=message):
         run(wl, VariantConfig("DIMP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+
+
+class _NoFinalUpdate(Scheduler):
+    def finalize(self, now):
+        pass
+
+
+def test_run_refuses_a_scheduler_that_skips_its_final_update(monkeypatch):
+    # a threshold variant leaves the unlearning request pending for the final update
+    monkeypatch.setattr(simulator, "Scheduler", _NoFinalUpdate)
+    wl = [u(0, 1, 0.0), q(1, 0, 2.0)]
+    with pytest.raises(simulator.SimulationError, match="quiescence"):
+        run(wl, VariantConfig("STTP", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
