@@ -120,11 +120,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
 
 
 def run_sweep(values: dict, param: str, sweep_values, out_dir, jobs: int = 1) -> int:
-    """Re-run the experiment for each value of one config key."""
+    """Re-run the experiment for each value of one config key, all checked first."""
+    configs = [build_experiment_config(apply_override(values, param, str(v))) for v in sweep_values]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for value in sweep_values:
-        cfg = build_experiment_config(apply_override(values, param, str(value)))
+    for value, cfg in zip(sweep_values, configs):
         results = _run_all(cfg, jobs, collect_log=False)
         rows += [
             (param, value, name, seed, *_metrics(results[(name, seed)]))

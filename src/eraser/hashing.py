@@ -43,6 +43,11 @@ def mix64(*parts: int) -> int:
     return mix64_chain(_INIT, *parts)
 
 
+def hash_threshold(p: float) -> int:
+    """The bound a uniform 64-bit hash falls under with probability ``p``."""
+    return min(int(round(p * 2.0**64)), 2**64)
+
+
 def mix64_array_chain(h, *parts) -> np.ndarray:
     """Vectorized :func:`mix64_chain`: fold integer arrays into hash state ``h``.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import mix64, mix64_array_chain
+from .hashing import hash_threshold, mix64, mix64_array_chain
 
 _SALT_TRUE = 0xA1
 _SALT_ACCEPT = 0xA2
@@ -98,10 +98,6 @@ class OracleConfig:
         if self.flip_probability is not None and not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
 
-    @property
-    def accept_threshold(self) -> int:
-        return min(int(round(self.accuracy * 2.0**64)), 2**64)
-
 
 def sample_for(cfg: OracleConfig, sample_value: int, is_noise: bool = False) -> SampleId:
     """Build the SampleId for a raw workload sample id; its ground-truth
@@ -113,7 +109,7 @@ def sample_for(cfg: OracleConfig, sample_value: int, is_noise: bool = False) -> 
 def _fresh_label(cfg, sample, shard, version) -> int:
     if sample.is_noise:
         return mix64(cfg.seed, _SALT_NOISE, sample.value, shard, version) % cfg.num_classes
-    if mix64(cfg.seed, _SALT_ACCEPT, sample.value, shard, version) < cfg.accept_threshold:
+    if mix64(cfg.seed, _SALT_ACCEPT, sample.value, shard, version) < hash_threshold(cfg.accuracy):
         return sample.true_label
     wrong = mix64(cfg.seed, _SALT_WRONG, sample.value, shard, version) % (
         cfg.num_classes - 1
@@ -159,7 +155,7 @@ def _last_flip(cfg, values, shards, versions) -> np.ndarray:
     down, for every element still searching, so the cost grows with the
     distance to the last flip only.
     """
-    thr = min(int(round(cfg.flip_probability * 2.0**64)), 2**64)
+    thr = hash_threshold(cfg.flip_probability)
     base = mix64_array_chain(mix64(cfg.seed, _SALT_FLIP), values, shards)
     base, versions = np.broadcast_arrays(base, np.asarray(versions, dtype=np.int64))
     last = versions.flatten()
@@ -248,7 +244,7 @@ class SamplePrefixes:
         noise, true = self.noise.take(rows)[:, None], self.true.take(rows)[:, None]
         n_noise = np.count_nonzero(noise)
         out = np.where(noise, h % np.uint64(cfg.num_classes), true) if n_noise else true
-        thr = cfg.accept_threshold
+        thr = hash_threshold(cfg.accuracy)
         if thr <= _MASK and n_noise < b:
             wrong = mix64_array_chain(self.wrong.take(rows, axis=0), versions)
             wrong %= np.uint64(cfg.num_classes - 1)

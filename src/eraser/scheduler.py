@@ -41,10 +41,11 @@ timing alone:
   double-context variants evaluate arrivals mid-update and re-check
   postponed requests at every retraining completion;
 * the *control plane* (threshold counters and update triggers) acts only
-  while no update runs and at update completions, where it re-evaluates
-  the whole backlog in arrival order against the post-update state. Those
+  while no update runs and at update completions, where it walks the
+  whole backlog in arrival order under the post-update state. Those
   control verdicts depend only on arrival order and retraining state,
-  which single- and double-context twins share.
+  which single- and double-context twins share. A completion judges the
+  entries it acts on once, in one batch, for both planes.
 
 A request leaves the backlog only once the control plane sees it
 certified, refused, or answered-uncertified; until then completed updates
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import judge
-from .hashing import mix64
+from .hashing import hash_threshold, mix64
 from .oracle import OracleConfig, SamplePrefixes
 from .workload import INFERENCE, UNLEARNING, Request
 
@@ -319,16 +320,16 @@ class Scheduler:
         # the certification-free baseline answers with the serving ensemble:
         # no mitigation, no certification, no judgement counted
         mit = self.cfg.mitigation if self.certified else None
+        detect, seed = mit is not None and mit.detector_enabled, self.oracle_cfg.seed
+        # the detector's hash bounds for a clean and for a noise request
+        bounds = [hash_threshold(p) for p in (mit.detector_fpr, mit.detector_tpr)] if detect else []
         evals: list = [None] * len(requests)
         todo = []
         for i, request in enumerate(requests):
-            if mit is not None and mit.detector_enabled:
-                rate = mit.detector_tpr if request.is_noise else mit.detector_fpr
-                draw = mix64(self.oracle_cfg.seed, _SALT_DETECT, request.request_id)
-                if draw < min(int(round(rate * 2.0**64)), 2**64):
-                    evals[i] = _Eval("refused_detected", -1, None)
-                    continue
-            todo.append(i)
+            if bounds and mix64(seed, _SALT_DETECT, request.request_id) < bounds[request.is_noise]:
+                evals[i] = _Eval("refused_detected", -1, None)
+            else:
+                todo.append(i)
         if not todo:
             return evals
         if versions.ndim == 2 and len(todo) < len(requests):
@@ -402,14 +403,11 @@ class Scheduler:
             if ev.verdict == "uncertified":
                 self.judgements_uncertified += 1
 
-    def _answer(self, entry: _Entry, ev: _Eval, now: float,
-                keep: bool = False) -> list[RequestRecord]:
+    def _answer(self, entry: _Entry, ev: _Eval, now: float) -> list[RequestRecord]:
         """Answer, or refuse, a judged request at ``now`` from the current
-        state, once. Its kept verdict goes unless ``keep``: the control pass
-        at this completion acts on it again."""
+        state, once, and drop its kept verdict."""
         request = entry.request
-        if not keep:
-            del self._kept[request.request_id]
+        self._kept.pop(request.request_id, None)
         if entry.responded:
             return []
         entry.responded = True
@@ -422,6 +420,17 @@ class Scheduler:
         return [RequestRecord(request.request_id, request.arrival, response,
                               response - request.arrival, ev.verdict, ev.label, request.sample,
                               request.is_noise, versions, hypothetical)]
+
+    def _respond(self, entries, evals, now: float) -> list[RequestRecord]:
+        """Response plane: count the verdict of each entry not yet answered
+        and answer it, or refuse it, unless it is uncertified."""
+        actions = []
+        for entry, ev in zip(entries, evals):
+            if not entry.responded:
+                self._tally(ev)
+                if ev.verdict != "uncertified":
+                    actions += self._answer(entry, ev, now)
+        return actions
 
     def _control(self, entry: _Entry, ev: _Eval) -> str:
         """Control-plane decision for one judged request: answer, wait or trigger.
@@ -509,15 +518,14 @@ class Scheduler:
         ev = self._kept_verdict(request)
         if ev is None:
             (ev,) = self._evaluate([entry], upcoming)
-        self._tally(ev)
         if busy and self.option_ii != IMMEDIATE:
             # mid-update: answer what we soundly can; counting waits for
             # the control pass at update completion
             self.backlog.append(entry)
-            if ev.verdict != "uncertified":
-                return self._answer(entry, ev, now)
-            self.postponed += 1
-            return []
+            actions = self._respond([entry], [ev], now)
+            self.postponed += not actions
+            return actions
+        self._tally(ev)
         step = self._control(entry, ev)
         if step == _ANSWER:
             return self._answer(entry, ev, now)
@@ -544,45 +552,33 @@ class Scheduler:
         self.retrainings_completed += 1
         if self.queue:
             self._start(self.queue.popleft(), now)
-        actions = []
         if not self.certified:
-            actions += self._release_baseline(now)
-        elif self.option_i == DOUBLE_CONTEXT:
-            actions += self._respond_ready(now)
-        if not self.busy():
+            # jobs finish in creation order, so an entry is safe to answer once
+            # the completion count reaches the jobs outstanding at its arrival
+            done = self.retrainings_completed
+            entries = [e for e in self.backlog if e.release_after <= done]
+            self.backlog = [e for e in self.backlog if e.release_after > done]
+            return self._respond(entries, self._evaluate(entries), now)
+        idle = not self.busy()
+        if not idle and self.option_i == SINGLE_CONTEXT:
+            return []
+        # one judgement of the entries this completion acts on: the response
+        # plane's re-check, then the control pass once the update is over
+        entries = self.backlog if idle else [e for e in self.backlog if not e.responded]
+        evals = self._evaluate(entries)
+        actions = self._respond(entries, evals, now) if self.option_i == DOUBLE_CONTEXT else []
+        if idle:
             self.window_inferences = 0
             self.window_uncertified = 0
-            actions += self._drain(now)
+            actions += self._drain(entries, evals, now)
         return actions
 
-    def _release_baseline(self, now: float) -> list[RequestRecord]:
-        # jobs finish in creation order, so an entry is safe to answer once
-        # the completion count reaches the jobs outstanding at its arrival
-        ready = [e for e in self.backlog if e.release_after <= self.retrainings_completed]
-        self.backlog = [e for e in self.backlog if e.release_after > self.retrainings_completed]
-        actions = []
-        for entry, ev in zip(ready, self._evaluate(ready)):
-            actions += self._answer(entry, ev, now)
-        return actions
-
-    def _respond_ready(self, now: float) -> list[RequestRecord]:
-        # response plane: every completion shrinks the impacted set, so
-        # postponed requests are re-judged and answered as soon as they pass,
-        # or refused once their agreement falls below the threshold
-        waiting = [e for e in self.backlog if not e.responded]
-        actions = []
-        for entry, ev in zip(waiting, self._evaluate(waiting)):
-            self._tally(ev)
-            if ev.verdict != "uncertified":
-                actions += self._answer(entry, ev, now, keep=True)
-        return actions
-
-    def _drain(self, now: float) -> list[RequestRecord]:
-        """Control pass over the backlog at a completion that leaves the
-        scheduler idle, the final update's last one included."""
+    def _drain(self, entries, evals, now: float) -> list[RequestRecord]:
+        """Control pass over the backlog, judged as ``evals``, at a completion
+        that leaves the scheduler idle, the final update's last one included."""
         actions: list = []
         remaining: list[_Entry] = []
-        for i, (entry, ev) in enumerate(zip(self.backlog, self._evaluate(self.backlog))):
+        for i, (entry, ev) in enumerate(zip(entries, evals)):
             self._tally(ev)
             step = self._control(entry, ev)
             if step == _ANSWER:
@@ -591,10 +587,12 @@ class Scheduler:
             remaining.append(entry)
             if step == _TRIGGER:
                 # the rest of the backlog rides along to the next update
-                self.backlog = remaining + self.backlog[i + 1 :]
+                self.backlog = remaining + entries[i + 1 :]
                 self.trigger_update(now, ev)
                 if self.option_i == DOUBLE_CONTEXT:
-                    actions += self._respond_ready(now)
+                    # the trigger keeps the state key, so each waiting entry is
+                    # still uncertified: this re-check answers none, only re-counts
+                    actions += self._respond(entries, evals, now)
                 return actions
         self.backlog = remaining
         return actions

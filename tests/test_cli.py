@@ -367,3 +367,16 @@ def test_theory_comparison_rows(tmp_path):
         assert row["sisa_rel_error"] < 0.05
         assert row["dimp_simulated"] <= row["dimp_bound"] * 1.05 + 1e-12
         assert row["dimp_series"] <= row["dimp_bound"] * (1 + 1e-9) + 1e-15
+
+
+def test_sweep_checks_every_value_before_it_simulates(config_file, tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking every value")
+
+    monkeypatch.setattr(experiment, "_run_all", no_simulation)
+    out = tmp_path / "sweep"
+    argv = ["--config", config_file, "--param", "oracle.num_shards", "--values", "10,20,0"]
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eraser: [oracle] num_shards") and err.count("\n") == 1
+    assert not out.exists()

@@ -330,7 +330,16 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
             assert_fresh(entry.request, ev)
         return evals
 
+    complete = s.on_retraining_complete
+
+    def completing(now):  # a completion judges what it acts on in one batch at most
+        judged = len(batches)
+        answers = complete(now)
+        assert len(batches) - judged <= 1
+        return answers
+
     s._evaluate, s._judge, s._ahead, s._kept_verdict = checked, counting, walking, looked_up
+    s.on_retraining_complete = completing
     script, log = _hint_script(), []
 
     def apply(answers):
@@ -512,10 +521,10 @@ def test_a_dimp_hint_across_an_in_flight_completion_wastes_nothing():
     assert rows == [4] and plain_rows == [1, 1, 1, 1]
 
 
-def test_the_control_pass_reuses_what_the_response_plane_judged_at_its_completion():
+def test_the_response_plane_and_the_control_pass_share_one_batch_at_a_completion():
     # samples 3, 6 and 7 fail the check while shard 0 is impacted, sample 0
-    # passes; the completion that ends the update re-judges the postponed
-    # three once, and the control pass judges only the request answered mid-update
+    # passes; the completion that ends the update judges the postponed three
+    # and the request answered mid-update in one batch, for both planes
     s = make_sched("DUTP", K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
     rows = _counting_rows(s)
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
@@ -527,7 +536,59 @@ def test_the_control_pass_reuses_what_the_response_plane_judged_at_its_completio
     del rows[:]
     answered = s.on_retraining_complete(6.0)
     assert sorted(a.request_id for a in answered) == [1, 2, 3]
-    assert rows == [3, 1] and not s.backlog
+    assert rows == [4] and not s.backlog
+
+
+@pytest.mark.parametrize("name", ["DUTP", "DTTP"])
+def test_each_count_of_a_request_that_waits_through_a_trigger(name):
+    # x fails the check while shard 0 is impacted and triggers its update; y
+    # arrives mid-update and fails too. At the completion shard 1 is pending,
+    # so both still fail and the control pass triggers again: DUTP at x, DTTP,
+    # which counted x toward its window on arrival, at y
+    s = make_sched(name, K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
+    x, y = infer(1, 6, 1.0), infer(3, 11, 3.0)
+    owner, phase, counts = {}, [None], {}
+    evaluate, tally = s._evaluate, s._tally
+
+    def evaluating(entries, upcoming=None):
+        evals = evaluate(entries, upcoming)
+        owner.update((id(ev), (ev, e.request.request_id)) for e, ev in zip(entries, evals))
+        return evals
+
+    def tallying(ev):
+        counts.setdefault((owner[id(ev)][1], phase[0]), []).append(ev.verdict)
+        tally(ev)
+
+    def entering(label, method):
+        def wrapped(*args):
+            phase[0] = label
+            return method(*args)
+        return wrapped
+
+    s._evaluate, s._tally = evaluating, tallying
+    s.on_inference_arrival = entering("arrival", s.on_inference_arrival)
+    s.on_retraining_complete = entering("re-check", s.on_retraining_complete)
+    s._drain = entering("control pass", s._drain)
+    s.trigger_update = entering("after the trigger", s.trigger_update)
+
+    s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
+    assert s.on_inference_arrival(x, 1.0) == []
+    s.on_unlearning_arrival(unlearn(2, 1, 2.0), 2.0)
+    assert s.on_inference_arrival(y, 3.0) == []
+    assert s.on_retraining_complete(6.0) == []
+    assert s.busy() and [e.request for e in s.backlog] == [x, y]
+    once = ["uncertified"]
+    assert counts.pop((1, "arrival")) == once
+    assert counts.pop((1, "re-check")) == once
+    assert counts.pop((1, "control pass")) == once
+    assert counts.pop((1, "after the trigger")) == once
+    assert counts.pop((3, "arrival")) == once  # mid-update, by the response plane
+    assert counts.pop((3, "re-check")) == once
+    if name == "DTTP":  # DUTP's trigger at x leaves y to ride along uncounted
+        assert counts.pop((3, "control pass")) == once
+    assert counts.pop((3, "after the trigger")) == once
+    assert not counts
+    assert s.judgements == s.judgements_uncertified == (8 if name == "DTTP" else 7)
 
 
 def test_sisa_releases_a_foreseen_halt_without_judging_it_again():
