@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import filterfalse
 from operator import attrgetter
@@ -53,21 +54,36 @@ def _run_job(args):
     return key, run_sim(workload, variant, oracle_cfg, params, collect_log)
 
 
-def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool):
+@contextmanager
+def _job_runner(jobs: int):
+    """``run(work, per_seed)``: the results of ``_run_job`` over the list
+    ``work``, serially or on one pool of ``jobs`` workers for every call.
+    A seed's ``per_seed`` jobs go to the pool in ``jobs`` chunks, and a
+    chunk pickles the inputs its jobs share once."""
+    if jobs == 1:
+        yield lambda work, per_seed: map(_run_job, work)
+        return
+    import concurrent.futures  # here alone: it imports logging, a cost serial runs skip
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield lambda work, per_seed: pool.map(_run_job, work, chunksize=-(-per_seed // jobs))
+
+
+def _run_all(cfg: ExperimentConfig, jobs: int, collect_log: bool, run=None):
     """``(variant, seed) -> Metrics`` for each variant named in ``cfg``, once
-    however often it is listed. Each seed's workload, oracle config and
-    simulation parameters are built once and shared by its variants."""
+    however often it is listed, on ``run`` (from ``_job_runner(jobs)``, to
+    share one pool between calls) or on a runner of its own. Each seed's
+    workload, oracle config and simulation parameters are built once and
+    shared by its variants."""
+    names = _canonical_names(cfg)
     work = []
     for seed in cfg.seeds():
         inputs = cfg.build_workload(seed), cfg.oracle_config(seed), cfg.sim_params(seed)
-        work += [((name, seed), cfg.variant(name), inputs, collect_log)
-                 for name in _canonical_names(cfg)]
-    if jobs > 1:
-        import concurrent.futures  # here alone: it imports logging, a cost serial runs skip
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return dict(pool.map(_run_job, work))
-    return dict(map(_run_job, work))
+        work += [((name, seed), cfg.variant(name), inputs, collect_log) for name in names]
+    if run is None:
+        with _job_runner(jobs) as run:
+            return dict(run(work, len(names)))
+    return dict(run(work, len(names)))
 
 
 def _canonical_names(cfg):
@@ -124,12 +140,13 @@ def run_sweep(values: dict, param: str, sweep_values, out_dir, jobs: int = 1) ->
     configs = [build_experiment_config(apply_override(values, param, str(v))) for v in sweep_values]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for value, cfg in zip(sweep_values, configs):
-        results = _run_all(cfg, jobs, collect_log=False)
-        rows += [
-            (param, value, name, seed, *_metrics(results[(name, seed)]))
-            for name in _canonical_names(cfg) for seed in cfg.seeds()
-        ]
+    with _job_runner(jobs) as run:
+        for value, cfg in zip(sweep_values, configs):
+            results = _run_all(cfg, jobs, collect_log=False, run=run)
+            rows += [
+                (param, value, name, seed, *_metrics(results[(name, seed)]))
+                for name in _canonical_names(cfg) for seed in cfg.seeds()
+            ]
     with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as out:
         write_csv(out, ("param", "value") + METRICS_COLUMNS, rows)
     return 0
@@ -194,6 +211,217 @@ def _choose(next_word, k, m):
     return chosen
 
 
+_ARRAY_SHARDS = 64  # the array parse holds a trial's chosen set in one uint64
+_WINDOW = 1 << 13  # words the array parse reads at a time, at most
+
+
+def _rejected(x, n):
+    """numpy's rejection test on the products ``x = word * n``: it redraws a
+    word whose product's low half is below ``2**32 % n``."""
+    return (x & 0xFFFF_FFFF) < (1 << 32) % n
+
+
+def _to_scalar(rejected, index):
+    """Which walked trials the scalar parser takes: those with a rejected
+    draw. ``index`` holds each trial's place in its block, so a test can
+    route any trial through the hand-over."""
+    return rejected
+
+
+class _Stream:
+    """The words ``_words`` yields, in a buffer with a cursor, so the array
+    parse and the scalar parser take turns on one sequence."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self._buf = np.empty(0, dtype=np.uint32)
+        self._start = 0  # words dropped from the buffer's front
+        self._at = 0
+
+    @property
+    def tell(self):
+        """Words read so far."""
+        return self._start + self._at
+
+    def ahead(self, n):
+        """The next ``n`` words as uint64, left unread."""
+        short = n - (self._buf.size - self._at)
+        if short > 0:
+            raw = self._bit_generator.random_raw(max(-(-short // 2), _RAW_WORDS))
+            self._buf = np.concatenate((self._buf[self._at:], raw.astype("<u8").view("<u4")))
+            self._start, self._at = self._start + self._at, 0
+        return self._buf[self._at:self._at + n].astype(np.uint64)
+
+    def skip(self, n):
+        self._at += n
+
+    def words(self):
+        """The words from the cursor on, each read as it is yielded, for
+        the scalar parser."""
+        while True:
+            if self._at == self._buf.size:
+                self.ahead(1)
+            for word in self._buf[self._at:self._at + 64].tolist():
+                self._at += 1
+                yield word
+
+
+def _scalar_trial(next_word, max_shards, max_classes):
+    """One trial parsed word by word: its (K, C, m) and its predictions with
+    the impacted shards first."""
+    k = 1 + _bounded(next_word, max_shards - 1)
+    c = 2 + _bounded(next_word, max_classes - 2)
+    preds = [_bounded(next_word, c - 1) for _ in range(k)]
+    m = _bounded(next_word, k)
+    chosen = _choose(next_word, k, m)
+    row = [preds[j] for j in sorted(chosen)]
+    row += [p for j, p in enumerate(preds) if j not in chosen]
+    return (k, c, m), row
+
+
+def _trial_lengths(w, max_shards, max_classes):
+    """``(k, m, rejected, lengths)`` at every position of the window ``w``
+    from which a longest trial fits: the K and m a trial starting there
+    draws, whether either draw is rejected, and the trial's length in words
+    (as bytes, to walk)."""
+    a, b = max_shards > 1, max_classes > 2
+    fits = w.size - (a + b + 3 * max_shards) + 1
+    if a:
+        x = w[:fits] * max_shards
+        k = 1 + (x >> 32)
+        rejected = _rejected(x, max_shards)
+    else:
+        k = np.ones(fits, dtype=np.uint64)
+        rejected = np.zeros(fits, dtype=bool)
+    x = w[np.arange(a + b, fits + a + b, dtype=np.uint64) + k] * (k + 1)
+    m = x >> 32
+    rejected |= _rejected(x, k + 1)
+    # the m draw, K predictions, Floyd's m steps (none read for j = 0, when
+    # m = K) and the m - 1 draws of the shuffle
+    lengths = a + b + 1 + k + np.maximum(2 * m, 1) - 1 - (m == k)
+    return k, m, rejected, lengths.astype(np.uint8).tobytes()
+
+
+def _walk(lengths, at, most):
+    """``(starts, end)``: up to ``most`` trial starts from ``at`` on, each
+    the one before plus its length, and the position the walk stopped at."""
+    starts, fits = [], len(lengths)
+    while at < fits:
+        starts.append(at)
+        at += lengths[at]
+    if len(starts) > most:
+        at = starts[most]
+        del starts[most:]
+    return np.array(starts, dtype=np.uint64), at
+
+
+def _array_trials(w, starts, k, m, max_shards, max_classes):
+    """The trials starting at ``starts`` of the window ``w``, whose K and m
+    are known: ``(c, rows, rejected)``, with each row of ``rows`` holding a
+    trial's predictions with its chosen shards first, zero past its K."""
+    cols = np.arange(max_shards, dtype=np.uint64)
+    at = starts + (max_shards > 1)
+    rejected = np.zeros(starts.size, dtype=bool)
+    if max_classes > 2:
+        x = w[at] * (max_classes - 1)
+        c = 2 + (x >> 32)
+        rejected |= _rejected(x, max_classes - 1)
+        at += 1
+    else:
+        c = np.full(starts.size, 2, dtype=np.uint64)
+    x = w[at[:, None] + cols] * c[:, None]
+    inside = cols < k[:, None]
+    preds = (x >> 32) * inside
+    rejected |= (_rejected(x, c[:, None]) & inside).any(axis=1)
+    # Floyd: step t draws below j + 1 = K - m + t + 1, from the word after the
+    # m draw on; j = 0 (t = 0 when m = K) reads none and draws 0
+    whole = m == k
+    live = cols < m[:, None]
+    span = np.where(live, (k - m)[:, None] + cols + 1, 1)
+    x = w[(at + k + 1 - whole)[:, None] + cols] * span
+    draws = x >> 32
+    rejected |= _rejected(x, span).any(axis=1)
+    chosen = np.zeros(starts.size, dtype=np.uint64)
+    for t in range(int(m.max(initial=0))):
+        v, j = draws[:, t], span[:, t] - 1
+        add = np.where((chosen >> v) & 1, j, v)
+        chosen |= live[:, t].astype(np.uint64) << add
+    # the shuffle's m - 1 draws, below m - t at its step t
+    span = np.where(cols[:-1] + 1 < m[:, None], m[:, None] - cols[:-1], 1)
+    x = w[(at + k + 1 - whole + m)[:, None] + cols[:-1]] * span
+    rejected |= _rejected(x, span).any(axis=1)
+    # each prediction's column: the chosen shards first, in index order
+    bits = ((chosen[:, None] >> cols) & 1).view(np.int64)
+    before = np.cumsum(bits, axis=1) - bits
+    dest = np.where(bits, before, m.view(np.int64)[:, None] + cols.view(np.int64) - before)
+    rows = np.empty_like(preds)
+    np.put_along_axis(rows, dest, preds, axis=1)
+    return c, rows, rejected
+
+
+def _draw_block(stream, count, max_shards, max_classes):
+    """``count`` trials from ``stream``: their (K, C, m), shape (count, 3),
+    and their predictions with the impacted shards first, shape
+    (count, max_shards), zero past each row's K.
+
+    Up to ``_ARRAY_SHARDS`` shards, a window of words is parsed with array
+    operations: the lengths of trials starting at every position are
+    walked once for the trial starts, then every draw of the walked trials
+    is read at once. The first walked trial with a rejected draw goes to
+    the scalar parser, which reads it from its own first word, and the
+    walk resumes where that parser stopped. Above ``_ARRAY_SHARDS`` shards
+    the scalar parser takes every trial.
+    """
+    shapes = np.empty((count, 3), dtype=np.uint32)
+    rows = np.zeros((count, max_shards), dtype=np.min_scalar_type(max_classes - 1))
+    done = 0
+
+    def by_scalar():
+        nonlocal done
+        shapes[done], row = _scalar_trial(stream.words().__next__, max_shards, max_classes)
+        rows[done, :len(row)] = row
+        done += 1
+
+    if max_shards > _ARRAY_SHARDS:
+        while done < count:
+            by_scalar()
+        return shapes, rows
+    longest = (max_shards > 1) + (max_classes > 2) + 3 * max_shards  # words
+    while done < count:
+        base = stream.tell
+        w = stream.ahead(min(_WINDOW, (count - done + 1) * longest))
+        k, m, rejected, lengths = _trial_lengths(w, max_shards, max_classes)
+        at = 0
+        while done < count and at < len(lengths):
+            starts, at = _walk(lengths, at, count - done)
+            tk, tm = k[starts], m[starts]
+            c, trial_rows, bad = _array_trials(w, starts, tk, tm, max_shards, max_classes)
+            bad = _to_scalar(bad | rejected[starts], np.arange(done, done + starts.size))
+            took = int(bad.argmax()) if bad.any() else starts.size
+            shapes[done:done + took] = np.stack((tk, c, tm), axis=1)[:took]
+            rows[done:done + took] = trial_rows[:took]
+            done += took
+            if took < starts.size:
+                stream.skip(base + int(starts[took]) - stream.tell)
+                by_scalar()
+                at = stream.tell - base
+        stream.skip(base + at - stream.tell)
+    return shapes, rows
+
+
+def _groups(shapes, rows):
+    """``((k, c, m), rows)`` for each (K, C, m) of a block, in order of first
+    appearance, so the first over-cap draw raises."""
+    order = np.lexsort(shapes.T[::-1])  # stable: each group's first row leads it
+    ordered = shapes[order]
+    edges = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    bounds = np.concatenate(([0], edges, [len(order)]))
+    for g in np.argsort(order[bounds[:-1]]):
+        lo, hi = bounds[g], bounds[g + 1]
+        k, c, m = ordered[lo].tolist()
+        yield (k, c, m), rows[order[lo:hi], :k].astype(np.int64)
+
+
 def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
                 seed: int = 0, enumeration_cap: int = 12) -> FuzzReport:
     """Fuzz the consistency checks against the brute-force oracle.
@@ -203,13 +431,16 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
     The shared-margin variant is expected to produce brute-force-refuted
     certificates; their count documents why it must not be used.
 
-    Trials are parsed in one pass from the 32-bit words that numpy's
-    ``integers`` and ``choice`` calls on ``np.random.default_rng(seed)``
-    would read, so both maxima must be below ``2**32``. They are judged in
-    blocks of ``_FUZZ_CELLS // max_shards`` (at least one), so memory is
-    bounded. Storing a trial's predictions with its impacted shards first
-    leaves its votes unchanged, so a (K, C, m) group shares the impacted
-    set ``arange(m)`` and takes one call of each row-wise check.
+    Trials are the instances numpy's ``integers`` and ``choice`` calls on
+    ``np.random.default_rng(seed)`` would draw, read from the same 32-bit
+    words, so both maxima must be below ``2**32``. They are drawn and
+    judged in blocks of ``_FUZZ_CELLS // max_shards`` (at least one), so
+    memory is bounded. :func:`_draw_block` parses a block with array
+    operations and hands each trial with a draw numpy would reject to the
+    scalar parser (``_bounded``, ``_choose``), which reads it from its own
+    first word. Storing a trial's predictions with its impacted shards
+    first leaves its votes unchanged, so a (K, C, m) group shares the
+    impacted set ``arange(m)`` and takes one call of each row-wise check.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -217,27 +448,16 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
         raise ValueError("need max_shards >= 1 and max_classes >= 2, both below 2**32")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    next_word = _words(np.random.default_rng(seed).bit_generator).__next__
+    stream = _Stream(np.random.default_rng(seed).bit_generator)
     start = time.monotonic()
     # soundness, dominance, shared-margin, fine, coarse, brute, gap
     totals = np.zeros(7, dtype=np.int64)
     block = max(1, _FUZZ_CELLS // max_shards)
     for first in range(0, trials, block):
-        groups = {}
-        for _ in range(min(block, trials - first)):
-            k = 1 + _bounded(next_word, max_shards - 1)
-            c = 2 + _bounded(next_word, max_classes - 2)
-            preds = [_bounded(next_word, c - 1) for _ in range(k)]
-            m = _bounded(next_word, k)
-            chosen = _choose(next_word, k, m)
-            row = [preds[j] for j in sorted(chosen)]
-            row += [p for j, p in enumerate(preds) if j not in chosen]
-            groups.setdefault((k, c, m), []).append(row)
-        # in order of first appearance, so the first over-cap draw raises
-        for (k, c, m), rows in groups.items():
-            rows = np.array(rows, dtype=np.int64)
-            fine, coarse, shared = certify_rows(rows, np.arange(k) < m, c)
-            brute = consistent_rows(rows, np.arange(m), c, cap=enumeration_cap)
+        shapes, rows = _draw_block(stream, min(block, trials - first), max_shards, max_classes)
+        for (k, c, m), group in _groups(shapes, rows):
+            fine, coarse, shared = certify_rows(group, np.arange(k) < m, c)
+            brute = consistent_rows(group, np.arange(m), c, cap=enumeration_cap)
             totals += np.count_nonzero([fine & ~brute, coarse & ~fine, shared & ~brute,
                                         fine, coarse, brute, brute & ~fine], axis=1)
     return FuzzReport(trials, *totals.tolist(), time.monotonic() - start)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eraser import experiment
 from eraser.certify import (
     EnumerationCapError,
     brute_force_consistent,
@@ -327,3 +328,15 @@ def test_enumeration_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fuzz_memory_stays_bounded():
+    # a certfuzz round: one block of 16,000 trials, drawn a window of words at
+    # a time and judged by (K, C, m) group
+    tracemalloc.start()
+    try:
+        experiment.verify_cert(16000, 8, 4, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

@@ -71,6 +71,22 @@ def test_parallel_jobs_match_serial(config_file, tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+def test_parallel_sweep_matches_serial(config_file, tmp_path, monkeypatch):
+    runners, job_runner = [], experiment._job_runner
+
+    def counted(jobs):
+        runners.append(jobs)
+        return job_runner(jobs)
+
+    monkeypatch.setattr(experiment, "_job_runner", counted)
+    a, b = tmp_path / "serial", tmp_path / "parallel"
+    argv = ["sweep", "--config", config_file, "--param", "oracle.num_shards", "--values", "5,10"]
+    assert main([*argv, "--out", str(a)]) == 0
+    assert main([*argv, "--out", str(b), "--jobs", "2"]) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    assert runners == [1, 2]  # one runner, and one pool, for all of a sweep's values
+
+
 def test_each_replication_builds_its_workload_once(tmp_path, monkeypatch):
     # the eight variants of a seed share its workload
     seeds, build = [], config.ExperimentConfig.build_workload

@@ -1,10 +1,15 @@
 """Differential guard for the certification fuzzer.
 
-``verify_cert`` parses its trials in one pass from the bit generator's
-32-bit words, as numpy's ``integers`` and ``choice`` read them, and judges
-them in blocks, grouped by (K, C, m). The parser's draws are checked
-against those numpy calls themselves, each followed by four more draws
-from both sides, so a parser that reads a word too many or too few fails.
+``verify_cert`` reads its trials from the bit generator's 32-bit words, as
+numpy's ``integers`` and ``choice`` read them, and judges them in blocks,
+grouped by (K, C, m). A block is parsed with array operations, a window
+of words at a time; a trial with a draw numpy would reject goes to the
+scalar parser (``_bounded``, ``_choose``), which reads it from its own
+first word, and the array parse resumes where the scalar one stopped.
+Both parsers' draws are checked against those numpy calls themselves,
+each followed by four more draws from both sides, so a parser that reads
+a word too many or too few fails; so is the hand-over, by routing chosen
+trials of each block through the scalar parser.
 The reference report below is the per-trial loop it replaced: the
 ``Generator`` calls themselves, in the same order, each instance judged
 alone by the three verdict functions, with ground truth from a copy of
@@ -123,6 +128,112 @@ def reference_report(trials, max_shards, max_classes, seed, enumeration_cap=12):
         tally["shared_margin_counterexamples"] += shared and not brute
         tally["fine_incompleteness_gap"] += brute and not fine
     return tally
+
+
+def numpy_trial(rng, max_shards, max_classes):
+    """``(k, c, m, preds, impacted)``: the five calls ``reference_report`` makes."""
+    k = int(rng.integers(1, max_shards + 1))
+    c = int(rng.integers(2, max_classes + 1))
+    preds = rng.integers(0, c, k)
+    m = int(rng.integers(0, k + 1))
+    impacted = np.sort(rng.choice(k, size=m, replace=False))
+    return k, c, m, preds, impacted
+
+
+def count_scalar_trials(monkeypatch):
+    """A list that grows by one for each trial the scalar parser takes."""
+    taken, scalar_trial = [], experiment._scalar_trial
+
+    def counted(*args):
+        taken.append(args)
+        return scalar_trial(*args)
+
+    monkeypatch.setattr(experiment, "_scalar_trial", counted)
+    return taken
+
+
+# with up to 2**31 + 1 classes about one label draw in ten is rejected; the
+# array parse's widest shape draws up to 3 * 64 + 2 words a trial
+@pytest.mark.parametrize("max_shards, max_classes", [
+    (8, 2**31 + 1), (experiment._ARRAY_SHARDS, 3),
+])
+def test_array_parse_matches_numpy_draws(monkeypatch, max_shards, max_classes):
+    taken = count_scalar_trials(monkeypatch)
+    count = 300
+    for seed in range(3):
+        stream = experiment._Stream(np.random.default_rng(seed).bit_generator)
+        rng = np.random.default_rng(seed)
+        shapes, rows = experiment._draw_block(stream, count, max_shards, max_classes)
+        for i in range(count):
+            k, c, m, preds, impacted = numpy_trial(rng, max_shards, max_classes)
+            assert shapes[i].tolist() == [k, c, m], (seed, i)
+            rest = np.setdiff1d(np.arange(k), impacted)
+            want = preds[impacted].tolist() + preds[rest].tolist() + [0] * (max_shards - k)
+            assert rows[i].tolist() == want, (seed, i)
+        assert_aligned(stream.words().__next__, rng)
+    if max_classes > 2**31:
+        assert 0 < len(taken) < 3 * count  # both parsers took trials
+    else:
+        assert not taken  # no draw below 65 is rejected on these seeds
+
+
+class Replay:
+    """A bit generator that hands out fixed 64-bit outputs in order."""
+
+    def __init__(self, raw):
+        self.raw, self.at = raw, 0
+
+    def random_raw(self, n):
+        self.at += n
+        assert self.at <= self.raw.size
+        return self.raw[self.at - n:self.at]
+
+
+@pytest.mark.parametrize("max_shards, max_classes", [
+    (1, 3), (3, 2), (8, 4), (8, 2**31 + 1), (experiment._ARRAY_SHARDS, 3),
+])
+def test_array_parse_matches_the_scalar_parser_where_small_ranges_reject(
+    monkeypatch, max_shards, max_classes,
+):
+    # a zero word is rejected for every range that is not a power of two, so
+    # with one word in fifty zeroed the K, m, Floyd and shuffle draws, whose
+    # ranges are at most 65, are rejected too, not only the C and label draws
+    taken = count_scalar_trials(monkeypatch)
+    rng = np.random.default_rng(max_shards)
+    words = rng.integers(0, 2**32, 2**18, dtype=np.uint64)
+    words[rng.random(words.size) < 0.02] = 0
+    raw = words[0::2] | words[1::2] << np.uint64(32)
+    count = 400
+    stream = experiment._Stream(Replay(raw))
+    shapes, rows = experiment._draw_block(stream, count, max_shards, max_classes)
+    next_word = experiment._words(Replay(raw)).__next__
+    handed = len(taken)
+    for i in range(count):
+        shape, row = experiment._scalar_trial(next_word, max_shards, max_classes)
+        assert shapes[i].tolist() == list(shape), i
+        assert rows[i].tolist() == row + [0] * (max_shards - len(row)), i
+    words = stream.words()
+    assert [next(words) for _ in range(4)] == [next_word() for _ in range(4)]
+    assert 0 < handed < count  # both parsers took trials
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_scalar_parser_hands_back_inside_a_block(monkeypatch, seed):
+    # the first, the last and every 7th trial of each of three blocks go to
+    # the scalar parser, and the array parse takes the trials between them
+    block = 60
+    monkeypatch.setattr(experiment, "_FUZZ_CELLS", 8 * block)
+    to_scalar = experiment._to_scalar
+
+    def marked(rejected, index):
+        return to_scalar(rejected, index) | (index % 7 == 0) | (index == block - 1)
+
+    monkeypatch.setattr(experiment, "_to_scalar", marked)
+    taken = count_scalar_trials(monkeypatch)
+    trials = 3 * block
+    got = fields(experiment.verify_cert(trials, 8, 4, seed))
+    assert got == reference_report(trials, 8, 4, seed)
+    assert len(taken) == 3 * (len(range(0, block, 7)) + 1)
 
 
 def fields(report):
