@@ -27,14 +27,20 @@ each under its row of a boolean impacted mask, and returns arrays in place
 of verdicts; :func:`certify_rows` returns all three tests' outcomes alike.
 
 :func:`brute_force_consistent` is the independent ground-truth oracle: a
-one-row call of the row-wise enumerator :func:`consistent_rows`, which
-enumerates every possible post-unlearning label assignment of the
-impacted shards and checks the winner directly. The enumerator keeps its
-own vote tally and argmax, sharing no code with the margin core.
+one-row call of the row-wise enumerator :func:`consistent_rows`. The
+winner depends only on how many impacted shards take each label, so the
+enumerator walks every tally of the impacted shards' post-unlearning
+labels (a multiset of ``m`` labels over ``C`` classes: ``C(m + C - 1, m)``
+of them, against ``C**m`` assignments) and checks the winner directly.
+It draws the tallies lazily and bounds each step's table of rows x
+tallies x classes by a fixed element budget, so a wide label space costs
+time but not memory. The enumerator keeps its own vote tally and argmax,
+sharing no code with the margin core.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,24 +241,31 @@ def certify_rows(preds, impacted, num_classes: int):
     )
 
 
-_ENUM_CHUNK = 1 << 16
+_ENUM_BUDGET = 1 << 18
 
 
 def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndarray:
     """Ground truth for B rows against one impacted set, as a boolean array.
 
-    Enumerates all ``num_classes ** len(impacted)`` assignments of labels to
-    the impacted shards in chunks of codes, at most ``_ENUM_CHUNK`` (rows x
-    assignments) a step for B up to that, re-tallies every live row under
-    each, and keeps a row only while its argmax (ties to the smaller label)
-    never moves. The tally is its own, not the margin core's. Raises
+    The plurality depends only on how many impacted shards take each label,
+    so this walks every tally of ``m = len(impacted)`` labels over C classes
+    (``C(m + C - 1, m)`` multisets from
+    :func:`itertools.combinations_with_replacement`, not the ``C**m``
+    assignments), adds each to every live row's votes of the untouched
+    shards, and keeps a row only while its argmax (ties to the smaller
+    label) never moves. The tallies are drawn lazily, a slice a step, and a
+    step's ``(rows, tallies, C)`` table holds at most ``_ENUM_BUDGET``
+    elements whenever the live rows alone fit, so a wide label space costs
+    time, not memory. The tally is its own, not the margin core's. Raises
+    ``ValueError`` on an impacted id outside ``[0, K)`` or a duplicate, and
     :class:`EnumerationCapError` when ``len(impacted) > cap``.
     """
     p = np.asarray(preds, dtype=np.int64)
-    idx = np.asarray(impacted, dtype=np.int64)
-    (b, k), c, m = p.shape, num_classes, int(idx.size)
+    (b, k), c = p.shape, num_classes
     if c < 2 or k == 0 or p.min(initial=0) < 0 or p.max(initial=0) >= c:
         raise ValueError(f"need num_classes >= 2, K >= 1 and labels in [0, {c})")
+    idx = _normalize_impacted(impacted, k)
+    m = int(idx.size)
     offsets = np.arange(0, b * c, c)[:, None]
     counts = np.bincount((p + offsets).ravel(), minlength=b * c).reshape(b, c)
     winner = counts.argmax(axis=1)
@@ -265,16 +278,19 @@ def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndar
             f"reduce the instance size or raise the cap"
         )
     base = counts - np.bincount((p[:, idx] + offsets).ravel(), minlength=b * c).reshape(b, c)
-    # steps grow eightfold from a small one, so a flip near code 0 ends early
-    start, total, step = 0, c**m, 1 << 9
-    while start < total and ok.any():
+    tallies = itertools.combinations_with_replacement(range(c), m)
+    # steps grow eightfold from a small one, so a flip in an early tally ends early
+    step = 1 << 11
+    while ok.any():
         live = np.flatnonzero(ok)
-        codes = np.arange(start, min(start + max(1, step // live.size), total))
-        start, step = start + codes.size, min(8 * step, _ENUM_CHUNK)
-        added = np.zeros((codes.size, c), dtype=np.int64)
-        for _ in range(m):
-            added[np.arange(codes.size), codes % c] += 1
-            codes //= c
+        n = max(1, step // (live.size * c))
+        step = min(8 * step, _ENUM_BUDGET)
+        labels = np.fromiter(itertools.chain.from_iterable(itertools.islice(tallies, n)), np.int64)
+        if labels.size == 0:
+            break
+        n = labels.size // m
+        labels = labels.reshape(n, m) + np.arange(0, n * c, c)[:, None]
+        added = np.bincount(labels.ravel(), minlength=n * c).reshape(n, c)
         trial = base[live, None, :] + added
         ok[live] = (trial.argmax(axis=2) == winner[live, None]).all(axis=1)
     return ok
@@ -283,11 +299,11 @@ def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndar
 def brute_force_consistent(preds, impacted, num_classes: int, cap: int = 12) -> bool:
     """Ground truth: does every relabeling of impacted shards keep the winner?
 
-    A one-row call of :func:`consistent_rows`: True iff no assignment of
-    labels to the impacted shards changes the plurality winner. Raises
-    :class:`EnumerationCapError` when ``len(impacted) > cap`` (the
-    enumeration grows exponentially).
+    A one-row call of :func:`consistent_rows`: True iff no tally of labels
+    over the impacted shards, and so no assignment, changes the plurality
+    winner. Raises :class:`EnumerationCapError` when ``len(impacted) > cap``:
+    the walk takes time in proportion to its ``C(m + C - 1, m)`` tallies,
+    which grow combinatorially in the impacted count ``m`` and in ``C``.
     """
     p = np.asarray(preds, dtype=np.int64)
-    idx = _normalize_impacted(impacted, p.size)
-    return bool(consistent_rows(p[None, :], idx, num_classes, cap)[0])
+    return bool(consistent_rows(p[None, :], impacted, num_classes, cap)[0])

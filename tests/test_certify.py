@@ -317,9 +317,64 @@ def test_row_wise_certificates_match_the_verdicts_row_by_row(batch):
         assert bool(shared[b]) == certify_fine_shared_margin(preds, impacted, c).certified
 
 
+_wide_batches = st.tuples(st.integers(1, 8), st.integers(2, 6)).flatmap(
+    lambda kc: st.tuples(
+        st.just(kc[0]),
+        st.just(kc[1]),
+        st.lists(
+            st.lists(st.integers(0, kc[1] - 1), min_size=kc[0], max_size=kc[0]),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sets(st.integers(0, kc[0] - 1)).filter(lambda s, c=kc[1]: c ** len(s) <= 1024),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_batches)
+def test_tally_walk_matches_the_assignment_walk(batch):
+    # up to 6 classes, where tallies and assignments part ways the most
+    k, c, rows, impacted = batch
+    got = consistent_rows(rows, sorted(impacted), c)
+    assert got.tolist() == [slow_consistent(preds, impacted, c) for preds in rows]
+
+
+def test_tally_walk_matches_the_fine_test_beyond_the_assignment_walk():
+    # m=12, C=5: 244,140,625 assignments but 1,820 tallies. The fine test is
+    # exact, so the two independent implementations must agree row by row.
+    rng = np.random.default_rng(7)
+    k, c, m = 40, 5, 12
+    lead = rng.integers(0, c, 50)
+    # each row's shards vote its lead label with its own odds, the rest at random
+    loyalty = rng.uniform(0.3, 1.0, (50, 1))
+    rows = np.where(rng.random((50, k)) < loyalty, lead[:, None], rng.integers(0, c, (50, k)))
+    got = consistent_rows(rows, range(m), c)
+    want = [certify_fine(row, range(m), c).certified for row in rows]
+    assert got.tolist() == want
+    assert 0 < sum(want) < 50
+
+
+@pytest.mark.parametrize(
+    "impacted, message",
+    [
+        # counted twice, shard 0 would move twice: [False], where the set {0} keeps label 0
+        ([0, 0], "duplicate"),
+        ([-1], r"lie in \[0, 5\)"),  # not shard 4
+        ([5], r"lie in \[0, 5\)"),
+    ],
+    ids=["duplicate", "negative", "past-the-last-shard"],
+)
+def test_row_wise_enumeration_rejects_bad_impacted_ids(impacted, message):
+    assert consistent_rows([[0, 0, 0, 0, 1]], [0], 2).tolist() == [True]
+    with pytest.raises(ValueError, match=message):
+        consistent_rows([[0, 0, 0, 0, 1]], impacted, 2)
+
+
 def test_enumeration_memory_stays_bounded():
-    # C=6, m=8: 1,679,616 assignments, all enumerated (20 untouched votes for
-    # label 0 outlast any 8 movers); a full (C^m, C) int64 table is 80 MB
+    # C=6, m=8: 1,287 tallies (of 1,679,616 assignments), all enumerated (20
+    # untouched votes for label 0 outlast any 8 movers); a full (C^m, C) int64
+    # table of the assignments would be 80 MB
     preds = [0] * 20 + [1, 2, 3, 4, 5, 1, 2, 3]
     tracemalloc.start()
     try:
@@ -340,3 +395,16 @@ def test_fuzz_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def test_enumeration_memory_stays_bounded_on_a_wide_label_space():
+    # C=500, m=2: 125,250 tallies, all enumerated (3 untouched votes for label
+    # 0 outlast 2 movers); a full (C^m, C) int64 table of the assignments
+    # would be about 1 GB
+    tracemalloc.start()
+    try:
+        assert consistent_rows([[0, 0, 0, 1, 2]], [3, 4], 500).tolist() == [True]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
