@@ -95,12 +95,15 @@ def _normalize_impacted(impacted, num_shards: int) -> np.ndarray:
 
 
 def _margins(p: np.ndarray, mask: np.ndarray, num_classes: int, coarse: bool = False):
-    """The one place the consistency arithmetic lives, for B rows at once.
+    """The vote split and margins every consistency test reads, for B rows.
 
-    ``p`` holds B rows of K predicted labels and the boolean ``mask``, one
-    ``(K,)`` row or ``(B, K)``, marks the impacted shards. Returns ``(winner,
-    top, imp, lhs, margin)``: ``winner[b]`` the row's plurality label (ties
-    to the smaller label) with ``top[b]`` votes, and ``(B, C)`` arrays
+    Not every bound is derived here: :func:`certify_rows` derives the coarse
+    and shared-margin ones from ``imp`` and ``margin`` itself, and
+    :func:`_verdict` the shared one. ``p`` holds B rows of K predicted
+    labels and the boolean ``mask``, one ``(K,)`` row or ``(B, K)``, marks
+    the impacted shards. Returns ``(winner, top, imp, lhs, margin)``:
+    ``winner[b]`` the row's plurality label (ties to the smaller label)
+    with ``top[b]`` votes, and ``(B, C)`` arrays
     indexed by label ``y``: ``imp[b, y]`` impacted shards voting ``y`` (so
     ``gamma1 = imp[b, winner]``, ``gamma2 = imp[b, y]``; a row sums to its
     ``|impacted|``), ``lhs[b, y] = 2*gamma1 + gamma3`` against ``y``

@@ -115,18 +115,18 @@ class ExperimentConfig:
         )
 
     def oracle_config(self, seed: int) -> OracleConfig:
-        trace = None
-        if self.backend == "trace":
-            if self._trace_cache is None:
-                self._trace_cache = load_trace(self.trace_path)
-            trace = self._trace_cache
+        if self.backend not in ("synthetic", "trace"):
+            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend == "trace" and self._trace_cache is None:
+            if not self.trace_path:
+                raise ValueError("the trace backend needs a trace file")
+            self._trace_cache = load_trace(self.trace_path)
         return OracleConfig(
             num_classes=self.num_classes,
             num_shards=self.num_shards,
             accuracy=self.accuracy,
             seed=seed,
-            backend=self.backend,
-            trace=trace,
+            trace=self._trace_cache,
             flip_probability=self.flip_probability,
         )
 
@@ -145,7 +145,7 @@ class ExperimentConfig:
             threshold=self.threshold,
             parallel_capacity=self.parallel_capacity,
             retrain_policy=self.retrain_policy,
-            cert_mode=self.cert_mode if name != "SISA" else "fine",
+            cert_mode=self.cert_mode,
             mitigation=self.mitigation,
             shuffle_shards=self.shuffle_shards,
             context_switch_latency=self.context_switch_latency,

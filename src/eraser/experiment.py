@@ -176,13 +176,6 @@ _FUZZ_CELLS = 1 << 17
 _RAW_WORDS = 1024  # 64-bit outputs per read of the bit generator
 
 
-def _words(bit_generator):
-    """The 32-bit words numpy's bounded draws read, in order: each PCG64
-    output's low half, then its high half (little-endian pairs)."""
-    while True:
-        yield from bit_generator.random_raw(_RAW_WORDS).astype("<u8").view("<u4").tolist()
-
-
 def _bounded(next_word, r):
     """``Generator.integers(0, r + 1)`` for ``r < 2**32``: Lemire's multiply-shift."""
     if r == 0:  # numpy reads no word for a range of one value
@@ -229,8 +222,9 @@ def _to_scalar(rejected, index):
 
 
 class _Stream:
-    """The words ``_words`` yields, in a buffer with a cursor, so the array
-    parse and the scalar parser take turns on one sequence."""
+    """The 32-bit words numpy's bounded draws read, in order (each PCG64
+    output's low half, then its high half), in a buffer with a cursor, so
+    the array parse and the scalar parser take turns on one sequence."""
 
     def __init__(self, bit_generator):
         self._bit_generator = bit_generator

@@ -11,8 +11,8 @@ version) triple maps deterministically to a label:
   prediction independently, matching the worst-case stance of the
   consistency analysis; an optional ``flip_probability`` makes retrained
   models keep their previous prediction with probability 1-p instead.
-* trace backend — predictions replayed from a file exported by real
-  models (format below), for driving the simulator with measured data.
+* trace backend — used whenever the config holds a trace: predictions
+  replayed from a file exported by real models (format below).
 
 Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
 sample's (seed, salt, sample, shard) prefixes and true label once, and its
@@ -76,8 +76,7 @@ class OracleConfig:
     num_shards: int
     accuracy: float
     seed: int
-    backend: str = "synthetic"
-    trace: PredictionTrace | None = None
+    trace: PredictionTrace | None = None  # replayed in place of the synthetic labels
     flip_probability: float | None = None
 
     def __post_init__(self):
@@ -87,13 +86,9 @@ class OracleConfig:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.backend not in ("synthetic", "trace"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "trace" and self.trace is None:
-            raise ValueError("trace backend requires a loaded PredictionTrace")
-        if self.backend == "trace" and self.trace.num_classes != self.num_classes:
+        if self.trace is not None and self.trace.num_classes != self.num_classes:
             raise ValueError(f"num_classes is {self.num_classes}; the trace has C={self.trace.num_classes}")
-        if self.backend == "trace" and self.trace.num_shards != self.num_shards:
+        if self.trace is not None and self.trace.num_shards != self.num_shards:
             raise ValueError(f"num_shards is {self.num_shards}; the trace has K={self.trace.num_shards}")
         if self.flip_probability is not None and not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
@@ -127,7 +122,7 @@ def predict(cfg: OracleConfig, sample: SampleId, shard: int, version: int) -> in
         raise ValueError(f"shard {shard} outside [0, {cfg.num_shards})")
     if version < 0:
         raise ValueError(f"version must be non-negative, got {version}")
-    if cfg.backend == "trace":
+    if cfg.trace is not None:
         return _trace_label(cfg, sample.value, shard, version)
     if cfg.flip_probability is not None:
         # one-element arrays: numpy scalars would warn on the hash's wraparound
@@ -233,7 +228,7 @@ class SamplePrefixes:
             raise ValueError(f"expected {k} or {b} rows of {k} versions, got {versions.shape}")
         if versions.size and versions.min() < 0:
             raise ValueError(f"version must be non-negative, got {versions.min()}")
-        if cfg.backend == "trace":
+        if cfg.trace is not None:
             per_row = zip(self.samples[rows].tolist(), np.broadcast_to(versions, (b, k)).tolist())
             labels = [_trace_label(cfg, s, j, v) for s, row in per_row for j, v in enumerate(row)]
             return np.array(labels, dtype=np.int64).reshape(b, k)

@@ -48,10 +48,11 @@ timing alone:
   entries it acts on once, in one batch, for both planes.
 
 A request leaves the backlog only once the control plane sees it
-certified, refused, or answered-uncertified; until then completed updates
-keep re-counting it toward the threshold window, which is what makes the
-postpone-threshold variants slower to re-trigger than their
-answer-uncertified siblings.
+certified, refused, or answered-uncertified. It feeds the threshold
+window once, on its first control step (``_Entry.control_counted``);
+later control passes only decide whether to answer it. The completions
+that re-judge a waiting request re-count it in ``judgements`` alone, the
+tally behind ``p_uc``.
 """
 
 from __future__ import annotations
@@ -510,8 +511,8 @@ class Scheduler:
             # answer is sound: it is unlearning-request-first, waits for every
             # retraining that predates this request, not later ones, and
             # claims to have forgotten exactly what arrived before it
-            entry.release_after = self.jobs_created
             if not self.certified:
+                entry.release_after = self.jobs_created
                 entry.hypothetical = self._hypothetical_versions()
             self.backlog.append(entry)
             return []

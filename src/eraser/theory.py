@@ -96,29 +96,17 @@ def _wait_at(phase: float, p: TheoryParams) -> float:
     return total
 
 
-def expected_wait_dimp_series(p: TheoryParams, points: int = 10_000) -> float:
+def expected_wait_dimp_series(p: TheoryParams) -> float:
     """Expected immediate-unlearning wait from the per-phase judgement series.
 
-    Averages the per-arrival series over one inter-arrival period with a
-    midpoint rule of at least ``points`` cells. The phase axis is split at
-    the r-mod-period breakpoint, where the number of in-flight
-    retrainings changes, so each cell integrates a linear piece and the
-    rule is exact up to rounding.
+    Averages the per-arrival series over one inter-arrival period. The
+    r-mod-period breakpoint, where the number of in-flight retrainings
+    changes, splits the phase axis into at most two pieces; on each the
+    series is linear in the phase, so its integral is the piece's width
+    times its value at the midpoint.
     """
-    if points < 1:
-        raise ValueError("points must be positive")
     period = p.period
     rem = p.retrain_duration % period
-    segments = [(0.0, rem), (rem, period)] if 0.0 < rem < period else [(0.0, period)]
-    total = 0.0
-    for lo, hi in segments:
-        width = hi - lo
-        if width <= 0:
-            continue
-        cells = max(1, round(points * width / period))
-        step = width / cells
-        acc = 0.0
-        for j in range(cells):
-            acc += _wait_at(lo + (j + 0.5) * step, p)
-        total += acc * step
+    cuts = [0.0, rem, period] if 0.0 < rem < period else [0.0, period]
+    total = sum((hi - lo) * _wait_at((lo + hi) / 2, p) for lo, hi in zip(cuts, cuts[1:]))
     return total / period

@@ -252,6 +252,16 @@ def test_missing_input_file_exits_2_on_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_trace_backend_without_a_trace_path_exits_2_on_one_line(tmp_path, capsys):
+    path, out = tmp_path / "trace.cfg", tmp_path / "out"
+    path.write_text("[oracle]\nbackend = trace\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "eraser: [oracle] trace_path: the trace backend needs a trace file\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 @pytest.mark.parametrize(
     "argv",

@@ -160,6 +160,11 @@ def test_trace_of_another_shape_is_reported_at_load_time(header, message, tmp_pa
     assert build(f"[oracle]\nbackend = trace\ntrace_path = {path}\n").backend == "trace"
 
 
+def test_unknown_backend_is_reported_with_its_key():
+    with pytest.raises(ConfigError, match=r"^\[oracle\] backend: unknown backend 'magic'$"):
+        build("[oracle]\nbackend = magic\n")
+
+
 def test_grid_for_inference_rejected():
     with pytest.raises(ConfigError):
         build("[workload]\ndistribution_i = grid\n")
@@ -295,11 +300,11 @@ sigma_u = 3
 }
 
 RESOLUTION_DIGESTS = {
-    "gaussian": "2e3c0abccb806ab0ccb76c509464e93e77f2cce5108555b068933bc96a529658",
-    "grid": "9b70f7910f53197a205ec49b15878d7f11479d2707115be6817557903757f39d",
-    "grid_without_inference": "054bf224b1951225ecd220d07382199f86bf665dca1afabec690fbba1b5a39ec",
-    "multimodal": "3af0bd903b56412cb58f90ff74e4987c7ac65c3e9dd6b957e4294c9c5bcf0d62",
-    "no_unlearning": "73415db996f34ee8fb241591aeb56de54ef7dfee71181d049f888b9cf34fc0d7",
+    "gaussian": "6a7eed231f6a1dad9c7beb7bb49d6af06be008411248a1750133865786658abc",
+    "grid": "72ec3077b7ca16c7e3c7df6d6786e3069b5441b18c4cf644703c72c4a891422e",
+    "grid_without_inference": "3a111128a43735b97888b105cb82c1805802fa3948d8cbd484c861eeb14016b7",
+    "multimodal": "9e0c43060906a18d5fb310cf9d56523e2786176fabfd8029007fe3f8f2d13fd5",
+    "no_unlearning": "d0f7abf4a34014453038dbe7f8cd09865bda9ac7b286f6d70e28eaccfe90bb1c",
 }
 
 

@@ -147,7 +147,7 @@ def _trace_oracle():
         (s, k, v): mix64(11, s, k, v) % C
         for s in range(300) for k in range(K) for v in range(top)
     }
-    return OracleConfig(C, K, 0.7, seed=3, backend="trace", trace=PredictionTrace(C, K, entries))
+    return OracleConfig(C, K, 0.7, seed=3, trace=PredictionTrace(C, K, entries))
 
 
 # name -> (variant overrides, oracle overrides, inference_service_time)

@@ -61,7 +61,7 @@ def reference_consistent(preds, impacted, num_classes, cap=12):
 
 def parser_and_generator(seed):
     """The parser's word reader and a ``Generator``, both fresh from ``seed``."""
-    next_word = experiment._words(np.random.default_rng(seed).bit_generator).__next__
+    next_word = experiment._Stream(np.random.default_rng(seed).bit_generator).words().__next__
     return next_word, np.random.default_rng(seed)
 
 
@@ -206,7 +206,7 @@ def test_array_parse_matches_the_scalar_parser_where_small_ranges_reject(
     count = 400
     stream = experiment._Stream(Replay(raw))
     shapes, rows = experiment._draw_block(stream, count, max_shards, max_classes)
-    next_word = experiment._words(Replay(raw)).__next__
+    next_word = experiment._Stream(Replay(raw)).words().__next__
     handed = len(taken)
     for i in range(count):
         shape, row = experiment._scalar_trial(next_word, max_shards, max_classes)

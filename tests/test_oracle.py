@@ -50,17 +50,29 @@ def test_config_validation(tmp_path):
         _cfg(num_shards=0)
     with pytest.raises(ValueError):
         _cfg(accuracy=1.5)
-    with pytest.raises(ValueError):
-        _cfg(backend="magic")
-    with pytest.raises(ValueError):
-        _cfg(backend="trace")  # no trace loaded
     # a trace's header must match the config's classes and shards
     narrow = load_trace(_write_trace(["eraser-trace v1 C=10 K=2", "0,0,0,1,0.5"], tmp_path))
     with pytest.raises(ValueError, match="num_shards is 20; the trace has K=2"):
-        _cfg(backend="trace", trace=narrow)
+        _cfg(trace=narrow)
     with pytest.raises(ValueError, match="num_classes is 10; the trace has C=12"):
-        _cfg(backend="trace", trace=PredictionTrace(12, 20, {(0, 0, 0): 11}))
-    assert _cfg(backend="trace", trace=PredictionTrace(10, 20, {})).trace.num_shards == 20
+        _cfg(trace=PredictionTrace(12, 20, {(0, 0, 0): 11}))
+    assert _cfg(trace=PredictionTrace(10, 20, {})).trace.num_shards == 20
+
+
+def test_a_config_holding_a_trace_replays_it():
+    # each trace label is the synthetic oracle's opposite, so a config that
+    # ignored its trace would disagree on every triple
+    synthetic = OracleConfig(2, 3, 0.9, seed=0)
+    samples = [sample_for(synthetic, v) for v in range(20)]
+    triples = [(s, k, v) for s in samples for k in range(3) for v in range(3)]
+    entries = {(s.value, k, v): 1 - predict(synthetic, s, k, v) for s, k, v in triples}
+    t = PredictionTrace(2, 3, entries)
+    cfg = OracleConfig(2, 3, 0.9, seed=0, trace=t)
+    assert [predict(cfg, s, k, v) for s, k, v in triples] == list(entries.values())
+    prefixes = SamplePrefixes(cfg, [s.value for s in samples], [False] * 20)
+    for v in range(3):
+        got = prefixes.predict(np.arange(20), [v] * 3)
+        assert got.tolist() == [[entries[s.value, k, v] for k in range(3)] for s in samples]
 
 
 def test_predict_is_deterministic():
@@ -89,7 +101,7 @@ def _trace_cfg(num_classes, num_shards, samples, versions):
         for k, v in enumerate(row)
     }
     trace = PredictionTrace(num_classes, num_shards, entries)
-    return OracleConfig(num_classes, num_shards, 0.5, seed=0, backend="trace", trace=trace)
+    return OracleConfig(num_classes, num_shards, 0.5, seed=0, trace=trace)
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,7 +347,7 @@ def test_confidence_agreement_ratio(tmp_path):
     trace_lines += [f"0,{k},0,{votes[k]},1.0" for k in range(5)]
     path = _write_trace(trace_lines, tmp_path)
     trace = load_trace(path)
-    cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
+    cfg = OracleConfig(2, 5, 0.9, seed=0, trace=trace)
     s = sample_for(cfg, 0)
     assert agreement(cfg, s, [0] * 5) == pytest.approx(0.6)
 
@@ -375,7 +387,7 @@ def test_trace_roundtrip_and_replay(tmp_path):
     lines = ["eraser-trace v1 C=3 K=2", "0,0,0,2,0.75", "0,1,0,1,0.5", "5,0,1,0,1.0"]
     trace = load_trace(_write_trace(lines, tmp_path))
     assert trace.num_classes == 3 and trace.num_shards == 2
-    cfg = OracleConfig(3, 2, 0.9, seed=0, backend="trace", trace=trace)
+    cfg = OracleConfig(3, 2, 0.9, seed=0, trace=trace)
     s0 = sample_for(cfg, 0)
     assert predict(cfg, s0, 0, 0) == 2
     assert predict(cfg, s0, 1, 0) == 1
@@ -383,7 +395,7 @@ def test_trace_roundtrip_and_replay(tmp_path):
 
 def test_trace_missing_entry_names_the_triple(tmp_path):
     trace = load_trace(_write_trace(["eraser-trace v1 C=3 K=2", "0,0,0,2,0.75"], tmp_path))
-    cfg = OracleConfig(3, 2, 0.9, seed=0, backend="trace", trace=trace)
+    cfg = OracleConfig(3, 2, 0.9, seed=0, trace=trace)
     with pytest.raises(TraceError, match="sample=0 shard=1 version=4"):
         predict(cfg, sample_for(cfg, 0), 1, 4)
     with pytest.raises(TraceError, match="sample=0 shard=1 version=4"):

@@ -188,7 +188,7 @@ def test_postponed_counts_a_request_once():
     # completion, yet it was postponed once, on arrival
     votes = [0, 0, 1]
     trace = PredictionTrace(2, 3, {(0, k, v): votes[k] for k in range(3) for v in range(3)})
-    oracle_cfg = OracleConfig(2, 3, 0.9, seed=0, backend="trace", trace=trace)
+    oracle_cfg = OracleConfig(2, 3, 0.9, seed=0, trace=trace)
     s = Scheduler(VariantConfig("DUTP", parallel_capacity=3), oracle_cfg, 5.0)
     s.on_unlearning_arrival(unlearn(0, 0, 0.0), 0.0)
     assert s.on_inference_arrival(infer(1, 0, 1.0), 1.0) == []  # triggers shard 0's update
@@ -213,7 +213,7 @@ def test_confidence_discard_threshold():
     # the winner is backed by 3 of 5 shards: agreement 0.6, via a hand-built trace
     votes = [0, 0, 0, 1, 1]
     trace = PredictionTrace(2, 5, {(0, k, 0): votes[k] for k in range(5)})
-    oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
+    oracle_cfg = OracleConfig(2, 5, 0.9, seed=0, trace=trace)
     for threshold, expect in ((0.6, "certified"), (0.61, "refused_low_confidence")):
         mit = MitigationConfig(confidence_threshold=threshold)
         s = Scheduler(VariantConfig("DUTP", parallel_capacity=5, mitigation=mit), oracle_cfg, 1.0)

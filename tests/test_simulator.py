@@ -73,7 +73,7 @@ def _trace_oracle():
     entries[(0, 0, 1)] = 0
     entries[(0, 1, 1)] = 1
     trace = PredictionTrace(2, 5, entries)
-    return OracleConfig(2, 5, 0.9, seed=0, backend="trace", trace=trace)
+    return OracleConfig(2, 5, 0.9, seed=0, trace=trace)
 
 
 def test_postponed_inference_released_at_first_sufficient_completion():
@@ -167,6 +167,18 @@ def test_sisa_plain_answers_replay_clean(capacity):
     cfg = oc(K=8, C=3, accuracy=0.3, seed=899)
     m = run(wl, VariantConfig("SISA", parallel_capacity=capacity), cfg, SimParams(1.0, 50.0))
     assert replay_privacy_check(m.per_request_log, cfg) == 0
+
+
+def test_sisa_ignores_the_certification_mode():
+    # SISA never certifies, so its cert_mode changes nothing it does
+    wl = generate(WorkloadSpec(40, 300, 40.0, seed=17, noise_fraction=0.3), 8)
+    cfg = oc(K=8, C=3, accuracy=0.6, seed=17)
+    runs = [
+        run(wl, VariantConfig("SISA", parallel_capacity=2, cert_mode=mode), cfg, SimParams(1.0, 40.0))
+        for mode in ("fine", "coarse", "disabled")
+    ]
+    assert runs[0].awt > 0  # some answers waited out a halt
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_replay_counts_only_authoritative_answers():

@@ -130,6 +130,11 @@ def test_series_collapses_to_exact_value_for_single_overlap():
     assert expected_wait_dimp_series(tp) == pytest.approx(expect, rel=1e-9)
 
 
+def test_series_is_integrated_exactly():
+    # r = T/n_u: one piece, where the series is p_uc * t_d, averaging p_uc * r / 2
+    assert expected_wait_dimp_series(TheoryParams(10, 100.0, 10.0, 0.2)) == 1.0
+
+
 def test_series_tracks_a_dimp_simulation():
     # measured p_uc feeds the series; the simulator is the authority here.
     # Consecutive judgements of one request are correlated (a hard sample
