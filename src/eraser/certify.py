@@ -32,22 +32,24 @@ winner depends only on how many impacted shards take each label, so the
 enumerator walks every tally of the impacted shards' post-unlearning
 labels (a multiset of ``m`` labels over ``C`` classes: ``C(m + C - 1, m)``
 of them, against ``C**m`` assignments) and checks the winner directly.
-It draws the tallies lazily and bounds each step's table of rows x
-tallies x classes by a fixed element budget, so a wide label space costs
-time but not memory. The enumerator keeps its own vote tally and argmax,
-sharing no code with the margin core.
+It refuses more than ``_MAX_TALLIES`` tallies before it walks any, draws
+them lazily and bounds each step's table of rows x tallies x classes by
+a fixed element budget, so a wide label space costs time but not memory.
+The enumerator keeps its own vote tally and argmax, sharing no code with
+the margin core.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a brute-force enumeration would exceed the configured cap."""
+    """Raised when a brute-force enumeration would walk over ``_MAX_TALLIES`` tallies."""
 
 
 @dataclass(frozen=True)
@@ -245,9 +247,10 @@ def certify_rows(preds, impacted, num_classes: int):
 
 
 _ENUM_BUDGET = 1 << 18
+_MAX_TALLIES = 1 << 20  # tallies one walk may take; its time grows with their count
 
 
-def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndarray:
+def consistent_rows(preds, impacted, num_classes: int) -> np.ndarray:
     """Ground truth for B rows against one impacted set, as a boolean array.
 
     The plurality depends only on how many impacted shards take each label,
@@ -261,7 +264,8 @@ def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndar
     elements whenever the live rows alone fit, so a wide label space costs
     time, not memory. The tally is its own, not the margin core's. Raises
     ``ValueError`` on an impacted id outside ``[0, K)`` or a duplicate, and
-    :class:`EnumerationCapError` when ``len(impacted) > cap``.
+    :class:`EnumerationCapError` on more than ``_MAX_TALLIES`` tallies,
+    before walking any: their count grows combinatorially in ``m`` and C.
     """
     p = np.asarray(preds, dtype=np.int64)
     (b, k), c = p.shape, num_classes
@@ -275,10 +279,10 @@ def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndar
     ok = np.ones(b, dtype=bool)
     if m == 0:
         return ok
-    if m > cap:
+    if (count := math.comb(m + c - 1, m)) > _MAX_TALLIES:
         raise EnumerationCapError(
-            f"{m} impacted shards exceed the enumeration cap of {cap}; "
-            f"reduce the instance size or raise the cap"
+            f"{m} impacted shards over {c} classes make {count} tallies, "
+            f"more than the enumeration bound of {_MAX_TALLIES}"
         )
     base = counts - np.bincount((p[:, idx] + offsets).ravel(), minlength=b * c).reshape(b, c)
     tallies = itertools.combinations_with_replacement(range(c), m)
@@ -299,14 +303,13 @@ def consistent_rows(preds, impacted, num_classes: int, cap: int = 12) -> np.ndar
     return ok
 
 
-def brute_force_consistent(preds, impacted, num_classes: int, cap: int = 12) -> bool:
+def brute_force_consistent(preds, impacted, num_classes: int) -> bool:
     """Ground truth: does every relabeling of impacted shards keep the winner?
 
     A one-row call of :func:`consistent_rows`: True iff no tally of labels
     over the impacted shards, and so no assignment, changes the plurality
-    winner. Raises :class:`EnumerationCapError` when ``len(impacted) > cap``:
-    the walk takes time in proportion to its ``C(m + C - 1, m)`` tallies,
-    which grow combinatorially in the impacted count ``m`` and in ``C``.
+    winner. Raises :class:`EnumerationCapError` when the impacted count
+    ``m`` and ``C`` make more than ``_MAX_TALLIES`` tallies, ``C(m + C - 1, m)``.
     """
     p = np.asarray(preds, dtype=np.int64)
-    return bool(consistent_rows(p[None, :], impacted, num_classes, cap)[0])
+    return bool(consistent_rows(p[None, :], impacted, num_classes)[0])

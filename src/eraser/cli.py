@@ -102,7 +102,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_cert(args) -> int:
     try:
         report = verify_cert(args.trials, args.max_shards, args.max_classes, args.seed)
-    except ValueError as exc:  # bad arguments, the enumeration cap among them
+    except ValueError as exc:  # bad arguments, the enumeration's tally bound among them
         print(f"eraser: {exc}", file=sys.stderr)
         return 2
     print(f"trials                         {report.trials}")

@@ -176,36 +176,8 @@ _FUZZ_CELLS = 1 << 17
 _RAW_WORDS = 1024  # 64-bit outputs per read of the bit generator
 
 
-def _bounded(next_word, r):
-    """``Generator.integers(0, r + 1)`` for ``r < 2**32``: Lemire's multiply-shift."""
-    if r == 0:  # numpy reads no word for a range of one value
-        return 0
-    x = next_word() * (r + 1)
-    if (x & 0xFFFF_FFFF) <= r:  # numpy's cheap test before its modulo
-        while (x & 0xFFFF_FFFF) < 2**32 % (r + 1):  # numpy's (2**32 - 1 - r) % (r + 1)
-            x = next_word() * (r + 1)
-    return x >> 32
-
-
-def _choose(next_word, k, m):
-    """The set ``Generator.choice(k, m, replace=False)`` returns."""
-    if k > 10_000 and m > k // 50:  # numpy's tail shuffle of arange(k)
-        idx = list(range(k))
-        for i in range(k - 1, max(k - m, 1) - 1, -1):
-            j = _bounded(next_word, i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return set(idx[k - m:])
-    chosen = set()
-    for j in range(k - m, k):  # Floyd's algorithm, then m - 1 draws of a shuffle
-        v = _bounded(next_word, j)
-        chosen.add(j if v in chosen else v)
-    for i in range(m - 1, 0, -1):
-        _bounded(next_word, i)
-    return chosen
-
-
-_ARRAY_SHARDS = 64  # the array parse holds a trial's chosen set in one uint64
-_WINDOW = 1 << 13  # words the array parse reads at a time, at most
+_MAX_SHARDS = 64  # the parse holds a trial's chosen set in one uint64
+_WINDOW = 1 << 13  # words the parse reads at a time, at most
 
 
 def _rejected(x, n):
@@ -214,28 +186,16 @@ def _rejected(x, n):
     return (x & 0xFFFF_FFFF) < (1 << 32) % n
 
 
-def _to_scalar(rejected, index):
-    """Which walked trials the scalar parser takes: those with a rejected
-    draw. ``index`` holds each trial's place in its block, so a test can
-    route any trial through the hand-over."""
-    return rejected
-
-
 class _Stream:
     """The 32-bit words numpy's bounded draws read, in order (each PCG64
-    output's low half, then its high half), in a buffer with a cursor, so
-    the array parse and the scalar parser take turns on one sequence."""
+    output's low half, then its high half), in a buffer with a cursor. A
+    word numpy rejects can be dropped from the buffer, as numpy drops it,
+    so the words after it move up one place."""
 
     def __init__(self, bit_generator):
         self._bit_generator = bit_generator
         self._buf = np.empty(0, dtype=np.uint32)
-        self._start = 0  # words dropped from the buffer's front
         self._at = 0
-
-    @property
-    def tell(self):
-        """Words read so far."""
-        return self._start + self._at
 
     def ahead(self, n):
         """The next ``n`` words as uint64, left unread."""
@@ -243,34 +203,15 @@ class _Stream:
         if short > 0:
             raw = self._bit_generator.random_raw(max(-(-short // 2), _RAW_WORDS))
             self._buf = np.concatenate((self._buf[self._at:], raw.astype("<u8").view("<u4")))
-            self._start, self._at = self._start + self._at, 0
+            self._at = 0
         return self._buf[self._at:self._at + n].astype(np.uint64)
 
     def skip(self, n):
         self._at += n
 
-    def words(self):
-        """The words from the cursor on, each read as it is yielded, for
-        the scalar parser."""
-        while True:
-            if self._at == self._buf.size:
-                self.ahead(1)
-            for word in self._buf[self._at:self._at + 64].tolist():
-                self._at += 1
-                yield word
-
-
-def _scalar_trial(next_word, max_shards, max_classes):
-    """One trial parsed word by word: its (K, C, m) and its predictions with
-    the impacted shards first."""
-    k = 1 + _bounded(next_word, max_shards - 1)
-    c = 2 + _bounded(next_word, max_classes - 2)
-    preds = [_bounded(next_word, c - 1) for _ in range(k)]
-    m = _bounded(next_word, k)
-    chosen = _choose(next_word, k, m)
-    row = [preds[j] for j in sorted(chosen)]
-    row += [p for j, p in enumerate(preds) if j not in chosen]
-    return (k, c, m), row
+    def drop(self, i):
+        """Delete the word ``i`` places past the cursor."""
+        self._buf = np.delete(self._buf, self._at + i)
 
 
 def _trial_lengths(w, max_shards, max_classes):
@@ -353,36 +294,46 @@ def _array_trials(w, starts, k, m, max_shards, max_classes):
     return c, rows, rejected
 
 
+def _first_rejected(w, s, max_shards, max_classes):
+    """The offset in ``w`` of the first word numpy rejects in the trial at
+    ``s``, which has one. The trial's draw ranges are listed in numpy's read
+    order, each from the words before it, and its words tested at once."""
+    spans = []
+
+    def draw(n):  # the value of the trial's next word over a range of n
+        spans.append(n)
+        return int(w[s + len(spans) - 1]) * n >> 32
+
+    k = 1 + draw(max_shards) if max_shards > 1 else 1
+    c = 2 + draw(max_classes - 1) if max_classes > 2 else 2
+    for _ in range(k):
+        draw(c)
+    m = draw(k + 1)
+    # Floyd's steps j = K - m .. K - 1 draw below j + 1 (none for j = 0),
+    # then the shuffle's m - 1 draws below m .. 2
+    for n in (*range(max(k - m, 1) + 1, k + 1), *range(m, 1, -1)):
+        draw(n)
+    n = np.array(spans, dtype=np.uint64)
+    return s + int(_rejected(w[s:s + n.size] * n, n).argmax())
+
+
 def _draw_block(stream, count, max_shards, max_classes):
     """``count`` trials from ``stream``: their (K, C, m), shape (count, 3),
     and their predictions with the impacted shards first, shape
     (count, max_shards), zero past each row's K.
 
-    Up to ``_ARRAY_SHARDS`` shards, a window of words is parsed with array
-    operations: the lengths of trials starting at every position are
-    walked once for the trial starts, then every draw of the walked trials
-    is read at once. The first walked trial with a rejected draw goes to
-    the scalar parser, which reads it from its own first word, and the
-    walk resumes where that parser stopped. Above ``_ARRAY_SHARDS`` shards
-    the scalar parser takes every trial.
+    A window of words is parsed with array operations: the lengths of
+    trials starting at every position are walked once for the trial
+    starts, then every draw of the walked trials is read at once. At the
+    first walked trial with a rejected draw, the first word numpy rejects
+    in it is dropped from ``stream``, as numpy drops it, and the window is
+    parsed again from that trial's first word.
     """
     shapes = np.empty((count, 3), dtype=np.uint32)
     rows = np.zeros((count, max_shards), dtype=np.min_scalar_type(max_classes - 1))
     done = 0
-
-    def by_scalar():
-        nonlocal done
-        shapes[done], row = _scalar_trial(stream.words().__next__, max_shards, max_classes)
-        rows[done, :len(row)] = row
-        done += 1
-
-    if max_shards > _ARRAY_SHARDS:
-        while done < count:
-            by_scalar()
-        return shapes, rows
     longest = (max_shards > 1) + (max_classes > 2) + 3 * max_shards  # words
     while done < count:
-        base = stream.tell
         w = stream.ahead(min(_WINDOW, (count - done + 1) * longest))
         k, m, rejected, lengths = _trial_lengths(w, max_shards, max_classes)
         at = 0
@@ -390,22 +341,22 @@ def _draw_block(stream, count, max_shards, max_classes):
             starts, at = _walk(lengths, at, count - done)
             tk, tm = k[starts], m[starts]
             c, trial_rows, bad = _array_trials(w, starts, tk, tm, max_shards, max_classes)
-            bad = _to_scalar(bad | rejected[starts], np.arange(done, done + starts.size))
+            bad |= rejected[starts]
             took = int(bad.argmax()) if bad.any() else starts.size
             shapes[done:done + took] = np.stack((tk, c, tm), axis=1)[:took]
             rows[done:done + took] = trial_rows[:took]
             done += took
             if took < starts.size:
-                stream.skip(base + int(starts[took]) - stream.tell)
-                by_scalar()
-                at = stream.tell - base
-        stream.skip(base + at - stream.tell)
+                at = int(starts[took])
+                stream.drop(_first_rejected(w, at, max_shards, max_classes))
+                break
+        stream.skip(at)
     return shapes, rows
 
 
 def _groups(shapes, rows):
     """``((k, c, m), rows)`` for each (K, C, m) of a block, in order of first
-    appearance, so the first over-cap draw raises."""
+    appearance, so the first draw over the tally bound raises."""
     order = np.lexsort(shapes.T[::-1])  # stable: each group's first row leads it
     ordered = shapes[order]
     edges = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
@@ -417,7 +368,7 @@ def _groups(shapes, rows):
 
 
 def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
-                seed: int = 0, enumeration_cap: int = 12) -> FuzzReport:
+                seed: int = 0) -> FuzzReport:
     """Fuzz the consistency checks against the brute-force oracle.
 
     Soundness: a fine certificate must imply the enumeration finds no
@@ -427,19 +378,19 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
 
     Trials are the instances numpy's ``integers`` and ``choice`` calls on
     ``np.random.default_rng(seed)`` would draw, read from the same 32-bit
-    words, so both maxima must be below ``2**32``. They are drawn and
-    judged in blocks of ``_FUZZ_CELLS // max_shards`` (at least one), so
-    memory is bounded. :func:`_draw_block` parses a block with array
-    operations and hands each trial with a draw numpy would reject to the
-    scalar parser (``_bounded``, ``_choose``), which reads it from its own
-    first word. Storing a trial's predictions with its impacted shards
-    first leaves its votes unchanged, so a (K, C, m) group shares the
-    impacted set ``arange(m)`` and takes one call of each row-wise check.
+    words, so ``max_classes`` must be below ``2**32``; a ``max_shards`` over
+    ``_MAX_SHARDS`` is refused before anything is drawn. They are drawn (by
+    :func:`_draw_block`) and judged in blocks of ``_FUZZ_CELLS //
+    max_shards``, so memory is bounded. Storing a trial's predictions with
+    its impacted shards first leaves its votes unchanged, so a (K, C, m)
+    group shares the impacted set ``arange(m)`` and takes one call of each
+    row-wise check. The first trial over the enumeration's tally bound raises.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if not (1 <= max_shards < 2**32 and 2 <= max_classes < 2**32):
-        raise ValueError("need max_shards >= 1 and max_classes >= 2, both below 2**32")
+    if not (1 <= max_shards <= _MAX_SHARDS and 2 <= max_classes < 2**32):
+        raise ValueError("need max_shards >= 1 and max_classes >= 2, both below 2**32, "
+                         f"and max_shards at most {_MAX_SHARDS}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     stream = _Stream(np.random.default_rng(seed).bit_generator)
@@ -451,7 +402,7 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
         shapes, rows = _draw_block(stream, min(block, trials - first), max_shards, max_classes)
         for (k, c, m), group in _groups(shapes, rows):
             fine, coarse, shared = certify_rows(group, np.arange(k) < m, c)
-            brute = consistent_rows(group, np.arange(m), c, cap=enumeration_cap)
+            brute = consistent_rows(group, np.arange(m), c)
             totals += np.count_nonzero([fine & ~brute, coarse & ~fine, shared & ~brute,
                                         fine, coarse, brute, brute & ~fine], axis=1)
     return FuzzReport(trials, *totals.tolist(), time.monotonic() - start)

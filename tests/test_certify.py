@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eraser import experiment
+from eraser import certify, experiment
 from eraser.certify import (
     EnumerationCapError,
     brute_force_consistent,
@@ -64,11 +64,26 @@ def test_brute_force_examples():
 
 
 def test_brute_force_cap():
+    # the bound is on tallies, not impacted shards: 13 over 2 classes make 14,
+    # and 13 defectors outvote 12 untouched zeros where 12 do not outvote 13
     preds = [0] * 25
-    with pytest.raises(EnumerationCapError):
-        brute_force_consistent(preds, set(range(13)), 2)
-    # at the cap it still runs: 13 untouched zeros outvote 12 defectors
-    assert brute_force_consistent(preds, set(range(12)), 2, cap=12) is True
+    assert brute_force_consistent(preds, set(range(13)), 2) is False
+    assert brute_force_consistent(preds, set(range(12)), 2) is True
+    # 3 over 1,000 classes make C(1002, 3) tallies, refused before the walk
+    with pytest.raises(EnumerationCapError, match=(
+        "^3 impacted shards over 1000 classes make 167167000 tallies, "
+        "more than the enumeration bound of 1048576$"
+    )):
+        brute_force_consistent([0] * 20 + [1] * 3, [20, 21, 22], 1000)
+
+
+def test_tally_bound_is_inclusive(monkeypatch):
+    # 4 impacted shards over 3 classes make 15 tallies, 5 make 21
+    monkeypatch.setattr(certify, "_MAX_TALLIES", 15)
+    rows = [[0] * 6 + [1, 2, 1, 2, 1]] * 3
+    assert consistent_rows(rows, range(6, 10), 3).tolist() == [True] * 3
+    with pytest.raises(EnumerationCapError, match="^5 impacted shards over 3 classes make 21 "):
+        consistent_rows(rows, range(6, 11), 3)
 
 
 def gammas(preds, impacted, num_classes):

@@ -161,14 +161,19 @@ def test_verify_cert_exit_status_and_report(capsys):
     (["--trials", "-5"], "eraser: trials must be >= 0, got -5"),
     (["--trials", "10", "--max-classes", "1"],
      "eraser: need max_shards >= 1 and max_classes >= 2"),
-    (["--trials", "2000", "--max-shards", "14"],
-     "eraser: 13 impacted shards exceed the enumeration cap of 12;"),
+    # the first trial of more than 2**20 tallies: C(63702, 6) of them
+    (["--trials", "2000", "--max-classes", "100000"],
+     "eraser: 6 impacted shards over 63697 classes make 92786254331350606595173605 tallies"),
     # the parser follows numpy's 32-bit draws only; trials=0, so nothing is drawn
     (["--trials", "0", "--max-shards", str(2**32)],
      "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32"),
     (["--trials", "0", "--max-classes", str(2**32)],
      "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32"),
     (["--trials", "0", "--seed", "-1"], "eraser: seed must be >= 0, got -1"),
+    # a trial's chosen shards are held in one uint64
+    (["--trials", "0", "--max-shards", "65"],
+     "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32, "
+     "and max_shards at most 64"),
 ])
 def test_verify_cert_bad_arguments_exit_2_on_one_line(capsys, argv, message):
     # exit 1 means a soundness or dominance violation was found

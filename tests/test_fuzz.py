@@ -2,26 +2,28 @@
 
 ``verify_cert`` reads its trials from the bit generator's 32-bit words, as
 numpy's ``integers`` and ``choice`` read them, and judges them in blocks,
-grouped by (K, C, m). A block is parsed with array operations, a window
-of words at a time; a trial with a draw numpy would reject goes to the
-scalar parser (``_bounded``, ``_choose``), which reads it from its own
-first word, and the array parse resumes where the scalar one stopped.
-Both parsers' draws are checked against those numpy calls themselves,
-each followed by four more draws from both sides, so a parser that reads
-a word too many or too few fails; so is the hand-over, by routing chosen
-trials of each block through the scalar parser.
-The reference report below is the per-trial loop it replaced: the
+grouped by (K, C, m). ``_draw_block`` parses a block with array
+operations, a window of words at a time; at a trial with a draw numpy
+would reject, it drops the word numpy drops and parses the window again
+from that trial's first word. The parse is checked against numpy's calls
+themselves, and, on streams with words zeroed so that every kind of draw
+is rejected, against a word-by-word reference (``bounded``, ``choose``,
+``reference_trial``) that reads the raw outputs itself and is checked
+against numpy in turn. Each check is followed by the next four words from
+both sides, so a parse that reads a word too many or too few fails.
+The reference report below is the per-trial loop the fuzzer replaced: the
 ``Generator`` calls themselves, in the same order, each instance judged
 alone by the three verdict functions, with ground truth from a copy of
 the per-instance enumeration that shares no code with the row-wise one.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from eraser import experiment
+from eraser import certify, experiment
 from eraser.certify import (
     EnumerationCapError,
     certify_coarse,
@@ -30,7 +32,7 @@ from eraser.certify import (
 )
 
 
-def reference_consistent(preds, impacted, num_classes, cap=12):
+def reference_consistent(preds, impacted, num_classes):
     """One instance, every assignment, chunk by chunk of 65,536 codes."""
     p = np.asarray(preds, dtype=np.int64)
     counts = np.bincount(p, minlength=num_classes)
@@ -39,10 +41,11 @@ def reference_consistent(preds, impacted, num_classes, cap=12):
     m = int(idx.size)
     if m == 0:
         return True
-    if m > cap:
+    tallies, bound = math.comb(m + num_classes - 1, m), certify._MAX_TALLIES
+    if tallies > bound:
         raise EnumerationCapError(
-            f"{m} impacted shards exceed the enumeration cap of {cap}; "
-            f"reduce the instance size or raise the cap"
+            f"{m} impacted shards over {num_classes} classes make {tallies} tallies, "
+            f"more than the enumeration bound of {bound}"
         )
     base = counts - np.bincount(p[idx], minlength=num_classes)
     total = num_classes**m
@@ -59,52 +62,107 @@ def reference_consistent(preds, impacted, num_classes, cap=12):
     return True
 
 
-def parser_and_generator(seed):
-    """The parser's word reader and a ``Generator``, both fresh from ``seed``."""
-    next_word = experiment._Stream(np.random.default_rng(seed).bit_generator).words().__next__
-    return next_word, np.random.default_rng(seed)
+class Words:
+    """numpy's 32-bit words, read straight from a bit generator's 64-bit
+    outputs: each output's low half, then its high half. A call reads the
+    next word; ``ahead(n)`` shows the next ``n``, unread."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator, self.words, self.at = bit_generator, [], 0
+
+    def ahead(self, n):
+        while len(self.words) < self.at + n:
+            for out in self.bit_generator.random_raw(64).tolist():
+                self.words += [out & 0xFFFF_FFFF, out >> 32]
+        return self.words[self.at:self.at + n]
+
+    def __call__(self):
+        word, = self.ahead(1)
+        self.at += 1
+        return word
+
+
+def bounded(next_word, r):
+    """``Generator.integers(0, r + 1)`` for ``r < 2**32``: Lemire's
+    multiply-shift, with numpy's rejection of a word whose product's low
+    half is below ``2**32 % (r + 1)``."""
+    if r == 0:  # numpy reads no word for a range of one value
+        return 0
+    x = next_word() * (r + 1)
+    while (x & 0xFFFF_FFFF) < 2**32 % (r + 1):
+        x = next_word() * (r + 1)
+    return x >> 32
+
+
+def choose(next_word, k, m):
+    """The set ``Generator.choice(k, m, replace=False)`` returns for
+    ``k <= 10,000`` (numpy shuffles the tail of ``arange(k)`` above that
+    when ``m > k // 50``): Floyd's algorithm, then the m - 1 draws of a
+    shuffle."""
+    chosen = set()
+    for j in range(k - m, k):
+        v = bounded(next_word, j)
+        chosen.add(j if v in chosen else v)
+    for i in range(m - 1, 0, -1):
+        bounded(next_word, i)
+    return chosen
+
+
+def reference_trial(next_word, max_shards, max_classes):
+    """One trial read word by word: its (K, C, m) and its predictions with
+    the impacted shards first."""
+    k = 1 + bounded(next_word, max_shards - 1)
+    c = 2 + bounded(next_word, max_classes - 2)
+    preds = [bounded(next_word, c - 1) for _ in range(k)]
+    m = bounded(next_word, k)
+    chosen = choose(next_word, k, m)
+    row = [preds[j] for j in sorted(chosen)]
+    row += [p for j, p in enumerate(preds) if j not in chosen]
+    return [k, c, m], row
+
+
+def words_and_generator(seed):
+    """The reference's word reader and a ``Generator``, both fresh from ``seed``."""
+    return Words(np.random.default_rng(seed).bit_generator), np.random.default_rng(seed)
 
 
 def assert_aligned(next_word, rng):
     """Both sides are at the same word: their next draws agree."""
     for _ in range(4):
-        assert experiment._bounded(next_word, 999) == rng.integers(0, 1000)
+        assert bounded(next_word, 999) == rng.integers(0, 1000)
 
 
 # 2**31 rejects about half the words; 2**32 - 1 is numpy's plain 32-bit path
 @pytest.mark.parametrize("r", [0, 1, 7, 2**31, 2**32 - 1])
 def test_bounded_matches_scalar_integers(r):
     for seed in range(4):
-        next_word, rng = parser_and_generator(seed)
+        next_word, rng = words_and_generator(seed)
         for _ in range(100):
-            assert experiment._bounded(next_word, r) == rng.integers(0, r + 1)
+            assert bounded(next_word, r) == rng.integers(0, r + 1)
         assert_aligned(next_word, rng)
 
 
 @pytest.mark.parametrize("c", [2, 3, 5, 2**31 + 1])
 def test_bounded_matches_vector_integers(c):
     for seed, k in [(0, 1), (1, 8), (2, 200)]:
-        next_word, rng = parser_and_generator(seed)
-        got = [experiment._bounded(next_word, c - 1) for _ in range(k)]
+        next_word, rng = words_and_generator(seed)
+        got = [bounded(next_word, c - 1) for _ in range(k)]
         assert got == rng.integers(0, c, k).tolist()
         assert_aligned(next_word, rng)
 
 
-# numpy takes Floyd's algorithm unless k > 10,000 and m > k // 50, where it
-# shuffles the tail of arange(k) instead
 @pytest.mark.parametrize("k, m", [
-    (1, 0), (1, 1), (8, 0), (8, 1), (8, 3), (8, 8), (10_000, 5_000),
-    (20_000, 1), (20_000, 400), (20_000, 401), (20_000, 20_000),
+    (1, 0), (1, 1), (8, 0), (8, 1), (8, 3), (8, 8), (64, 64), (10_000, 5_000),
 ])
 def test_choose_matches_choice_without_replacement(k, m):
     for seed in range(3):
-        next_word, rng = parser_and_generator(seed)
-        chosen = experiment._choose(next_word, k, m)
+        next_word, rng = words_and_generator(seed)
+        chosen = choose(next_word, k, m)
         assert chosen == set(rng.choice(k, size=m, replace=False).tolist())
         assert_aligned(next_word, rng)
 
 
-def reference_report(trials, max_shards, max_classes, seed, enumeration_cap=12):
+def reference_report(trials, max_shards, max_classes, seed):
     """Every ``FuzzReport`` field but ``elapsed_seconds``, one trial at a time."""
     rng = np.random.default_rng(seed)
     tally = dict(trials=trials, soundness_violations=0, dominance_violations=0,
@@ -119,7 +177,7 @@ def reference_report(trials, max_shards, max_classes, seed, enumeration_cap=12):
         fine = certify_fine(preds, impacted, c).certified
         coarse = certify_coarse(preds, impacted, c).certified
         shared = certify_fine_shared_margin(preds, impacted, c).certified
-        brute = reference_consistent(preds, impacted, c, cap=enumeration_cap)
+        brute = reference_consistent(preds, impacted, c)
         tally["fine_certified"] += fine
         tally["coarse_certified"] += coarse
         tally["brute_consistent"] += brute
@@ -140,25 +198,25 @@ def numpy_trial(rng, max_shards, max_classes):
     return k, c, m, preds, impacted
 
 
-def count_scalar_trials(monkeypatch):
-    """A list that grows by one for each trial the scalar parser takes."""
-    taken, scalar_trial = [], experiment._scalar_trial
+def count_dropped_words(monkeypatch):
+    """A list that grows by one for each word the parse drops."""
+    dropped, drop = [], experiment._Stream.drop
 
-    def counted(*args):
-        taken.append(args)
-        return scalar_trial(*args)
+    def counted(stream, i):
+        dropped.append(i)
+        return drop(stream, i)
 
-    monkeypatch.setattr(experiment, "_scalar_trial", counted)
-    return taken
+    monkeypatch.setattr(experiment._Stream, "drop", counted)
+    return dropped
 
 
 # with up to 2**31 + 1 classes about one label draw in ten is rejected; the
-# array parse's widest shape draws up to 3 * 64 + 2 words a trial
+# parse's widest shape draws up to 3 * 64 + 2 words a trial
 @pytest.mark.parametrize("max_shards, max_classes", [
-    (8, 2**31 + 1), (experiment._ARRAY_SHARDS, 3),
+    (8, 2**31 + 1), (experiment._MAX_SHARDS, 3),
 ])
 def test_array_parse_matches_numpy_draws(monkeypatch, max_shards, max_classes):
-    taken = count_scalar_trials(monkeypatch)
+    dropped = count_dropped_words(monkeypatch)
     count = 300
     for seed in range(3):
         stream = experiment._Stream(np.random.default_rng(seed).bit_generator)
@@ -170,11 +228,12 @@ def test_array_parse_matches_numpy_draws(monkeypatch, max_shards, max_classes):
             rest = np.setdiff1d(np.arange(k), impacted)
             want = preds[impacted].tolist() + preds[rest].tolist() + [0] * (max_shards - k)
             assert rows[i].tolist() == want, (seed, i)
-        assert_aligned(stream.words().__next__, rng)
+        # numpy's plain 32-bit path hands out the next words as they are
+        assert stream.ahead(4).tolist() == rng.integers(0, 2**32, 4).tolist()
     if max_classes > 2**31:
-        assert 0 < len(taken) < 3 * count  # both parsers took trials
+        assert dropped  # at least one word was dropped
     else:
-        assert not taken  # no draw below 65 is rejected on these seeds
+        assert not dropped  # no draw below 65 is rejected on these seeds
 
 
 class Replay:
@@ -189,51 +248,52 @@ class Replay:
         return self.raw[self.at - n:self.at]
 
 
+def zeroed_outputs(seed):
+    """2**17 64-bit outputs with one 32-bit word in fifty zeroed. A zero word
+    is rejected for every range that is not a power of two, so the K, m,
+    Floyd and shuffle draws, whose ranges are at most 65, are rejected too,
+    not only the C and label draws."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**32, 2**18, dtype=np.uint64)
+    words[rng.random(words.size) < 0.02] = 0
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+def assert_block_matches_the_reference(shapes, rows, next_word, max_shards, max_classes):
+    for i in range(len(shapes)):
+        shape, row = reference_trial(next_word, max_shards, max_classes)
+        assert shapes[i].tolist() == shape, i
+        assert rows[i].tolist() == row + [0] * (max_shards - len(row)), i
+
+
 @pytest.mark.parametrize("max_shards, max_classes", [
-    (1, 3), (3, 2), (8, 4), (8, 2**31 + 1), (experiment._ARRAY_SHARDS, 3),
+    (1, 3), (3, 2), (8, 4), (8, 2**31 + 1), (experiment._MAX_SHARDS, 3),
 ])
 def test_array_parse_matches_the_scalar_parser_where_small_ranges_reject(
     monkeypatch, max_shards, max_classes,
 ):
-    # a zero word is rejected for every range that is not a power of two, so
-    # with one word in fifty zeroed the K, m, Floyd and shuffle draws, whose
-    # ranges are at most 65, are rejected too, not only the C and label draws
-    taken = count_scalar_trials(monkeypatch)
-    rng = np.random.default_rng(max_shards)
-    words = rng.integers(0, 2**32, 2**18, dtype=np.uint64)
-    words[rng.random(words.size) < 0.02] = 0
-    raw = words[0::2] | words[1::2] << np.uint64(32)
-    count = 400
+    dropped = count_dropped_words(monkeypatch)
+    raw = zeroed_outputs(max_shards)
     stream = experiment._Stream(Replay(raw))
-    shapes, rows = experiment._draw_block(stream, count, max_shards, max_classes)
-    next_word = experiment._Stream(Replay(raw)).words().__next__
-    handed = len(taken)
-    for i in range(count):
-        shape, row = experiment._scalar_trial(next_word, max_shards, max_classes)
-        assert shapes[i].tolist() == list(shape), i
-        assert rows[i].tolist() == row + [0] * (max_shards - len(row)), i
-    words = stream.words()
-    assert [next(words) for _ in range(4)] == [next_word() for _ in range(4)]
-    assert 0 < handed < count  # both parsers took trials
+    shapes, rows = experiment._draw_block(stream, 400, max_shards, max_classes)
+    next_word = Words(Replay(raw))
+    assert_block_matches_the_reference(shapes, rows, next_word, max_shards, max_classes)
+    assert stream.ahead(4).tolist() == next_word.ahead(4)
+    assert dropped  # at least one word was dropped
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_scalar_parser_hands_back_inside_a_block(monkeypatch, seed):
-    # the first, the last and every 7th trial of each of three blocks go to
-    # the scalar parser, and the array parse takes the trials between them
-    block = 60
-    monkeypatch.setattr(experiment, "_FUZZ_CELLS", 8 * block)
-    to_scalar = experiment._to_scalar
-
-    def marked(rejected, index):
-        return to_scalar(rejected, index) | (index % 7 == 0) | (index == block - 1)
-
-    monkeypatch.setattr(experiment, "_to_scalar", marked)
-    taken = count_scalar_trials(monkeypatch)
-    trials = 3 * block
-    got = fields(experiment.verify_cert(trials, 8, 4, seed))
-    assert got == reference_report(trials, 8, 4, seed)
-    assert len(taken) == 3 * (len(range(0, block, 7)) + 1)
+def test_blocks_of_a_zeroed_stream_resume_where_the_last_stopped(monkeypatch, seed):
+    # each block starts at the word after the last one the block before read,
+    # dropped words included
+    dropped = count_dropped_words(monkeypatch)
+    raw = zeroed_outputs(seed)
+    stream, next_word = experiment._Stream(Replay(raw)), Words(Replay(raw))
+    for count in (1, 2, 7, 13, 60):
+        shapes, rows = experiment._draw_block(stream, count, 8, 4)
+        assert_block_matches_the_reference(shapes, rows, next_word, 8, 4)
+        assert stream.ahead(4).tolist() == next_word.ahead(4), count
+    assert dropped  # at least one word was dropped
 
 
 def fields(report):
@@ -263,17 +323,34 @@ def test_trials_crossing_block_boundaries(monkeypatch, block):
     assert fields(experiment.verify_cert(trials, 8, 4, seed=9)) == want
 
 
-@pytest.mark.parametrize("max_shards, cap, seed", [
+# the tally bound is lowered to the tallies of m impacted shards over 3
+# classes, so the first trial of C = 3 with more impacted shards raises
+@pytest.mark.parametrize("max_shards, m, seed", [
     (8, 4, 0), (8, 4, 1), (8, 4, 2), (14, 12, 3),
-    # a block of one trial: the first draw raises, with no block-sized buffer
-    (10**5, 12, 0),
 ])
-def test_enumeration_cap_fails_on_the_same_draw(max_shards, cap, seed):
+def test_enumeration_cap_fails_on_the_same_draw(monkeypatch, max_shards, m, seed):
+    monkeypatch.setattr(certify, "_MAX_TALLIES", math.comb(m + 2, m))
     with pytest.raises(EnumerationCapError) as want:
-        reference_report(2000, max_shards, 3, seed, enumeration_cap=cap)
+        reference_report(2000, max_shards, 3, seed)
     with pytest.raises(EnumerationCapError) as got:
-        experiment.verify_cert(2000, max_shards, 3, seed, enumeration_cap=cap)
+        experiment.verify_cert(2000, max_shards, 3, seed)
     assert str(got.value) == str(want.value)
+
+
+def test_the_simulators_default_shard_count_is_fuzzed():
+    # K = 20 and C = 3 make at most C(22, 20) = 231 tallies a trial
+    report = experiment.verify_cert(2000, 20, 3, 4)
+    assert report.ok and report.trials == 2000
+
+
+def test_more_than_64_shards_are_refused_before_drawing(monkeypatch):
+    def draw_block(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiment, "_draw_block", draw_block)
+    for max_shards in (experiment._MAX_SHARDS + 1, 10**5):
+        with pytest.raises(ValueError, match="and max_shards at most 64$"):
+            experiment.verify_cert(2000, max_shards, 3, 0)
 
 
 def test_negative_trials_are_rejected():
