@@ -5,9 +5,10 @@ starts a comment. Every key must belong to the documented schema —
 unknown sections or keys are hard errors (no silent defaults for
 misspellings), reported with their line number. Each key is one
 ``ExperimentConfig`` field declared with its section, default and parser;
-the README lists them. Building a config parses every key and checks the
-values with each layer's own validated objects, so a value out of range
-is a ``ConfigError`` naming its ``[section] key``.
+the README lists them. Building a config parses every key, loads the trace
+a non-empty ``trace_path`` names, and checks the values with each layer's
+own validated objects, each filled from the config's same-named fields, so
+a bad value or trace is a ``ConfigError`` naming its ``[section] key``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _key(section: str, default: str, parse=str, unset: str | None = None):
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment description: an ``auto`` horizon and capacity
-    filled in, and arrival profiles in place of the distribution names.
+    filled in, arrival profiles in place of the distribution names, and the
+    trace ``trace_path`` names (None for none) in place of its path.
     """
 
     variants: tuple = _key("experiment", "SISA,DIMP,SUTP,DUTP,STTU,DTTU,STTP,DTTP", _names)
@@ -86,8 +88,7 @@ class ExperimentConfig:
     num_classes: int = _key("oracle", "10", int)
     num_shards: int = _key("oracle", "20", int)
     accuracy: float = _key("oracle", "0.9", float)
-    backend: str = _key("oracle", "synthetic")
-    trace_path: str = _key("oracle", "")
+    trace_path: object = _key("oracle", "", unset="")
     flip_probability: float | None = _key("oracle", "none", float, "none")
     threshold: float = _key("scheduler", "0.05", float)
     parallel_capacity: int = _key("scheduler", "auto", int, "auto")
@@ -101,64 +102,34 @@ class ExperimentConfig:
     confidence_threshold: float | None = _key("scheduler", "none", float, "none")
     retrain_duration: float = _key("sim", "1.0", float)
     inference_service_time: float = _key("sim", "0.0", float)
-    _trace_cache: object = field(default=None, repr=False, compare=False)
 
     def seeds(self) -> list[int]:
         return [self.base_seed + i for i in range(self.replications)]
+
+    def _layer(self, cls, **given):
+        """A ``cls`` built from ``given`` and this config's same-named fields."""
+        own = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**own, **given)
 
     @property
     def mitigation(self) -> MitigationConfig | None:
         if not (self.detector_enabled or self.confidence_threshold is not None):
             return None
-        return MitigationConfig(
-            self.detector_enabled, self.detector_tpr, self.detector_fpr, self.confidence_threshold
-        )
+        return self._layer(MitigationConfig)
 
     def oracle_config(self, seed: int) -> OracleConfig:
-        if self.backend not in ("synthetic", "trace"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "trace" and self._trace_cache is None:
-            if not self.trace_path:
-                raise ValueError("the trace backend needs a trace file")
-            self._trace_cache = load_trace(self.trace_path)
-        return OracleConfig(
-            num_classes=self.num_classes,
-            num_shards=self.num_shards,
-            accuracy=self.accuracy,
-            seed=seed,
-            trace=self._trace_cache,
-            flip_probability=self.flip_probability,
-        )
+        return self._layer(OracleConfig, seed=seed, trace=self.trace_path)
 
     def sim_params(self, seed: int) -> SimParams:
         """The engine's parameters; they take the seed like the other
         per-seed builders but do not depend on it."""
-        return SimParams(
-            retrain_duration=self.retrain_duration,
-            horizon=self.horizon,
-            inference_service_time=self.inference_service_time,
-        )
+        return self._layer(SimParams)
 
     def variant(self, name: str) -> VariantConfig:
-        return VariantConfig(
-            name,
-            threshold=self.threshold,
-            parallel_capacity=self.parallel_capacity,
-            retrain_policy=self.retrain_policy,
-            cert_mode=self.cert_mode,
-            mitigation=self.mitigation,
-            shuffle_shards=self.shuffle_shards,
-            context_switch_latency=self.context_switch_latency,
-        )
+        return self._layer(VariantConfig, name=name)
 
     def _workload_spec(self, seed: int) -> WorkloadSpec:
-        return WorkloadSpec(
-            self.n_unlearning, self.n_inference, self.horizon, seed,
-            distribution_u=self.distribution_u,
-            distribution_i=self.distribution_i,
-            shard_assignment=self.shard_assignment,
-            noise_fraction=self.noise_fraction,
-        )
+        return self._layer(WorkloadSpec, seed=seed)
 
     def build_workload(self, seed: int):
         return generate(self._workload_spec(seed), self.num_shards)
@@ -263,7 +234,9 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     cfg.distribution_u = _distribution(cfg, "u")
     cfg.distribution_i = _distribution(cfg, "i")
     _checked(cfg._workload_spec, cfg.base_seed)
-    _checked(cfg.oracle_config, cfg.base_seed, key="trace_path")
+    if cfg.trace_path is not None:
+        cfg.trace_path = _checked(load_trace, cfg.trace_path, key="trace_path")
+    _checked(cfg.oracle_config, cfg.base_seed)
     # Every variant, so a key that only some variants read is checked too.
     for name in cfg.variants + VARIANT_NAMES:
         _checked(cfg.variant, name, key="variants")

@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import simulator
-from .certify import certify_rows, consistent_rows
+from .certify import _MAX_TALLIES, certify_rows, consistent_rows
 from .config import ExperimentConfig, apply_override, build_experiment_config
 from .scheduler import VARIANT_NAMES
 from .simulator import run as run_sim
@@ -378,10 +378,13 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
 
     Trials are the instances numpy's ``integers`` and ``choice`` calls on
     ``np.random.default_rng(seed)`` would draw, read from the same 32-bit
-    words, so ``max_classes`` must be below ``2**32``; a ``max_shards`` over
-    ``_MAX_SHARDS`` is refused before anything is drawn. They are drawn (by
-    :func:`_draw_block`) and judged in blocks of ``_FUZZ_CELLS //
-    max_shards``, so memory is bounded. Storing a trial's predictions with
+    words. A ``max_shards`` over ``_MAX_SHARDS`` is refused before anything
+    is drawn, and so is a ``max_classes`` over ``_MAX_TALLIES`` (2**20): a
+    trial with more classes and one impacted shard has more tallies than the
+    enumeration's bound. They are drawn (by :func:`_draw_block`) and judged
+    in blocks of ``_FUZZ_CELLS // max(max_shards, max_classes)`` trials, as
+    a block's tables are trials x shards or trials x classes, so memory is
+    bounded. Storing a trial's predictions with
     its impacted shards first leaves its votes unchanged, so a (K, C, m)
     group shares the impacted set ``arange(m)`` and takes one call of each
     row-wise check. The first trial over the enumeration's tally bound raises.
@@ -391,13 +394,16 @@ def verify_cert(trials: int, max_shards: int = 8, max_classes: int = 4,
     if not (1 <= max_shards <= _MAX_SHARDS and 2 <= max_classes < 2**32):
         raise ValueError("need max_shards >= 1 and max_classes >= 2, both below 2**32, "
                          f"and max_shards at most {_MAX_SHARDS}")
+    if max_classes > _MAX_TALLIES:
+        raise ValueError(f"max_classes must be at most 2**20, got {max_classes}: one impacted "
+                         "shard over more classes makes more tallies than the enumeration bound")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     stream = _Stream(np.random.default_rng(seed).bit_generator)
     start = time.monotonic()
     # soundness, dominance, shared-margin, fine, coarse, brute, gap
     totals = np.zeros(7, dtype=np.int64)
-    block = max(1, _FUZZ_CELLS // max_shards)
+    block = max(1, _FUZZ_CELLS // max(max_shards, max_classes))
     for first in range(0, trials, block):
         shapes, rows = _draw_block(stream, min(block, trials - first), max_shards, max_classes)
         for (k, c, m), group in _groups(shapes, rows):

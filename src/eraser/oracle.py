@@ -27,8 +27,10 @@ Trace file format (UTF-8)::
     eraser-trace v1 C=<int> K=<int>
     <sample_id>,<shard_id>,<version>,<label>,<confidence>
 
-with one record per line and confidence a decimal in [0, 1]. The
-confidence is validated but not kept: only the label drives a vote.
+with one record per line, sample ids and versions non-negative, each
+(sample, shard, version) triple at most once, and confidence a decimal in
+[0, 1]. The confidence is validated but not kept: only the label drives a
+vote.
 """
 
 from __future__ import annotations
@@ -294,7 +296,13 @@ def load_trace(path) -> PredictionTrace:
                 raise TraceError(
                     f"line {lineno}: shard {shard} outside [0, {num_shards})"
                 )
+            if sample < 0 or version < 0:
+                raise TraceError(f"line {lineno}: sample id and version must be >= 0")
             if not 0.0 <= conf <= 1.0:
                 raise TraceError(f"line {lineno}: confidence {conf} outside [0, 1]")
+            if (sample, shard, version) in entries:
+                raise TraceError(
+                    f"line {lineno}: repeats sample={sample} shard={shard} version={version}"
+                )
             entries[(sample, shard, version)] = label
     return PredictionTrace(num_classes, num_shards, entries)

@@ -174,6 +174,9 @@ def test_verify_cert_exit_status_and_report(capsys):
     (["--trials", "0", "--max-shards", "65"],
      "eraser: need max_shards >= 1 and max_classes >= 2, both below 2**32, "
      "and max_shards at most 64"),
+    # one impacted shard over more than 2**20 classes is over the tally bound
+    (["--trials", "1", "--max-classes", str(2**20 + 1)],
+     "eraser: max_classes must be at most 2**20, got 1048577"),
 ])
 def test_verify_cert_bad_arguments_exit_2_on_one_line(capsys, argv, message):
     # exit 1 means a soundness or dominance violation was found
@@ -257,12 +260,12 @@ def test_missing_input_file_exits_2_on_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_trace_backend_without_a_trace_path_exits_2_on_one_line(tmp_path, capsys):
-    path, out = tmp_path / "trace.cfg", tmp_path / "out"
-    path.write_text("[oracle]\nbackend = trace\n")
+def test_unreadable_trace_path_exits_2_on_one_line(tmp_path, capsys):
+    path, out, trace = tmp_path / "trace.cfg", tmp_path / "out", tmp_path / "missing.trace"
+    path.write_text(f"[oracle]\ntrace_path = {trace}\n")
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "eraser: [oracle] trace_path: the trace backend needs a trace file\n"
+        "", f"eraser: [oracle] trace_path: [Errno 2] No such file or directory: '{trace}'\n"
     )
     assert not out.exists()
 

@@ -5,12 +5,14 @@ from pathlib import Path
 import pytest
 
 from eraser.config import (
+    _KEYS,
     ConfigError,
     SEED_ENV_VAR,
     apply_override,
     build_experiment_config,
     parse_config_text,
 )
+from eraser.oracle import predict, sample_for
 from eraser.scheduler import VARIANT_NAMES, VARIANT_TABLE
 from eraser.workload import Gaussian
 
@@ -119,7 +121,7 @@ def test_readme_lists_every_key_once_with_its_default():
     block = readme.split("All keys with their defaults:", 1)[1].split("```")[1]
     assignments = [line for line in block.splitlines() if "=" in line.split("#", 1)[0]]
     defaults = parse_config_text("")
-    assert len(assignments) == len(defaults) == 34
+    assert len(assignments) == len(defaults) == 33
     assert parse_config_text(block) == defaults
 
 
@@ -155,14 +157,47 @@ def test_trace_of_another_shape_is_reported_at_load_time(header, message, tmp_pa
     path = tmp_path / "shape.trace"
     path.write_text(f"eraser-trace v1 {header}\n0,0,0,1,0.5\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^{re.escape(f'[oracle] {message}')}$"):
-        build(f"[oracle]\nbackend = trace\ntrace_path = {path}\n")
+        build(f"[oracle]\ntrace_path = {path}\n")
     path.write_text("eraser-trace v1 C=10 K=20\n0,0,0,1,0.5\n", encoding="utf-8")
-    assert build(f"[oracle]\nbackend = trace\ntrace_path = {path}\n").backend == "trace"
+    assert build(f"[oracle]\ntrace_path = {path}\n").trace_path.entries == {(0, 0, 0): 1}
 
 
-def test_unknown_backend_is_reported_with_its_key():
-    with pytest.raises(ConfigError, match=r"^\[oracle\] backend: unknown backend 'magic'$"):
-        build("[oracle]\nbackend = magic\n")
+def test_a_config_that_sets_only_trace_path_replays_that_trace(tmp_path):
+    # each trace label differs from the synthetic oracle's, so a config that
+    # ignored its trace would disagree on every triple
+    synthetic = build().oracle_config(42)
+    samples = [sample_for(synthetic, v) for v in range(5)]
+    triples = [(s, k, v) for s in samples for k in range(20) for v in range(2)]
+    entries = {(s.value, k, v): (predict(synthetic, s, k, v) + 1) % 10 for s, k, v in triples}
+    path = tmp_path / "replayed.trace"
+    path.write_text("eraser-trace v1 C=10 K=20\n" + "".join(
+        f"{s},{k},{v},{label},1.0\n" for (s, k, v), label in entries.items()
+    ), encoding="utf-8")
+    cfg = build(f"[oracle]\ntrace_path = {path}\n")
+    for seed in (42, 43):
+        oracle = cfg.oracle_config(seed)
+        assert oracle.trace.entries == entries
+        assert [predict(oracle, s, k, v) for s, k, v in triples] == list(entries.values())
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [(["eraser-trace v2 C=10 K=20"], "line 1: bad header 'eraser-trace v2 C=10 K=20'"),
+     (["eraser-trace v1 C=10 K=20", "0,0,0,1,0.5", "0,0,0,2,0.5"],
+      "line 3: repeats sample=0 shard=0 version=0")],
+    ids=["header", "repeat"],
+)
+def test_a_trace_that_cannot_be_parsed_is_a_trace_path_error(lines, message, tmp_path):
+    # a trace file that cannot be read: tests/test_cli.py
+    path = tmp_path / "bad.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'[oracle] trace_path: {message}')}$"):
+        build(f"[oracle]\ntrace_path = {path}\n")
+
+
+def test_backend_is_an_unknown_key_reported_with_its_line():
+    with pytest.raises(ConfigError, match=r"^line 3: unknown key 'backend' in section \[oracle\]$"):
+        build("[oracle]\nnum_classes = 10\nbackend = trace\n")
 
 
 def test_grid_for_inference_rejected():
@@ -237,8 +272,6 @@ noise_fraction = 0.25
 num_classes = 4
 num_shards = 6
 accuracy = 0.7
-backend = synthetic
-trace_path = unused.trace
 flip_probability = 0.05
 [scheduler]
 threshold = 0.2
@@ -331,3 +364,40 @@ def resolution_digest(text):
 def test_configs_resolve_to_the_recorded_objects(name, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert resolution_digest(RESOLUTION_TEXTS[name]) == RESOLUTION_DIGESTS[name]
+
+
+# A valid non-default value for every key, after the keys it needs set
+# first: a key the chosen options do not read would change nothing.
+KEY_VALUES = {
+    "variants": "DIMP", "replications": "2", "base_seed": "7",
+    "n_unlearning": "40", "n_inference": "300", "horizon": "100",
+    "distribution_u": "gaussian", "mu_u": "10", "sigma_u": "5", "modes_u": "3",
+    "distribution_i": "gaussian", "mu_i": "10", "sigma_i": "5", "modes_i": "3",
+    "shard_assignment": "scattered_round_robin", "noise_fraction": "0.5",
+    "num_classes": "3", "num_shards": "5", "accuracy": "0.5", "trace_path": "{trace}",
+    "flip_probability": "0.2", "threshold": "0.2", "parallel_capacity": "3",
+    "retrain_policy": "retrain_minimal", "cert_mode": "coarse",
+    "context_switch_latency": "0.5", "shuffle_shards": "true", "detector_enabled": "true",
+    "detector_tpr": "0.8", "detector_fpr": "0.1", "confidence_threshold": "0.5",
+    "retrain_duration": "2.5", "inference_service_time": "0.125",
+}
+NEEDS = {
+    "mu_u": "[workload]\ndistribution_u = gaussian\n",
+    "sigma_u": "[workload]\ndistribution_u = gaussian\n",
+    "modes_u": "[workload]\ndistribution_u = multimodal\n",
+    "mu_i": "[workload]\ndistribution_i = gaussian\n",
+    "sigma_i": "[workload]\ndistribution_i = gaussian\n",
+    "modes_i": "[workload]\ndistribution_i = multimodal\n",
+    "detector_tpr": "[scheduler]\ndetector_enabled = true\n",
+    "detector_fpr": "[scheduler]\ndetector_enabled = true\n",
+}
+
+
+@pytest.mark.parametrize("section, key", sorted(_KEYS))
+def test_every_key_changes_the_resolved_objects(section, key, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    trace = tmp_path / "one.trace"
+    trace.write_text("eraser-trace v1 C=10 K=20\n0,0,0,1,0.5\n", encoding="utf-8")
+    needs = NEEDS.get(key, "")
+    text = needs + f"[{section}]\n{key} = {KEY_VALUES[key].format(trace=trace)}\n"
+    assert resolution_digest(text) != resolution_digest(needs)

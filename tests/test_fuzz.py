@@ -353,6 +353,34 @@ def test_more_than_64_shards_are_refused_before_drawing(monkeypatch):
             experiment.verify_cert(2000, max_shards, 3, 0)
 
 
+def test_more_than_2_20_classes_are_refused_before_drawing(monkeypatch):
+    # one impacted shard over C classes makes C tallies, so any trial with
+    # C > 2**20 and m >= 1 is over the bound; 2**20 itself is accepted
+    def draw_block(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiment, "_draw_block", draw_block)
+    for max_classes in (2**20 + 1, 2**31 + 1):
+        message = rf"^max_classes must be at most 2\*\*20, got {max_classes}:"
+        with pytest.raises(ValueError, match=message):
+            experiment.verify_cert(2000, 8, max_classes, 0)
+    assert experiment.verify_cert(0, 8, 2**20, 0).trials == 0
+
+
+def test_blocks_are_sized_by_the_wider_of_shards_and_classes(monkeypatch):
+    counts = []
+    draw_block = experiment._draw_block
+
+    def counted(stream, count, *args):
+        counts.append(count)
+        return draw_block(stream, count, *args)
+
+    monkeypatch.setattr(experiment, "_draw_block", counted)
+    monkeypatch.setattr(experiment, "_FUZZ_CELLS", 64)
+    assert fields(experiment.verify_cert(10, 8, 16, seed=2)) == reference_report(10, 8, 16, 2)
+    assert counts == [4, 4, 2]  # 64 cells over 16 classes, not over 8 shards
+
+
 def test_negative_trials_are_rejected():
     with pytest.raises(ValueError, match="trials must be >= 0, got -5"):
         experiment.verify_cert(-5)

@@ -411,6 +411,10 @@ def test_trace_missing_entry_names_the_triple(tmp_path):
         (["eraser-trace v1 C=3 K=2", "0,0,0,1,0.5,extra"], "5 comma-separated"),
         (["eraser-trace v1 C=3 K=2", "0,0,0,1,1.5"], "confidence"),
         (["eraser-trace v1 C=3 K=2", "a,0,0,1,0.5"], "line 2"),
+        (["eraser-trace v1 C=3 K=2", "-5,0,-1,1,0.5"], "line 2: sample id and version"),
+        (["eraser-trace v1 C=3 K=2", "0,0,-1,1,0.5"], "line 2: sample id and version"),
+        (["eraser-trace v1 C=3 K=2", "7,1,0,2,0.5", "7,1,0,0,0.5"],
+         "line 3: repeats sample=7 shard=1 version=0"),
     ],
 )
 def test_trace_parse_errors(lines, fragment, tmp_path):
