@@ -22,14 +22,18 @@ Every CSV is written by ``experiment.write_csv``: each cell is its ``str``.
 
 The ``ERASER_SEED`` environment variable overrides every config seed. A
 config error, an unreadable config or spec file, an unwritable output path
-(found before any simulation or generation), ``--jobs`` below 1, or a bad
-argument to ``sweep``, ``verify-cert`` or ``theory``, is reported on one
-line, ``eraser: <message>``, with exit 2.
+(found before any simulation or generation), ``--jobs`` below 1, a bad
+argument to ``sweep``, ``verify-cert`` or ``theory``, or a trace that lacks
+a label a run needs, is reported on one line, ``eraser: <message>``, with
+exit 2; the last removes the ``--out`` directory again if the call made it
+and it is still empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .config import (
@@ -40,6 +44,7 @@ from .config import (
     read_config_values,
 )
 from .experiment import compare_theory, run_experiment, run_sweep, verify_cert, write_csv
+from .oracle import TraceError
 from .theory import TheoryParams, dimp_upper_bound, expected_wait_dimp_series, expected_wait_sisa
 from .workload import UNLEARNING
 
@@ -176,9 +181,16 @@ def main(argv=None) -> int:
     if args.command in ("run", "sweep") and args.jobs < 1:
         print(f"eraser: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    made_out = args.command in ("run", "sweep") and not os.path.exists(args.out)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
+        print(f"eraser: {exc}", file=sys.stderr)
+        return 2
+    except TraceError as exc:  # a label the run needs is missing from the trace
+        if made_out:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)  # refused unless still empty
         print(f"eraser: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

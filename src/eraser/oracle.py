@@ -16,11 +16,14 @@ version) triple maps deterministically to a label:
 
 Synthetic predictions take one path: :class:`SamplePrefixes` hashes each
 sample's (seed, salt, sample, shard) prefixes and true label once, and its
-``predict`` folds only the version into them, for a batch of samples in one
-array pass; the flip extension first maps every version to its last flip
-over the same batch, and the replay audit builds such a table for its
-records too. The trace backend looks each label up in its table instead.
-:func:`predict` is the per-prediction definition those paths must match.
+``predict`` folds only the version into them, for a batch of samples split
+by kind once: noise rows fold their label chain alone (mod C), clean rows
+the accept and wrong-label chains, and every reduction is a uint64 floor
+division by the scalar modulus (:func:`_mod`). The flip extension first
+maps every version to its last flip over the same batch, and the replay
+audit builds such a table for its records too. The trace backend looks
+each label up in its table instead. :func:`predict` is the per-prediction
+definition those paths must match.
 
 Trace file format (UTF-8)::
 
@@ -169,6 +172,14 @@ def _last_flip(cfg, values, shards, versions) -> np.ndarray:
     return last.reshape(versions.shape)
 
 
+def _mod(h: np.ndarray, c: int) -> np.ndarray:
+    """``h % c``, exact, in place of the uint64 array ``h``: numpy's floor
+    division by a scalar needs no hardware divide per element, ``%`` does."""
+    c = np.uint64(c)
+    h -= h // c * c
+    return h
+
+
 class SamplePrefixes:
     """Hash prefixes of samples on every shard, computed once and gathered by row.
 
@@ -195,12 +206,16 @@ class SamplePrefixes:
         self.base = mix64_array_chain(mix64(cfg.seed), salt[:, None], column, self.shards)
         self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), column, self.shards)
         true = mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), self.samples)
-        self.true = true % np.uint64(cfg.num_classes)
+        self.true = _mod(true, cfg.num_classes)
         self.index: dict = {}  # (sample id, noise flag) -> row, for rows added by rows()
 
     def rows(self, keys: list) -> np.ndarray:
         """Rows of the (sample id, noise flag) keys, appending one per unseen key."""
         index = self.index
+        try:  # one pass when every key is present
+            return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+        except KeyError:
+            pass
         fresh = list(dict.fromkeys(key for key in keys if key not in index))
         if fresh:
             more = SamplePrefixes(self.cfg, *zip(*fresh))
@@ -214,15 +229,17 @@ class SamplePrefixes:
 
         ``versions`` is one ``(K,)`` row of serving versions shared by every
         sample or a ``(B, K)`` array, one row each. One hash round folds
-        the version into each chain's per-shard states: a noise row's label
-        is the label hash mod C, and a clean row keeps its true label where
-        that hash passes the accept test and takes the wrong-label hash's
-        label where it fails. The versions are read as uint64 once, for both
-        chains; a batch with no noise row skips the mod-C pass, and one
-        with no clean row (or accuracy 1) skips the wrong-label chain. The
-        flip extension first maps the versions to their last flips, over
-        the whole batch; the trace backend looks each label up in its
-        table instead.
+        the version into every row's own chain (label chain for a noise
+        row, accept chain for a clean one); the batch is then split by row
+        kind once, and each kind's labels are written back into one result.
+        A noise row's label is its hash mod C. A clean row never takes that
+        reduction: it keeps its true label where the hash passes the accept
+        test, and takes the wrong-label hash's label (mod C-1, skipping the
+        true label) where it fails; only clean rows fold the wrong-label
+        chain, and none at accuracy 1. Reductions divide by the scalar
+        modulus (:func:`_mod`). The flip extension first maps the versions
+        to their last flips, over the whole batch; the trace backend looks
+        each label up in its table instead.
         """
         cfg, b, k = self.cfg, len(rows), self.cfg.num_shards
         versions = np.asarray(versions, dtype=np.int64)
@@ -237,22 +254,30 @@ class SamplePrefixes:
         if cfg.flip_probability is not None:
             versions = _last_flip(cfg, self.samples[rows, None], self.shards, versions)
         versions = versions.view(np.uint64)  # non-negative, so the bits are the same
-        h = mix64_array_chain(self.base.take(rows, axis=0), versions)
-        noise, true = self.noise.take(rows)[:, None], self.true.take(rows)[:, None]
-        n_noise = np.count_nonzero(noise)
-        out = np.where(noise, h % np.uint64(cfg.num_classes), true) if n_noise else true
-        thr = hash_threshold(cfg.accuracy)
-        if thr <= _MASK and n_noise < b:
-            wrong = mix64_array_chain(self.wrong.take(rows, axis=0), versions)
-            wrong %= np.uint64(cfg.num_classes - 1)
-            wrong += wrong >= true
-            miss = h >= np.uint64(thr)
-            if n_noise:
-                miss &= ~noise
-            out = np.where(miss, wrong, out)
-        labels = np.empty(h.shape, dtype=np.int64)
-        labels[...] = out  # also widens a column of true labels to every shard
+        h = mix64_array_chain(self.base.take(rows, axis=0), versions)  # each row's own chain
+        labels = np.empty((b, k), dtype=np.int64)
+        noise = self.noise.take(rows)
+        n_noise = int(np.count_nonzero(noise))
+        if n_noise:
+            at = slice(None) if n_noise == b else np.flatnonzero(noise)
+            labels[at] = _mod(h[at], cfg.num_classes)
+        if n_noise < b:
+            at = slice(None) if not n_noise else np.flatnonzero(~noise)
+            v = versions if versions.ndim == 1 else versions[at]
+            labels[at] = self._clean(h[at], rows[at], v)
         return labels
+
+    def _clean(self, accept, rows, versions):
+        """Labels of the clean samples at ``rows`` from their accept hashes:
+        the true label where the hash passes, else the wrong-label hash's."""
+        true = self.true.take(rows)[:, None]
+        thr = hash_threshold(self.cfg.accuracy)
+        if thr > _MASK:  # accuracy 1: every hash passes
+            return true
+        wrong = mix64_array_chain(self.wrong.take(rows, axis=0), versions)
+        wrong = _mod(wrong, self.cfg.num_classes - 1)
+        wrong += wrong >= true
+        return np.where(accept >= np.uint64(thr), wrong, true)
 
 
 def load_trace(path) -> PredictionTrace:

@@ -270,6 +270,29 @@ def test_unreadable_trace_path_exits_2_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep", "--param", "oracle.accuracy", "--values", "0.5"]],
+    ids=["run", "sweep"],
+)
+def test_trace_missing_a_needed_label_exits_2_on_one_line(tmp_path, capsys, argv, jobs):
+    # the default config over a trace that holds only its header
+    path, out, trace = tmp_path / "trace.cfg", tmp_path / "out", tmp_path / "empty.trace"
+    trace.write_text("eraser-trace v1 C=10 K=20\n")
+    path.write_text(f"[oracle]\ntrace_path = {trace}\n")
+    argv = [*argv, "--config", str(path), "--jobs", jobs, "--out"]
+    expected = ("", "eraser: trace has no entry for sample=0 shard=0 version=0\n")
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr() == expected
+    assert not out.exists()
+    # a directory the call did not make is left in place
+    out.mkdir()
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr() == expected
+    assert out.is_dir() and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 @pytest.mark.parametrize(
     "argv",

@@ -9,6 +9,7 @@ from eraser.oracle import (
     PredictionTrace,
     SamplePrefixes,
     TraceError,
+    _mod,
     load_trace,
     predict,
     sample_for,
@@ -198,6 +199,51 @@ def test_prefix_rows_match_per_shard_predict(k, c, accuracy, seed, data):
     assert len(table.samples) == len(keys) and sorted(table.index.values()) == list(
         range(len(keys))
     )
+
+
+# 1 is the wrong-label chain's divisor at C = 2
+@pytest.mark.parametrize("c", [1, 2, 3, 9, 10, 63, 2**20])
+def test_floor_division_reduction_equals_mod(c):
+    edges = np.array([0, 1, c - 1, c, c + 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    drawn = np.random.default_rng(c).integers(0, 2**64, 1000, dtype=np.uint64)
+    h = np.concatenate([edges, drawn])
+    expected = [int(x) % c for x in h.tolist()]
+    assert (h % np.uint64(c)).tolist() == expected
+    got = _mod(h.copy(), c)
+    assert got.dtype == np.uint64 and got.tolist() == expected
+
+
+@pytest.mark.parametrize("accuracy", [0.0, 0.6, 1.0])
+def test_split_batch_writes_each_kind_back_to_its_rows(accuracy):
+    k, samples = 7, [11, 12, 13, 14, 15, 16]
+    noise = [i % 2 == 1 for i in range(len(samples))]  # clean, noise, clean, ...
+    cfg = _cfg(accuracy=accuracy, num_shards=k)
+    table = SamplePrefixes(cfg, samples, noise)
+    rng = np.random.default_rng(3)
+    # alternating kinds with row 2 repeated, every noise row, and B = 0
+    for rows in ([0, 1, 2, 3, 4, 5, 2], [1, 3, 5, 3], []):
+        versions = rng.integers(0, 9, (len(rows), k))
+        out = table.predict(np.array(rows, dtype=np.intp), versions)
+        assert out.dtype == np.int64 and out.shape == (len(rows), k)
+        assert out.tolist() == [
+            [predict(cfg, sample_for(cfg, samples[r], noise[r]), j, v) for j, v in enumerate(row)]
+            for r, row in zip(rows, versions.tolist())
+        ]
+
+
+def test_rows_appends_each_fresh_key_once_in_order():
+    cfg = _cfg()
+    table = SamplePrefixes(cfg)
+    assert table.rows([(5, False), (6, True)]).tolist() == [0, 1]
+    # present and fresh keys mixed, fresh (7, False) twice
+    keys = [(6, True), (7, False), (5, False), (7, False), (8, True)]
+    assert table.rows(keys).tolist() == [1, 2, 0, 2, 3]
+    assert table.index == {(5, False): 0, (6, True): 1, (7, False): 2, (8, True): 3}
+    # every present: nothing appended
+    assert table.rows([(8, True), (5, False), (8, True)]).tolist() == [3, 0, 3]
+    whole = SamplePrefixes(cfg, [5, 6, 7, 8], [False, True, False, True])
+    for name in ("samples", "noise", "base", "wrong", "true"):
+        assert getattr(table, name).tolist() == getattr(whole, name).tolist()
 
 
 @pytest.mark.parametrize("b,k", [(1, 20), (3, 64)])
