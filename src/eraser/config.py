@@ -181,7 +181,8 @@ def _parse(f, raw: str):
 def _checked(build, *args, key: str | None = None):
     """Build a layer's own validated object; what it refuses is a ConfigError.
 
-    The error names the key the layer's message opens with, else ``key``.
+    The error names the key the layer's message opens with, else ``key``,
+    which may also name a setting outside the file, such as ``ERASER_SEED``.
     An unreadable trace file (``OSError``) is refused too.
     """
     try:
@@ -191,7 +192,7 @@ def _checked(build, *args, key: str | None = None):
         opening = re.findall(r"\w+", msg)[:2]
         named = [k for k in _KEYS if k[1] in opening] or [k for k in _KEYS if k[1] == key]
         if not named:
-            raise ConfigError(msg) from None
+            raise ConfigError(f"{key}: {msg}" if key else msg) from None
         section, name = named[0]
         raise ConfigError(f"[{section}] " + (msg if msg.startswith(name) else f"{name}: {msg}")) from None
 
@@ -233,7 +234,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     _checked(cfg.sim_params, cfg.base_seed)
     cfg.distribution_u = _distribution(cfg, "u")
     cfg.distribution_i = _distribution(cfg, "i")
-    _checked(cfg._workload_spec, cfg.base_seed)
+    _checked(cfg._workload_spec, cfg.base_seed, key="base_seed" if env_seed is None else SEED_ENV_VAR)
     if cfg.trace_path is not None:
         cfg.trace_path = _checked(load_trace, cfg.trace_path, key="trace_path")
     _checked(cfg.oracle_config, cfg.base_seed)

@@ -115,19 +115,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> int:
         )
         for n in names
     }
-    sisa_awt, sisa_nor = mean.get("SISA", (float("nan"), float("nan")))
+    sisa_awt, sisa_nor = mean.get("SISA", (0.0, 0.0))
     summary_rows = []
     for n in names:
         awt, nor = mean[n]
-        speedup = sisa_awt / awt if "SISA" in mean and awt > 0 else 0.0
-        ratio = nor / sisa_nor if "SISA" in mean and sisa_nor > 0 else 0.0
-        summary_rows.append((n, awt, speedup, nor, ratio))
+        awt_saving = 1.0 - awt / sisa_awt if sisa_awt > 0 else 0.0
+        nor_saving = 1.0 - nor / sisa_nor if sisa_nor > 0 else 0.0
+        summary_rows.append((n, awt, awt_saving, nor, nor_saving))
 
     for name, header, rows in (
         ("metrics.csv", METRICS_COLUMNS, metrics_rows),
         ("requests.csv", ("variant", "seed", "request_id", "arrival", "response", "wait",
                           "verdict", "label"), request_rows),
-        ("summary.csv", ("variant", "awt", "awt_speedup_vs_sisa", "nor", "nor_ratio_vs_sisa"),
+        ("summary.csv", ("variant", "awt", "awt_saving_vs_sisa", "nor", "nor_saving_vs_sisa"),
          summary_rows),
     ):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as out:

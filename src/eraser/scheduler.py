@@ -57,6 +57,7 @@ tally behind ``p_uc``.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from collections import deque
@@ -353,33 +354,29 @@ class Scheduler:
     def _ahead(self, upcoming):
         """``(inferences, states)`` of the requests ``upcoming`` offers.
 
-        The walk replays the scheduler's own completions in order: the jobs
-        in flight and, for an immediate variant, the jobs its unlearning
-        arrivals start while capacity allows. ``states[i]``, the
-        ``(versions, impacted mask, key)`` inference ``i`` is expected to be
-        judged under, holds the serving versions at its arrival in double
-        context and ``versions + jobs_scheduled``, where its halt ends, in
-        single context. The walk stops at a completion that would start a
-        queued job and at a target shard out of range. A trigger it cannot
-        see only wastes verdicts: each is used only under its own key.
+        A fork of the scheduler runs the event loop's transitions on its own
+        copies of the fields they change in place: :meth:`_complete` for every
+        job due by an arrival, queued jobs included, and :meth:`_unlearn` for
+        an unlearning arrival. ``states[i]``, the ``(versions, impacted mask,
+        key)`` inference ``i`` is expected to be judged under, holds the
+        serving versions at its arrival in double context and ``versions +
+        jobs_scheduled``, where its halt ends, in single context. The walk
+        stops at a target shard out of range. A trigger it cannot see only
+        wastes verdicts: each is used only under its own key.
         """
-        versions, pending = self.versions.copy(), self.pending.copy()
-        scheduled, jobs, job_id = self.jobs_scheduled.copy(), self.inflight.copy(), self.jobs_created
+        fork = copy.copy(self)
+        for name in ("versions", "pending", "covered", "jobs_scheduled", "inflight", "queue"):
+            setattr(fork, name, getattr(self, name).copy())
         single = self.option_i == SINGLE_CONTEXT
         ahead, states, state = [], [], None
         for request in upcoming():
-            if jobs and jobs[0][0] <= request.arrival:
-                if self.queue:
-                    break
-                while jobs and jobs[0][0] <= request.arrival:
-                    _, _, shard, covered = heapq.heappop(jobs)
-                    versions[shard] += 1
-                    scheduled[shard] -= 1
-                    pending[shard] -= covered
+            while fork.inflight and fork.inflight[0][0] <= request.arrival:
+                fork._complete(fork.inflight[0][0])
                 state = None
             if request.kind == INFERENCE:
                 if state is None:
-                    v, mask = versions + scheduled if single else versions.copy(), pending > 0
+                    v = fork.versions + fork.jobs_scheduled if single else fork.versions.copy()
+                    mask = fork.pending > 0
                     state = (v, mask, self._state_key(v, mask))
                 ahead.append(request)
                 states.append(state)
@@ -387,13 +384,7 @@ class Scheduler:
             shard = self._target(request)
             if not 0 <= shard < self.num_shards:
                 break
-            pending[shard] += 1
-            if self.option_ii == IMMEDIATE:
-                if len(jobs) >= self.cfg.parallel_capacity:
-                    break
-                job_id += 1
-                heapq.heappush(jobs, (request.arrival + self.retrain_duration, job_id, shard, 1))
-                scheduled[shard] += 1
+            fork._unlearn(shard, request.arrival)
             state = None
         return ahead, states
 
@@ -480,6 +471,25 @@ class Scheduler:
     def _start(self, job: tuple, now: float) -> None:
         heapq.heappush(self.inflight, (now + self.retrain_duration, *job))
 
+    def _complete(self, now: float) -> None:
+        """Complete the job in flight due at ``now``, the lowest job id first
+        at a tie, and start the oldest queued job in its slot."""
+        _, _, shard, covered = heapq.heappop(self.inflight)
+        self.versions[shard] += 1
+        self.pending[shard] -= covered
+        self.covered[shard] -= covered
+        self.jobs_scheduled[shard] -= 1
+        self.retrainings_completed += 1
+        if self.queue:
+            self._start(self.queue.popleft(), now)
+
+    def _unlearn(self, shard: int, now: float) -> None:
+        """Take an unlearning request for ``shard``; an immediate variant retrains it at once."""
+        self.pending[shard] += 1
+        if self.option_ii == IMMEDIATE:
+            # one retraining per request, even when the shard already has jobs
+            self._start_or_enqueue(shard, 1, now)
+
     # -- arrival handling -------------------------------------------------------
 
     def on_unlearning_arrival(self, request: Request, now: float) -> list[RequestRecord]:
@@ -488,11 +498,8 @@ class Scheduler:
         shard = self._target(request)
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"target shard {shard} outside [0, {self.num_shards})")
-        self.pending[shard] += 1
+        self._unlearn(shard, now)
         self._state_changed()
-        if self.option_ii == IMMEDIATE:
-            # one retraining per request, even when the shard already has jobs
-            self._start_or_enqueue(shard, 1, now)
         return []
 
     def on_inference_arrival(self, request: Request, now: float,
@@ -539,20 +546,12 @@ class Scheduler:
     # -- retraining completion -----------------------------------------------
 
     def on_retraining_complete(self, now: float) -> list[RequestRecord]:
-        """Complete the job in flight that is due at ``now``, the lowest job id
-        first at a tie, and start the oldest queued job in its slot."""
+        """Run the completion due at ``now`` (:meth:`_complete`), then act on the backlog."""
         if self.next_completion() != now:
             raise RuntimeError(f"no retraining job completes at {now}")
-        _, _, shard, covered = heapq.heappop(self.inflight)
-        self.versions[shard] += 1
+        self._complete(now)
         self._versions_tuple = tuple(self.versions.tolist())
-        self.pending[shard] -= covered
-        self.covered[shard] -= covered
-        self.jobs_scheduled[shard] -= 1
         self._state_changed()
-        self.retrainings_completed += 1
-        if self.queue:
-            self._start(self.queue.popleft(), now)
         if not self.certified:
             # jobs finish in creation order, so an entry is safe to answer once
             # the completion count reaches the jobs outstanding at its arrival

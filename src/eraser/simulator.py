@@ -13,9 +13,9 @@ here); the loop appends them in answer order and checks them in one pass
 after quiescence: one answer per inference, none before its arrival.
 
 An inference arrival offers the scheduler the ``_RUN_CHUNK`` requests that
-follow it, unlearning ones included, across retraining completions. The
-scheduler replays its own completions through them, so one batch judges the
-run's inferences, each under the state it is expected to meet.
+follow it, unlearning ones included, across retraining completions. A fork
+of the scheduler runs its own transitions through them, so one batch judges
+the run's inferences, each under the state it is expected to meet.
 Before the first event, the scheduler's table of prediction prefixes is
 filled with every inference sample of the workload in one array pass.
 

@@ -101,7 +101,7 @@ class WorkloadSpec:
     noise_fraction: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_unlearning", "n_inference"):
+        for name in ("n_unlearning", "n_inference", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0 < self.horizon < math.inf:

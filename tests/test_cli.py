@@ -23,9 +23,10 @@ retrain_duration = 1.0
 
 
 # sha256 of artifacts on DESK_SMALL, and of the theory grid report, as the
-# per-column writer that preceded experiment.write_csv wrote them
+# per-column writer that preceded experiment.write_csv wrote them; summary.csv
+# as written since its columns give savings against SISA, not ratios
 PINNED = {
-    "summary.csv": "c1e303aa24883ba29c182dcc09edb9f9780e03c8820f210e10b85939ee2f0844",
+    "summary.csv": "7b942d3c7eb40f30421e4aa8405807b72fd6592fcda8ab8b0f19a49163a9ca57",
     "sweep.csv": "58991a92555f3bdde309b1a8d8de8b4582f511623e8d4d2c035a1d7066e850ae",
     "workload.csv": "526045d076e8a7e8afe594c68956d0cb97cf054965cd8eb97102a3d0945d27c8",
     "theory-grid.csv": "bed2c7033e3af644e9a4f3f0db224450c71f676e4fba843c1bd6c4822fcba557",
@@ -52,7 +53,7 @@ def test_run_emits_the_three_artifacts(config_file, tmp_path, capsys):
     assert len(metrics.splitlines()) == 1 + 3 * 2  # variants x replications
     assert (out / "requests.csv").exists()
     summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == "variant,awt,awt_speedup_vs_sisa,nor,nor_ratio_vs_sisa"
+    assert summary[0] == "variant,awt,awt_saving_vs_sisa,nor,nor_saving_vs_sisa"
     assert sha256(out / "summary.csv") == PINNED["summary.csv"]
 
 
@@ -424,6 +425,35 @@ def test_theory_comparison_rows(tmp_path):
         assert row["sisa_rel_error"] < 0.05
         assert row["dimp_simulated"] <= row["dimp_bound"] * 1.05 + 1e-12
         assert row["dimp_series"] <= row["dimp_bound"] * (1 + 1e-9) + 1e-15
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "sweep-over-the-seed", "gen-workload"])
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_a_negative_seed_exits_2_on_one_line_and_makes_nothing(
+    command, source, config_file, tmp_path, capsys, monkeypatch
+):
+    # numpy's default_rng refuses a negative seed; the config refuses it first
+    if source == "env":
+        monkeypatch.setenv("ERASER_SEED", "-1")
+    else:
+        monkeypatch.delenv("ERASER_SEED", raising=False)
+        path = tmp_path / "neg.cfg"
+        path.write_text(DESK_SMALL.replace("base_seed = 7", "base_seed = -1"))
+        config_file = str(path)
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--config", config_file, "--out", str(out)],
+        "sweep": ["sweep", "--config", config_file, "--param", "oracle.num_shards",
+                  "--values", "10", "--out", str(out)],
+        "sweep-over-the-seed": ["sweep", "--config", config_file, "--param",
+                                "experiment.base_seed", "--values", "3,-1", "--out", str(out)],
+        "gen-workload": ["gen-workload", "--spec", config_file, "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    named = "ERASER_SEED" if source == "env" else "[experiment] base_seed"
+    assert err == f"eraser: {named}: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_sweep_checks_every_value_before_it_simulates(config_file, tmp_path, capsys, monkeypatch):

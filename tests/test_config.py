@@ -234,6 +234,17 @@ def test_env_seed_override(monkeypatch):
     assert build("").base_seed == 42
 
 
+def test_a_negative_seed_is_reported_with_where_it_was_set(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    with pytest.raises(ConfigError, match=re.escape("[experiment] base_seed: seed must be non")):
+        build("[experiment]\nbase_seed = -1\n")
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    with pytest.raises(ConfigError, match=f"^{SEED_ENV_VAR}: seed must be non-negative, got -1$"):
+        build("[experiment]\nbase_seed = 5\n")
+    monkeypatch.setenv(SEED_ENV_VAR, "0")  # the env var overrides a negative file seed
+    assert build("[experiment]\nbase_seed = -1\n").seeds() == [0]
+
+
 def test_apply_override():
     values = parse_config_text("")
     out = apply_override(values, "oracle.num_shards", "10")

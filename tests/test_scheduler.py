@@ -2,6 +2,8 @@
 re-checks) is covered end to end in test_simulator; these drive the
 Scheduler directly for the single-step contracts."""
 
+import pickle
+
 import pytest
 
 from eraser.oracle import OracleConfig, PredictionTrace
@@ -436,7 +438,7 @@ def test_the_hint_never_changes_a_decision_with_shuffled_shards(name):
 @pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
 def test_the_hint_never_changes_a_decision_when_retraining_queues(name):
     # one job at a time, each longer than the gap between unlearning
-    # arrivals: the walk must stop where a completion starts a queued job
+    # arrivals: the walk must start each queued job where a completion frees its slot
     _assert_the_exact_hint_holds(name, r=4.0, parallel_capacity=1)
 
 
@@ -461,11 +463,10 @@ def test_the_lookahead_stops_before_a_target_shard_out_of_range(bad):
     assert runs[0] == runs[1]
 
 
-def test_the_lookahead_stops_where_a_retraining_would_queue():
+def test_the_lookahead_replays_a_queued_retraining():
     # one job at a time: u2's retraining queues behind u1's and starts at 5,
-    # not at its arrival. The walk from x stops at u2, the one from a at the
-    # completion that starts it; a walk past either mispredicts b or c, whose
-    # verdict is then judged twice
+    # not at its arrival. The walk from x replays that hand-off, so one batch
+    # judges x, a, b and c, each under the state it meets
     u1, u2 = unlearn(0, 1, 0.0), unlearn(2, 2, 2.0)
     x, a, b, c = infer(1, 11, 1.0), infer(3, 12, 3.0), infer(4, 13, 8.0), infer(5, 14, 11.0)
     runs = []
@@ -485,7 +486,33 @@ def test_the_lookahead_stops_where_a_retraining_would_queue():
         runs.append((log, rows))
     (log, rows), (plain_log, plain_rows) = runs
     assert log == plain_log
-    assert rows == [1, 1, 2] and plain_rows == [1] * 4
+    assert rows == [4] and plain_rows == [1] * 4
+
+
+@pytest.mark.parametrize("shuffle_shards", [False, True])
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_the_lookahead_leaves_the_scheduler_as_it_found_it(name, shuffle_shards):
+    # one slot: a job in flight, jobs queued behind it, pending requests
+    # (one that no job covers yet, unless the variant is immediate) and a
+    # backlog; the walk passes completions, queued starts and unlearning
+    # arrivals, all on its fork
+    s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=2.0, parallel_capacity=1,
+                   shuffle_shards=shuffle_shards)
+    for shard in range(6):
+        s.on_unlearning_arrival(unlearn(shard, shard, 0.0), 0.0)
+    s.finalize(0.0)  # the variants that batch start their update here
+    s.on_unlearning_arrival(unlearn(6, 0, 0.5), 0.5)
+    s.on_inference_arrival(infer(7, 7, 1.0), 1.0)
+    assert s.inflight and s.queue and s.pending.any() and s.backlog
+    hint = [infer(8, 3, 1.5), unlearn(9, 4, 2.0), infer(10, 5, 3.0), infer(11, 6, 5.5),
+            unlearn(12, 0, 6.0), infer(13, 8, 9.0)]
+    held = {name: id(value) for name, value in vars(s).items()}
+    before = {name: pickle.dumps(value) for name, value in vars(s).items()}
+    ahead, states = s._ahead(lambda: hint)
+    assert [r.request_id for r in ahead] == [8, 10, 11, 13]
+    assert len({key for _, _, key in states}) > 1  # the walk changed its fork's state
+    assert {name: id(value) for name, value in vars(s).items()} == held
+    assert {name: pickle.dumps(value) for name, value in vars(s).items()} == before
 
 
 def _counting_rows(s):
