@@ -188,7 +188,7 @@ class SamplePrefixes:
     chain (noise salt for a noise sample, else accept salt) and of its
     wrong-label chain (``_SALT_WRONG``), so :meth:`predict` folds in only the
     version. :meth:`rows` looks (sample id, noise flag) keys up and appends
-    the unseen ones: a table can be filled ahead in one call or as it goes.
+    the unseen ones: a table can be built from arrays ahead or grow as it goes.
     """
 
     def __init__(self, cfg: OracleConfig, samples=(), noise=()):
@@ -207,11 +207,16 @@ class SamplePrefixes:
         self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), column, self.shards)
         true = mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), self.samples)
         self.true = _mod(true, cfg.num_classes)
-        self.index: dict = {}  # (sample id, noise flag) -> row, for rows added by rows()
+        self.index: dict | None = None  # (sample id, noise flag) -> row, built by rows()
 
     def rows(self, keys: list) -> np.ndarray:
-        """Rows of the (sample id, noise flag) keys, appending one per unseen key."""
+        """Rows of the (sample id, noise flag) keys, appending one per unseen key.
+        The first call indexes the rows the table was built with: a table only
+        gathered by row, as the replay audit's are, never builds the index."""
         index = self.index
+        if index is None:
+            index = self.index = dict(zip(zip(self.samples.tolist(), self.noise.tolist()),
+                                          range(len(self.samples))))
         try:  # one pass when every key is present
             return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
         except KeyError:

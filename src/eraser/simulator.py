@@ -1,13 +1,14 @@
 """Deterministic discrete-event engine.
 
-Feeds a sorted request stream into a scheduler plus prediction oracle and
-collects latency/retraining metrics. The workload's requests are sorted
-once by (arrival, kind, position); the scheduler owns its retraining jobs,
-and the loop compares the time it reports for its next completion with
-the next arrival. At equal timestamps retraining completions are
-processed first, then unlearning arrivals, then inference arrivals, which
-keeps hand-traces unambiguous and maximizes certified responses. Every
-handler returns only the answers it gives, each already the
+Feeds a sorted request stream into a scheduler plus prediction oracle
+and collects latency/retraining metrics. The requests are sorted once by
+(arrival, kind, position) unless already in that order, as ``generate``
+emits them; the scheduler owns its retraining jobs, and the loop
+compares the time it reports for its next completion with the next
+arrival. At equal timestamps retraining completions are processed first,
+then unlearning arrivals, then inference arrivals, which keeps
+hand-traces unambiguous and maximizes certified responses. Every handler
+returns only the answers it gives, each already the
 :class:`~eraser.scheduler.RequestRecord` the run reports (re-exported
 here); the loop appends them in answer order and checks them in one pass
 after quiescence: one answer per inference, none before its arrival.
@@ -17,7 +18,7 @@ follow it, unlearning ones included, across retraining completions. A fork
 of the scheduler runs its own transitions through them, so one batch judges
 the run's inferences, each under the state it is expected to meet.
 Before the first event, the scheduler's table of prediction prefixes is
-filled with every inference sample of the workload in one array pass.
+built in one array pass from the workload's inference samples and flags.
 
 After the last workload event the engine asks the scheduler once to start
 its final update, which executes the leftover pending unlearning requests
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,8 +84,10 @@ class SimulationError(RuntimeError):
     """Internal consistency failure of the engine (a bug, not bad input)."""
 
 
-def _validate_workload(workload, horizon):
-    last = -1.0
+def _validate_workload(workload, horizon) -> bool:
+    """Check that arrivals are sorted and inside [0, horizon]; return whether
+    the stream is in engine order too, unlearning ahead of inference at a tie."""
+    last, previous, ordered = -1.0, None, True
     for r in workload:
         if r.arrival < last:
             raise ValueError(
@@ -93,17 +97,23 @@ def _validate_workload(workload, horizon):
             raise ValueError(
                 f"request {r.request_id} arrives at {r.arrival}, outside [0, {horizon}]"
             )
-        last = r.arrival
+        if r.arrival == last and r.kind == UNLEARNING and previous.kind != UNLEARNING:
+            ordered = False
+        last, previous = r.arrival, r
+    return ordered
 
 
 def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         collect_log: bool = True) -> Metrics:
     """Simulate one variant over one workload to quiescence."""
-    _validate_workload(workload, params.horizon)
+    ordered = _validate_workload(workload, params.horizon)
     sched = Scheduler(variant, oracle_cfg, params.retrain_duration, params.inference_service_time)
-    sched.prefixes.rows([(r.sample, r.is_noise) for r in workload if r.kind == INFERENCE])
+    inferences = [r for r in workload if r.kind == INFERENCE]
+    samples, noise = [r.sample for r in inferences], [r.is_noise for r in inferences]
+    sched.prefixes = SamplePrefixes(oracle_cfg, samples, noise)
 
-    requests = sorted(workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
+    requests = workload if ordered else sorted(
+        workload, key=lambda r: (r.arrival, r.kind != UNLEARNING))
     nxt = 0  # index of the next request to arrive
     records: list[RequestRecord] = []  # in answer order
     now = 0.0
@@ -113,13 +123,14 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
 
     def drain_events():
         nonlocal now, nxt
+        n, next_completion = len(requests), sched.next_completion
         while True:
-            due = sched.next_completion()
-            if due is not None and (nxt == len(requests) or due <= requests[nxt].arrival):
+            due = next_completion()
+            if due is not None and (nxt == n or due <= requests[nxt].arrival):
                 now = due
                 records.extend(sched.on_retraining_complete(now))
                 continue
-            if nxt == len(requests):
+            if nxt == n:
                 return
             r = requests[nxt]
             now = r.arrival
@@ -135,21 +146,20 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     if not sched.quiet():
         raise SimulationError("the final update did not bring the run to quiescence")
 
-    terminal: set[int] = set()
-    waits: list[float] = []
-    uncertified_responses = refused = 0
-    for rec in records:
-        if rec.request_id in terminal:
-            raise SimulationError(f"request {rec.request_id} answered more than once")
-        terminal.add(rec.request_id)
-        if rec.wait < -1e-9:
-            raise SimulationError(f"request {rec.request_id} answered before its arrival")
-        waits.append(rec.wait)
-        if rec.verdict == "uncertified":
-            uncertified_responses += 1
-        elif rec.verdict.startswith("refused"):
-            refused += 1
-    n_inferences = sum(1 for r in workload if r.kind == INFERENCE)
+    terminal = {rec.request_id for rec in records}
+    waits = [rec.wait for rec in records]
+    if len(terminal) < len(records) or min(waits, default=0.0) < -1e-9:
+        seen: set[int] = set()
+        for rec in records:  # name the first broken answer, in answer order
+            if rec.request_id in seen:
+                raise SimulationError(f"request {rec.request_id} answered more than once")
+            seen.add(rec.request_id)
+            if rec.wait < -1e-9:
+                raise SimulationError(f"request {rec.request_id} answered before its arrival")
+    verdicts = [rec.verdict for rec in records]
+    uncertified_responses = verdicts.count("uncertified")
+    refused = sum(verdicts.count(v) for v in set(verdicts) if v.startswith("refused"))
+    n_inferences = len(inferences)
     if len(terminal) != n_inferences:
         raise SimulationError(
             f"{n_inferences} inference arrivals but {len(terminal)} terminal actions"
@@ -164,7 +174,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     p_uc = (
         sched.judgements_uncertified / sched.judgements if sched.judgements else 0.0
     )
-    records = sorted(records, key=lambda rec: rec.request_id) if collect_log else []
+    records = sorted(records, key=attrgetter("request_id")) if collect_log else []
     return Metrics(
         awt=awt,
         nor=sched.retrainings_completed,

@@ -246,6 +246,24 @@ def test_rows_appends_each_fresh_key_once_in_order():
         assert getattr(table, name).tolist() == getattr(whole, name).tolist()
 
 
+
+def test_rows_finds_the_rows_the_table_was_built_with():
+    cfg = _cfg()
+    table = SamplePrefixes(cfg, [5, 6, 5], [False, True, False])  # (5, False) twice
+    built = {name: getattr(table, name).tolist() for name in ("samples", "noise", "base", "true")}
+    rows = table.rows([(6, True), (5, False), (6, True)]).tolist()
+    assert rows[0] == rows[2] == 1 and rows[1] in (0, 2)
+    # nothing appended, nothing hashed again
+    assert {name: getattr(table, name).tolist() for name in built} == built
+    # present and fresh keys mixed: only the fresh key is appended, once
+    assert table.rows([(7, True), (5, False), (6, True), (7, True)]).tolist() == [3, rows[1], 1, 3]
+    assert table.samples.tolist() == [5, 6, 5, 7] and table.noise.tolist() == [False, True, False, True]
+    got = table.predict(table.rows([(5, False), (6, True), (7, True)]), np.zeros(20, dtype=np.int64))
+    assert got.tolist() == [
+        [predict(cfg, sample_for(cfg, s, n), j, 0) for j in range(20)]
+        for s, n in ((5, False), (6, True), (7, True))
+    ]
+
 @pytest.mark.parametrize("b,k", [(1, 20), (3, 64)])
 def test_out_of_range_inputs_are_rejected_at_every_batch_size(b, k):
     cfg = _cfg(num_shards=k)

@@ -306,12 +306,12 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
         return judge(requests, *args)
 
     def walking(upcoming):
-        requests, states = ahead(upcoming)
-        for request, (_, _, key) in zip(requests, states):
+        requests, states, state_of = ahead(upcoming)
+        for request, at in zip(requests, state_of):
             if request.request_id in foreseen:  # judged ahead twice, unused
                 wasted.append((request.request_id, foreseen[request.request_id][2], s.jobs_created))
-            foreseen[request.request_id] = (request, key, s.jobs_created)
-        return requests, states
+            foreseen[request.request_id] = (request, states[at][2], s.jobs_created)
+        return requests, states, state_of
 
     def assert_fresh(request, ev):  # a verdict acted on equals a fresh one-row judgement
         (fresh,) = judge([request], s.versions, s._impacted)
@@ -508,12 +508,55 @@ def test_the_lookahead_leaves_the_scheduler_as_it_found_it(name, shuffle_shards)
             unlearn(12, 0, 6.0), infer(13, 8, 9.0)]
     held = {name: id(value) for name, value in vars(s).items()}
     before = {name: pickle.dumps(value) for name, value in vars(s).items()}
-    ahead, states = s._ahead(lambda: hint)
+    ahead, states, state_of = s._ahead(lambda: hint)
     assert [r.request_id for r in ahead] == [8, 10, 11, 13]
-    assert len({key for _, _, key in states}) > 1  # the walk changed its fork's state
+    assert len({states[at][2] for at in state_of}) > 1  # the walk changed its fork's state
     assert {name: id(value) for name, value in vars(s).items()} == held
     assert {name: pickle.dumps(value) for name, value in vars(s).items()} == before
 
+
+
+def test_each_judged_row_meets_the_state_the_lookahead_assigned_it():
+    # shard 1 retrains until 2.0; the hint holds an unlearning arrival for
+    # shard 2 at 1.7 and that completion, so its inferences meet three states
+    s = make_sched("DIMP", K=4, C=3, accuracy=0.6, r=2.0)
+    s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
+    hint = [infer(2, 12, 1.5), unlearn(3, 2, 1.7), infer(4, 13, 1.8), infer(5, 14, 2.5),
+            infer(6, 15, 3.0)]
+    walks, batches, kept = [], [], {}
+    evaluate, judge, ahead = s._evaluate, s._judge, s._ahead
+
+    def walking(upcoming):
+        requests, states, state_of = ahead(upcoming)
+        walks.append((list(requests), list(states), list(state_of)))
+        return requests, states, state_of
+
+    def judging(requests, versions, impacted):
+        now = (s.versions.copy(), s._impacted.copy(), s._key)
+        batches.append((list(requests), versions.copy(), impacted.copy(), now))
+        return judge(requests, versions, impacted)
+
+    def evaluating(entries, upcoming=None):
+        evals = evaluate(entries, upcoming)
+        kept.update((rid, (request, key)) for rid, (request, key, _) in s._kept.items())
+        return evals
+
+    s._evaluate, s._judge, s._ahead = evaluating, judging, walking
+    arriving = infer(1, 11, 1.0)
+    s.on_inference_arrival(arriving, 1.0, lambda: hint)
+    ((requests, states, state_of),) = walks
+    ((judged, versions, impacted, now),) = batches
+    assert judged == [arriving] + requests and [r.request_id for r in requests] == [2, 4, 5, 6]
+    expected = [now] + [states[at] for at in state_of]
+    assert len({key for _, _, key in expected}) == 3
+    assert versions.shape == impacted.shape == (5, 4)
+    for row, (v, mask, key) in enumerate(expected):
+        assert versions[row].tolist() == v.tolist() and impacted[row].tolist() == mask.tolist()
+        assert kept[judged[row].request_id] == (judged[row], key)
+    assert versions.tolist() == [[0, 0, 0, 0]] * 3 + [[0, 1, 0, 0]] * 2
+    assert impacted.astype(int).tolist() == [
+        [0, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 1, 0],
+    ]
 
 def _counting_rows(s):
     """The size of every batch the scheduler's prediction table is asked for."""

@@ -57,6 +57,22 @@ def test_unsorted_workload_rejected():
         run(wl, VariantConfig("SISA", parallel_capacity=3), oc(), SimParams(5.0, 10.0))
 
 
+
+def test_the_order_check_reports_whether_run_must_sort():
+    stream = generate(WorkloadSpec(30, 300, 50.0, seed=3), 3)
+    assert simulator._validate_workload(stream, 50.0)
+    # request 2 is listed before an unlearning request at the same arrival
+    wl = [u(0, 1, 0.0), q(1, 0, 2.0), q(2, 1, 3.0), u(3, 2, 3.0), q(4, 2, 3.0), q(5, 3, 4.0)]
+    assert not simulator._validate_workload(wl, 10.0)
+    engine = [wl[0], wl[1], wl[3], wl[2], wl[4], wl[5]]
+    assert simulator._validate_workload(engine, 10.0)
+    for name in ("DIMP", "SUTP", "DTTU", "SISA"):
+        args = (VariantConfig(name, parallel_capacity=3), oc(), SimParams(5.0, 10.0))
+        m = run(wl, *args)
+        assert m == run(engine, *args)
+        # request 2 met shard 2's unlearning: the stream was sorted first
+        assert m.per_request_log[1].hypothetical_versions[2] == 1
+
 def test_out_of_horizon_arrival_rejected():
     wl = [q(0, 0, 50.0)]
     with pytest.raises(ValueError, match="outside"):
