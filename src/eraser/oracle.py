@@ -187,8 +187,9 @@ class SamplePrefixes:
     the ``(K,)`` states ``mix64(seed, salt, sample, shard)`` of its label
     chain (noise salt for a noise sample, else accept salt) and of its
     wrong-label chain (``_SALT_WRONG``), so :meth:`predict` folds in only the
-    version. :meth:`rows` looks (sample id, noise flag) keys up and appends
-    the unseen ones: a table can be built from arrays ahead or grow as it goes.
+    version. :meth:`rows` looks keys ``2 * sample id + noise flag`` up and
+    appends the unseen ones: a table can be built from arrays ahead or grow as
+    it goes.
     """
 
     def __init__(self, cfg: OracleConfig, samples=(), noise=()):
@@ -197,6 +198,8 @@ class SamplePrefixes:
             raise ValueError(f"expected {len(samples)} noise flags, got {len(noise)}")
         if samples.size and samples.min() < 0:
             raise ValueError(f"sample ids must be non-negative, got {samples.min()}")
+        if samples.size and samples.max() >= 2**63:  # so that each row's key fits 64 bits
+            raise ValueError(f"sample ids must be below 2**63, got {samples.max()}")
         self.cfg = cfg
         self.shards = np.arange(cfg.num_shards, dtype=np.uint64)
         self.samples = samples.astype(np.uint64)
@@ -207,23 +210,24 @@ class SamplePrefixes:
         self.wrong = mix64_array_chain(mix64(cfg.seed, _SALT_WRONG), column, self.shards)
         true = mix64_array_chain(mix64(cfg.seed, _SALT_TRUE), self.samples)
         self.true = _mod(true, cfg.num_classes)
-        self.index: dict | None = None  # (sample id, noise flag) -> row, built by rows()
+        self.index: dict | None = None  # 2 * sample id + noise flag -> row, built by rows()
 
     def rows(self, keys: list) -> np.ndarray:
-        """Rows of the (sample id, noise flag) keys, appending one per unseen key.
-        The first call indexes the rows the table was built with: a table only
-        gathered by row, as the replay audit's are, never builds the index."""
+        """Rows of the keys, each ``2 * sample id + noise flag``, appending one
+        per unseen key. The first call indexes the rows the table was built
+        with: a table only gathered by row, as the replay audit's are, never
+        builds the index."""
         index = self.index
         if index is None:
-            index = self.index = dict(zip(zip(self.samples.tolist(), self.noise.tolist()),
-                                          range(len(self.samples))))
+            built = (self.samples << np.uint64(1)) | self.noise
+            index = self.index = dict(zip(built.tolist(), range(len(self.samples))))
         try:  # one pass when every key is present
             return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
         except KeyError:
             pass
         fresh = list(dict.fromkeys(key for key in keys if key not in index))
         if fresh:
-            more = SamplePrefixes(self.cfg, *zip(*fresh))
+            more = SamplePrefixes(self.cfg, [key >> 1 for key in fresh], [key & 1 for key in fresh])
             index.update(zip(fresh, range(len(self.samples), len(self.samples) + len(fresh))))
             for name in ("samples", "noise", "base", "wrong", "true"):
                 setattr(self, name, np.concatenate([getattr(self, name), getattr(more, name)]))

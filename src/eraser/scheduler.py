@@ -61,6 +61,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -95,6 +96,11 @@ VARIANT_NAMES = tuple(VARIANT_TABLE)
 
 _SALT_DETECT = 0xD1
 _SALT_SHUFFLE = 0xD2
+
+# requests the lookahead walks: the floor after a wasted verdict, and the cap
+# that bounds a batch's stacked (B, K) arrays
+_RUN_FLOOR = 64
+_RUN_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,6 @@ class RequestRecord:
 class _Eval:
     verdict: str  # the RequestRecord's verdict
     label: int  # -1 for a refusal
-    preds: np.ndarray | None  # the judged row; None for a detector refusal
 
 
 # outcomes of the control step
@@ -239,6 +244,7 @@ class Scheduler:
         self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
         self._kept: dict = {}  # request id -> (request, state key, verdict)
+        self._run = _RUN_FLOOR  # requests the lookahead walks (_size_run)
         self._state_changed()
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled lazily unless the simulator sets one
 
@@ -335,12 +341,11 @@ class Scheduler:
             todo = [i for i, r in enumerate(requests)
                     if mix64(seed, _SALT_DETECT, r.request_id) >= bounds[r.is_noise]]
             if not todo:
-                return [_Eval("refused_detected", -1, None) for _ in requests]
+                return [_Eval("refused_detected", -1) for _ in requests]
             if versions.ndim == 2:
                 versions, impacted = versions[todo], impacted[todo]
             judged = [requests[i] for i in todo]
-        keys = [(r.sample, r.is_noise) for r in judged]
-        preds = self.prefixes.predict(self.prefixes.rows(keys), versions)
+        preds = self.prefixes.predict(self._rows(judged), versions)
         coarse = self.cfg.cert_mode == "coarse"
         certified, winner, top = judge(preds, impacted & self.certifying, self.num_classes, coarse)
         names = ("uncertified", "certified") if self.certifying else ("plain", "plain")
@@ -351,16 +356,21 @@ class Scheduler:
             low = (top / self.num_shards < threshold).tolist()
             verdicts = ["refused_low_confidence" if no else v for v, no in zip(verdicts, low)]
             labels = [-1 if no else label for label, no in zip(labels, low)]
-        fresh = list(map(_Eval, verdicts, labels, preds))
+        fresh = list(map(_Eval, verdicts, labels))
         if judged is requests:
             return fresh
-        evals = [_Eval("refused_detected", -1, None) for _ in requests]
+        evals = [_Eval("refused_detected", -1) for _ in requests]
         for i, ev in zip(todo, fresh):
             evals[i] = ev
         return evals
 
+    def _rows(self, requests) -> np.ndarray:
+        """The requests' rows in the prediction prefix table."""
+        return self.prefixes.rows([2 * r.sample + r.is_noise for r in requests])
+
     def _ahead(self, upcoming):
-        """``(inferences, states, state_of)`` of the requests ``upcoming`` offers.
+        """``(inferences, states, state_of)`` of the first ``_run`` requests
+        ``upcoming`` offers (:meth:`_size_run` sets that length).
 
         A fork of the scheduler runs the event loop's transitions on its own
         copies of the fields they change in place: :meth:`_complete` for every
@@ -371,7 +381,8 @@ class Scheduler:
         ``versions + jobs_scheduled``, where its halt ends, in single context;
         ``states`` lists each state between two transitions once. The walk
         stops at a target shard out of range. A trigger it cannot see only
-        wastes verdicts: each is used only under its own key.
+        wastes verdicts, each used only under its own key, and sends the run
+        back to ``_RUN_FLOOR``.
         """
         fork = object.__new__(type(self))  # copy.copy(self), at a quarter of its cost
         fork.__dict__.update(self.__dict__)
@@ -379,7 +390,7 @@ class Scheduler:
             setattr(fork, name, getattr(self, name).copy())
         single = self.option_i == SINGLE_CONTEXT
         ahead, states, state_of, moved = [], [], [], True
-        for request in upcoming():
+        for request in islice(upcoming(), self._run):
             while fork.inflight and fork.inflight[0][0] <= request.arrival:
                 fork._complete(fork.inflight[0][0])
                 moved = True
@@ -398,6 +409,18 @@ class Scheduler:
             fork._unlearn(shard, request.arrival)
             moved = True
         return ahead, states, state_of
+
+    def _size_run(self, request: Request) -> None:
+        """Size the walk at an arrival miss. It doubles, up to ``_RUN_CAP``,
+        when no batch reached the request, the first arrival's included, and
+        returns to ``_RUN_FLOOR`` when the miss is a kept verdict for this
+        request under another state key: a trigger the walk could not see
+        wasted it."""
+        hit = self._kept.get(request.request_id)
+        if hit is None:
+            self._run = min(2 * self._run, _RUN_CAP)
+        elif hit[0] is request:
+            self._run = _RUN_FLOOR
 
     def _tally(self, ev: _Eval) -> None:
         """Count one judgement the control or response plane acted on."""
@@ -515,11 +538,13 @@ class Scheduler:
 
     def on_inference_arrival(self, request: Request, now: float,
                              upcoming=tuple) -> list[RequestRecord]:
-        """Handle one inference arrival. ``upcoming``, a hint, returns the requests
-        expected next, unlearning ones included. On a miss, the inferences among
-        them are judged in one batch with this one, each under the state it is
-        expected to meet, and kept with that state's key; a kept verdict is used
-        only under its own key, so the hint never changes a decision."""
+        """Handle one inference arrival. ``upcoming``, a hint, returns an iterable
+        of the requests expected next, unlearning ones included, which may run to
+        the end of the workload. On a miss, the inferences among the first
+        ``_run`` of them (:meth:`_size_run`) are judged in one batch with this
+        one, each under the state it is expected to meet, and kept with that
+        state's key; a kept verdict is used only under its own key, so the hint
+        never changes a decision."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
         entry, busy = _Entry(request), self.busy()
@@ -536,6 +561,7 @@ class Scheduler:
             return []
         ev = self._kept_verdict(request)
         if ev is None:
+            self._size_run(request)
             (ev,) = self._evaluate([entry], upcoming)
         if busy and self.option_ii != IMMEDIATE:
             # mid-update: answer what we soundly can; counting waits for
@@ -551,7 +577,7 @@ class Scheduler:
         self.backlog.append(entry)
         self.postponed += 1
         if step == _TRIGGER:
-            self.trigger_update(now, ev)
+            self.trigger_update(now, request)
         return []
 
     # -- retraining completion -----------------------------------------------
@@ -599,7 +625,7 @@ class Scheduler:
             if step == _TRIGGER:
                 # the rest of the backlog rides along to the next update
                 self.backlog = remaining + entries[i + 1 :]
-                self.trigger_update(now, ev)
+                self.trigger_update(now, entry.request)
                 if self.option_i == DOUBLE_CONTEXT:
                     # the trigger keeps the state key, so each waiting entry is
                     # still uncertified: this re-check answers none, only re-counts
@@ -610,11 +636,12 @@ class Scheduler:
 
     # -- update triggering -----------------------------------------------------
 
-    def trigger_update(self, now: float, trigger_ev=None) -> None:
+    def trigger_update(self, now: float, trigger: Request | None = None) -> None:
         """Batch-retrain every shard with pending unlearning requests.
 
-        ``trigger_ev`` is the judgement that failed; without one this is the
-        final update that executes the leftovers at shutdown.
+        ``trigger`` is the inference whose judgement under the current state
+        failed; without one this is the final update that executes the
+        leftovers at shutdown.
         """
         if self.busy():
             raise RuntimeError("update triggered while retraining is in progress")
@@ -622,12 +649,12 @@ class Scheduler:
         if not candidates:
             return
         chosen = candidates
-        if trigger_ev is None:
+        if trigger is None:
             self.final_triggers += 1
         else:
             self.uncertification_triggers += 1
             if self.cfg.retrain_policy == RETRAIN_MINIMAL:
-                chosen = self._minimal_shard_set(candidates, trigger_ev)
+                chosen = self._minimal_shard_set(candidates, trigger)
         delay = (
             self.cfg.context_switch_latency
             if self.option_i == SINGLE_CONTEXT
@@ -636,15 +663,17 @@ class Scheduler:
         for k in chosen:
             self._start_or_enqueue(k, int(self.pending[k]), now, delay)
 
-    def _minimal_shard_set(self, candidates, trigger_ev) -> list:
+    def _minimal_shard_set(self, candidates, trigger: Request) -> list:
         # most-loaded shards first; retrain just enough that the triggering
-        # sample would certify, topped up to the parallel capacity
+        # sample would certify, topped up to the parallel capacity. Its row is
+        # predicted again under the serving versions, the state it was judged in
         order = sorted(candidates, key=lambda k: (-self.pending[k], k))
         need = len(order)
         rest = self.pending > 0
+        preds = self.prefixes.predict(self._rows([trigger]), self.versions)
         for j, k in enumerate(order, start=1):
             rest[k] = False
-            if judge(trigger_ev.preds[None, :], rest, self.num_classes)[0][0]:
+            if judge(preds, rest, self.num_classes)[0][0]:
                 need = j
                 break
         take = min(max(need, self.cfg.parallel_capacity), len(order))

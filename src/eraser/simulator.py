@@ -13,10 +13,12 @@ returns only the answers it gives, each already the
 here); the loop appends them in answer order and checks them in one pass
 after quiescence: one answer per inference, none before its arrival.
 
-An inference arrival offers the scheduler the ``_RUN_CHUNK`` requests that
-follow it, unlearning ones included, across retraining completions. A fork
-of the scheduler runs its own transitions through them, so one batch judges
-the run's inferences, each under the state it is expected to meet.
+An inference arrival offers the scheduler every request that follows it,
+unlearning ones included, across retraining completions, as a lazy
+iterator. The scheduler sizes its own walk over them: a fork of the
+scheduler runs its own transitions through as many as its last batches'
+verdicts were used for, so one batch judges the run's inferences, each
+under the state it is expected to meet.
 Before the first event, the scheduler's table of prediction prefixes is
 built in one array pass from the workload's inference samples and flags.
 
@@ -41,8 +43,6 @@ from .certify import judge
 from .oracle import SamplePrefixes
 from .scheduler import RequestRecord, Scheduler, VariantConfig
 from .workload import INFERENCE, UNLEARNING
-
-_RUN_CHUNK = 64  # requests offered as one run; more is wasted on halts after a trigger
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     now = 0.0
 
     def upcoming():
-        return requests[nxt + 1 : nxt + 1 + _RUN_CHUNK]
+        return map(requests.__getitem__, range(nxt + 1, len(requests)))
 
     def drain_events():
         nonlocal now, nxt

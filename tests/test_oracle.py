@@ -178,7 +178,7 @@ def test_prefix_rows_match_per_shard_predict(k, c, accuracy, seed, data):
     version_row = st.lists(st.integers(0, 2**20), min_size=k, max_size=k)
 
     def check(picked):
-        rows = table.rows(picked)
+        rows = table.rows(_keys(*picked))
         b = len(picked)
         if data.draw(st.booleans(), label="one version row for all"):
             versions = data.draw(version_row)
@@ -231,16 +231,21 @@ def test_split_batch_writes_each_kind_back_to_its_rows(accuracy):
         ]
 
 
+def _keys(*pairs):
+    """The table's row keys of (sample id, noise flag) pairs."""
+    return [2 * sample + noise for sample, noise in pairs]
+
+
 def test_rows_appends_each_fresh_key_once_in_order():
     cfg = _cfg()
     table = SamplePrefixes(cfg)
-    assert table.rows([(5, False), (6, True)]).tolist() == [0, 1]
+    assert table.rows(_keys((5, False), (6, True))).tolist() == [0, 1]
     # present and fresh keys mixed, fresh (7, False) twice
-    keys = [(6, True), (7, False), (5, False), (7, False), (8, True)]
+    keys = _keys((6, True), (7, False), (5, False), (7, False), (8, True))
     assert table.rows(keys).tolist() == [1, 2, 0, 2, 3]
-    assert table.index == {(5, False): 0, (6, True): 1, (7, False): 2, (8, True): 3}
+    assert table.index == dict(zip(_keys((5, False), (6, True), (7, False), (8, True)), range(4)))
     # every present: nothing appended
-    assert table.rows([(8, True), (5, False), (8, True)]).tolist() == [3, 0, 3]
+    assert table.rows(_keys((8, True), (5, False), (8, True))).tolist() == [3, 0, 3]
     whole = SamplePrefixes(cfg, [5, 6, 7, 8], [False, True, False, True])
     for name in ("samples", "noise", "base", "wrong", "true"):
         assert getattr(table, name).tolist() == getattr(whole, name).tolist()
@@ -251,14 +256,14 @@ def test_rows_finds_the_rows_the_table_was_built_with():
     cfg = _cfg()
     table = SamplePrefixes(cfg, [5, 6, 5], [False, True, False])  # (5, False) twice
     built = {name: getattr(table, name).tolist() for name in ("samples", "noise", "base", "true")}
-    rows = table.rows([(6, True), (5, False), (6, True)]).tolist()
+    rows = table.rows(_keys((6, True), (5, False), (6, True))).tolist()
     assert rows[0] == rows[2] == 1 and rows[1] in (0, 2)
     # nothing appended, nothing hashed again
     assert {name: getattr(table, name).tolist() for name in built} == built
     # present and fresh keys mixed: only the fresh key is appended, once
-    assert table.rows([(7, True), (5, False), (6, True), (7, True)]).tolist() == [3, rows[1], 1, 3]
+    assert table.rows(_keys((7, True), (5, False), (6, True), (7, True))).tolist() == [3, rows[1], 1, 3]
     assert table.samples.tolist() == [5, 6, 5, 7] and table.noise.tolist() == [False, True, False, True]
-    got = table.predict(table.rows([(5, False), (6, True), (7, True)]), np.zeros(20, dtype=np.int64))
+    got = table.predict(table.rows(_keys((5, False), (6, True), (7, True))), np.zeros(20, dtype=np.int64))
     assert got.tolist() == [
         [predict(cfg, sample_for(cfg, s, n), j, 0) for j in range(20)]
         for s, n in ((5, False), (6, True), (7, True))
@@ -276,10 +281,21 @@ def test_out_of_range_inputs_are_rejected_at_every_batch_size(b, k):
         SamplePrefixes(cfg, samples[:-1] + [-5], noise)
     table = SamplePrefixes(cfg)
     with pytest.raises(ValueError, match="version must be non-negative"):
-        table.predict(table.rows(list(zip(samples, noise))), versions[-1])
+        table.predict(table.rows(_keys(*zip(samples, noise))), versions[-1])
     with pytest.raises(ValueError, match="sample ids must be non-negative"):
-        table.rows([(-5, True)])
-    assert (-5, True) not in table.index
+        table.rows(_keys((-5, True)))
+    assert _keys((-5, True))[0] not in table.index
+
+
+def test_sample_ids_whose_keys_overflow_64_bits_are_rejected():
+    cfg = _cfg()
+    table = SamplePrefixes(cfg, [2**63 - 1], [True])  # the largest key, 2**64 - 1
+    assert table.rows(_keys((2**63 - 1, True))).tolist() == [0]
+    with pytest.raises(ValueError, match="sample ids must be below 2"):
+        SamplePrefixes(cfg, [5, 2**63], [False, False])
+    with pytest.raises(ValueError, match="sample ids must be below 2"):
+        table.rows(_keys((2**63, False)))
+    assert len(table.samples) == 1
 
 
 def _reference_flip_walk(cfg, value, shard, version):

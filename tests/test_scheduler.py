@@ -273,11 +273,11 @@ def test_threshold_counters_read_zero_after_an_update_completes():
     assert s.window_inferences == 0 and s.window_uncertified == 0
 
 
-def _hint_script():
+def _hint_script(steps=80):
     # inference arrivals every 0.25 with unlearning for shards 0-3 at
     # intervals, so runs of arrivals are cut by arrivals and completions
     script = []
-    for step in range(80):
+    for step in range(steps):
         t = step * 0.25
         if step % 9 == 4:
             script.append(unlearn(len(script), step % 4, t))
@@ -285,8 +285,9 @@ def _hint_script():
     return script
 
 
-def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
-    """Feed the script to one scheduler, offering ``hint(script, i)`` at arrival i.
+def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
+    """Feed ``_hint_script(steps)`` to one scheduler, offering ``hint(script, i)``
+    at arrival i.
 
     Returns the log, the judgement counts, the size of every judging batch
     and the wasted verdicts. The log has one entry per handler call: its
@@ -342,7 +343,7 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, **overrides):
 
     s._evaluate, s._judge, s._ahead, s._kept_verdict = checked, counting, walking, looked_up
     s.on_retraining_complete = completing
-    script, log = _hint_script(), []
+    script, log = _hint_script(steps), []
 
     def apply(answers):
         # the fact shutdown rests on: an idle scheduler with nothing pending
@@ -386,7 +387,7 @@ def _with_an_invented_unlearning(script, i):
 
 HINTS = {
     "truncated": lambda script, i: _same_state_run(script, i)[:2],
-    # what the simulator offers, less its cut at the next completion
+    # the next twelve requests, unlearning ones included
     "through_unlearning": lambda script, i: script[i + 1 : i + 13],
     "invents_an_unlearning": _with_an_invented_unlearning,
     "past_a_state_change": lambda script, i: [r for r in script[i + 1:] if r.kind == "inference"],
@@ -394,6 +395,8 @@ HINTS = {
     "never_arrive": lambda script, i: [
         infer(r.request_id, r.sample + 1_000, r.arrival) for r in _same_state_run(script, i)
     ],
+    # what the simulator offers: every later request, lazily
+    "everything_after": lambda script, i: map(script.__getitem__, range(i + 1, len(script))),
 }
 
 
@@ -407,11 +410,79 @@ def test_the_upcoming_hint_never_changes_a_decision(name, hint):
     assert judgements > 0 or name == "SISA"
     if hint != "never_arrive":  # the kept verdicts were used, in fewer batches
         assert len(batches) < len(plain_batches)
-    if hint == "through_unlearning":
+    if hint == "everything_after":  # the first walk, 128 requests, takes the whole script
+        assert batches[0] == sum(r.kind == "inference" for r in _hint_script())
+    if hint in ("through_unlearning", "everything_after"):
         if name in ("DIMP", "SISA"):  # the walk foresees their whole state path
             assert not wasted
         # the rest waste only verdicts judged before a triggered retraining
         assert all(before < after for _, before, after in wasted)
+
+
+def _walk_lengths(s, script):
+    """Drive ``script`` through ``s``, offering at each inference arrival every
+    request after it, as the simulator does. Returns ``(request id, requests
+    the walk took from the offer)`` for every walk of the lookahead."""
+    walks = []
+
+    def offer(i):
+        walks.append((script[i].request_id, 0))
+        for request in script[i + 1:]:
+            walks[-1] = (walks[-1][0], walks[-1][1] + 1)
+            yield request
+
+    for i, request in enumerate(script):
+        while s.next_completion() is not None and s.next_completion() <= request.arrival:
+            s.on_retraining_complete(s.next_completion())
+        if request.kind == "unlearning":
+            s.on_unlearning_arrival(request, request.arrival)
+        else:
+            s.on_inference_arrival(request, request.arrival, lambda: offer(i))
+    return walks
+
+
+def test_dimp_walks_the_whole_script_in_runs_that_double():
+    # DIMP never triggers, so every verdict its walk judges ahead is used and
+    # each arrival miss is one the last batch fell short of: the run doubles
+    # from 64 at every miss, and the last walk reaches the end of the script
+    script = _hint_script(400)
+    s = make_sched("DIMP", K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2)
+    walks = _walk_lengths(s, script)
+    lengths = [n for _, n in walks]
+    assert lengths[:-1] == [128, 256] and 0 < lengths[-1] <= 512
+    last = [r.request_id for r in script].index(walks[-1][0])
+    assert last + lengths[-1] == len(script) - 1
+    log, *counts, _, _ = _drive("DIMP", lambda script, i: (), steps=400)
+    hinted_log, *hinted_counts, batches, wasted = _drive(
+        "DIMP", HINTS["everything_after"], steps=400
+    )
+    assert (hinted_log, hinted_counts) == (log, counts)
+    assert not wasted
+    assert batches[0] == 1 + sum(r.kind == "inference" for r in script[1:129])
+
+
+def test_sutp_walks_64_requests_again_after_a_wasted_verdict():
+    # x fails the check while shard 0 is impacted and triggers its update;
+    # its walk, the first miss, took 128 requests. The arrivals until the
+    # completion at 6.0 halt; z, the first after it, finds its verdict from
+    # x's walk kept under the state before the update: a wasted verdict,
+    # so z's walk takes 64 requests again
+    s = make_sched("SUTP", K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
+    x = infer(1, 3, 1.0)
+    rest = [infer(2 + j, 100 + j, 1.0 + 0.125 * (j + 1)) for j in range(300)]
+    z = rest[39]
+    assert z.arrival == 6.0
+    walks = _walk_lengths(s, [unlearn(0, 0, 0.0), x] + rest)
+    assert s.uncertification_triggers == 1 and s.retrainings_completed == 1
+    assert walks[:2] == [(x.request_id, 128), (z.request_id, 64)]
+
+
+def test_a_hint_longer_than_the_cap_is_walked_only_to_1024():
+    # inferences alone: the run doubles at every miss until the cap holds it;
+    # the fifth walk would take 2048 requests, and 1575 are left after it
+    script = [infer(i, i, 0.01 * i) for i in range(3500)]
+    walks = _walk_lengths(make_sched("DIMP", K=6, C=3, accuracy=0.6, seed=2), script)
+    assert walks == [(0, 128), (129, 256), (386, 512), (899, 1024), (1924, 1024), (2949, 550)]
 
 
 def _assert_the_exact_hint_holds(name, **overrides):
