@@ -62,7 +62,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 
@@ -243,8 +242,8 @@ class Scheduler:
         self.final_triggers = 0
         self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
-        self._kept: dict = {}  # request id -> (request, state key, verdict)
-        self._run = _RUN_FLOOR  # requests the lookahead walks (_size_run)
+        self._kept: dict = {}  # the latest walk's: request id -> (request, state key, verdict)
+        self._run = _RUN_FLOOR  # requests the lookahead walks, set by _walk
         self._state_changed()
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled lazily unless the simulator sets one
 
@@ -285,38 +284,41 @@ class Scheduler:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, entries, upcoming=None) -> list[_Eval]:
-        """The entries' verdicts under the current state.
-
-        A verdict kept for the same request under the current state key is
-        reused. The rest are judged in one batch, together with the
-        inferences ``upcoming`` offers, each under the state :meth:`_ahead`
-        expects it to meet (each state stacked once, gathered by row), and
-        every verdict judged is kept under its key. Counting the judgements
-        is left to the caller's per-entry loop (:meth:`_tally`), which may
-        stop before the last entry.
+    def _evaluate(self, entries) -> list[_Eval]:
+        """The entries' verdicts under the current state: a verdict kept for
+        the same request under the current state key is reused, the rest are
+        judged in one batch and kept nowhere. Counting the judgements is left
+        to the caller's per-entry loop (:meth:`_tally`), which may stop before
+        the last entry.
         """
         evals = [self._kept_verdict(entry.request) for entry in entries]
         todo = [i for i, ev in enumerate(evals) if ev is None]
-        if not todo:
-            return evals
-        requests, key = [entries[i].request for i in todo], self._key
-        versions, impacted, keys = self.versions, self._impacted, [key] * len(todo)
-        if upcoming is not None:
-            ahead, states, state_of = self._ahead(upcoming)
-            if ahead:
-                requests += ahead
-                at = [len(states)] * len(todo) + state_of  # the current state goes last
-                states.append((versions, impacted, key))
-                versions, impacted, state_keys = zip(*states)
-                keys = list(map(state_keys.__getitem__, at))
-                at = np.array(at, dtype=np.intp)
-                versions, impacted = np.array(versions).take(at, 0), np.array(impacted).take(at, 0)
-        fresh = self._judge(requests, versions, impacted)
-        self._kept.update(zip(map(attrgetter("request_id"), requests), zip(requests, keys, fresh)))
-        for i, ev in zip(todo, fresh):
-            evals[i] = ev
+        if todo:
+            fresh = self._judge([entries[i].request for i in todo], self.versions, self._impacted)
+            for i, ev in zip(todo, fresh):
+                evals[i] = ev
         return evals
+
+    def _walk(self, request: Request, upcoming) -> _Eval:
+        """The verdict of an arrival with none kept under the current state
+        key, judged in one batch with the inferences :meth:`_ahead` walks to,
+        each under the state it is expected to meet (each state stacked once,
+        gathered by row). Their verdicts replace the kept ones; the arrival's
+        is not kept. The walk is ``_RUN_FLOOR`` long again when the last one
+        reached this request, a trigger it could not see having wasted its
+        verdict, and otherwise twice the last, up to ``_RUN_CAP``."""
+        self._run = _RUN_FLOOR if request.request_id in self._kept else min(2 * self._run, _RUN_CAP)
+        ahead, states, state_of = self._ahead(upcoming)
+        keys = [states[i][2] for i in state_of]
+        versions, impacted = self.versions, self._impacted
+        if ahead:
+            at = np.array([len(states), *state_of], dtype=np.intp)  # the arrival's state goes last
+            states.append((versions, impacted, self._key))
+            versions, impacted, _ = zip(*states)
+            versions, impacted = np.array(versions).take(at, 0), np.array(impacted).take(at, 0)
+        ev, *fresh = self._judge([request, *ahead], versions, impacted)
+        self._kept = {r.request_id: (r, key, e) for r, key, e in zip(ahead, keys, fresh)}
+        return ev
 
     def _kept_verdict(self, request: Request) -> _Eval | None:
         """The verdict kept for this request object under the current state key."""
@@ -370,7 +372,7 @@ class Scheduler:
 
     def _ahead(self, upcoming):
         """``(inferences, states, state_of)`` of the first ``_run`` requests
-        ``upcoming`` offers (:meth:`_size_run` sets that length).
+        ``upcoming`` offers (:meth:`_walk` sets that length).
 
         A fork of the scheduler runs the event loop's transitions on its own
         copies of the fields they change in place: :meth:`_complete` for every
@@ -381,8 +383,7 @@ class Scheduler:
         ``versions + jobs_scheduled``, where its halt ends, in single context;
         ``states`` lists each state between two transitions once. The walk
         stops at a target shard out of range. A trigger it cannot see only
-        wastes verdicts, each used only under its own key, and sends the run
-        back to ``_RUN_FLOOR``.
+        wastes verdicts, each used only under its own key.
         """
         fork = object.__new__(type(self))  # copy.copy(self), at a quarter of its cost
         fork.__dict__.update(self.__dict__)
@@ -410,18 +411,6 @@ class Scheduler:
             moved = True
         return ahead, states, state_of
 
-    def _size_run(self, request: Request) -> None:
-        """Size the walk at an arrival miss. It doubles, up to ``_RUN_CAP``,
-        when no batch reached the request, the first arrival's included, and
-        returns to ``_RUN_FLOOR`` when the miss is a kept verdict for this
-        request under another state key: a trigger the walk could not see
-        wasted it."""
-        hit = self._kept.get(request.request_id)
-        if hit is None:
-            self._run = min(2 * self._run, _RUN_CAP)
-        elif hit[0] is request:
-            self._run = _RUN_FLOOR
-
     def _tally(self, ev: _Eval) -> None:
         """Count one judgement the control or response plane acted on."""
         if ev.verdict in ("certified", "uncertified"):
@@ -431,9 +420,8 @@ class Scheduler:
 
     def _answer(self, entry: _Entry, ev: _Eval, now: float) -> list[RequestRecord]:
         """Answer, or refuse, a judged request at ``now`` from the current
-        state, once, and drop its kept verdict."""
+        state, once."""
         request = entry.request
-        self._kept.pop(request.request_id, None)
         if entry.responded:
             return []
         entry.responded = True
@@ -540,10 +528,11 @@ class Scheduler:
                              upcoming=tuple) -> list[RequestRecord]:
         """Handle one inference arrival. ``upcoming``, a hint, returns an iterable
         of the requests expected next, unlearning ones included, which may run to
-        the end of the workload. On a miss, the inferences among the first
-        ``_run`` of them (:meth:`_size_run`) are judged in one batch with this
-        one, each under the state it is expected to meet, and kept with that
-        state's key; a kept verdict is used only under its own key, so the hint
+        the end of the workload. An arrival with no verdict kept under the
+        current state key walks them (:meth:`_walk`): the inferences among the
+        first ``_run`` are judged in one batch with this one, each under the
+        state it is expected to meet, and kept with that state's key until the
+        next walk; a kept verdict is used only under its own key, so the hint
         never changes a decision."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
@@ -561,8 +550,7 @@ class Scheduler:
             return []
         ev = self._kept_verdict(request)
         if ev is None:
-            self._size_run(request)
-            (ev,) = self._evaluate([entry], upcoming)
+            ev = self._walk(request, upcoming)
         if busy and self.option_ii != IMMEDIATE:
             # mid-update: answer what we soundly can; counting waits for
             # the control pass at update completion

@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 from eraser.ensemble import predict_label
 
 
-def test_count_votes_basic():
+def test_predict_label_basic():
     assert predict_label([0, 0, 1], 2) == 0
     assert predict_label([1, 1, 1, 1], 3) == 1
     assert predict_label([0, 1, 2, 2, 1, 2], 3) == 2
 
 
-def test_count_votes_sums_to_k():
+def test_predict_label_sums_to_k():
     # the winner is the label with the most of the K votes, per a plain count
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -23,14 +23,14 @@ def test_count_votes_sums_to_k():
         assert predict_label(preds, c) == counts.index(max(counts))
 
 
-def test_count_votes_rejects_bad_label():
+def test_predict_label_rejects_bad_label():
     with pytest.raises(ValueError, match="shard 2"):
         predict_label([0, 1, 5], 3)
     with pytest.raises(ValueError, match="shard 0"):
         predict_label([-1, 1], 3)
 
 
-def test_count_votes_rejects_degenerate_inputs():
+def test_predict_label_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         predict_label([0, 1], 1)
     with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ def test_predict_is_deterministic():
     assert list(predict_row(cfg, s, [0] * 20)) == list(predict_row(cfg, s, [0] * 20))
 
 
-def test_predict_vector_matches_scalar_predict():
+def test_predict_row_matches_scalar_predict():
     """One sample's prediction vector from a prefix table equals per-shard predict."""
     cfg = _cfg()
     rng = np.random.default_rng(5)
@@ -115,7 +115,7 @@ def _trace_cfg(num_classes, num_shards, samples, versions):
     st.integers(0, 2**32),
     st.data(),
 )
-def test_predict_matrix_matches_per_shard_predict(b, k, c, accuracy, extension, seed, data):
+def test_sample_prefixes_predict_matches_per_shard_predict(b, k, c, accuracy, extension, seed, data):
     samples = data.draw(st.lists(st.integers(0, 2**40), min_size=b, max_size=b))
     # an all-clean batch skips the noise pass, an all-noise one the wrong-label chain
     pattern = data.draw(st.sampled_from(["clean", "noise", "mixed"]))

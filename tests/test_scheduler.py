@@ -295,12 +295,15 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
     the postponed count after it. A wasted verdict is ``(request id, jobs
     created when it was judged ahead, jobs created when it was judged
     again)`` for each verdict judged ahead of its request's arrival and
-    judged again, unused.
+    judged again, unused. Throughout, the kept verdicts are those the latest
+    walk judged ahead (:func:`_kept_by`).
     """
     s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=r,
                    parallel_capacity=parallel_capacity, threshold=0.2, **overrides)
-    batches, wasted, foreseen = [], [], {}
-    evaluate, judge, ahead, kept_verdict = s._evaluate, s._judge, s._ahead, s._kept_verdict
+    batches, wasted, foreseen, latest = [], [], {}, [{}]
+    evaluate, walk, judge, ahead, kept_verdict = (
+        s._evaluate, s._walk, s._judge, s._ahead, s._kept_verdict
+    )
 
     def counting(requests, *args):
         batches.append(len(requests))
@@ -312,6 +315,7 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
             if request.request_id in foreseen:  # judged ahead twice, unused
                 wasted.append((request.request_id, foreseen[request.request_id][2], s.jobs_created))
             foreseen[request.request_id] = (request, states[at][2], s.jobs_created)
+        latest[0] = _walked_ahead(requests, states, state_of)
         return requests, states, state_of
 
     def assert_fresh(request, ev):  # a verdict acted on equals a fresh one-row judgement
@@ -327,11 +331,18 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
             assert_fresh(request, ev)
         return ev
 
-    def checked(entries, upcoming=None):
-        evals = evaluate(entries, upcoming)
+    def checked(entries):  # a completion keeps none of its verdicts
+        evals = evaluate(entries)
         for entry, ev in zip(entries, evals):
             assert_fresh(entry.request, ev)
+        assert _kept_by(s) == latest[0]
         return evals
+
+    def walked(request, upcoming):  # the arrival's verdict is not kept, the walk's replace the rest
+        ev = walk(request, upcoming)
+        assert_fresh(request, ev)
+        assert _kept_by(s) == latest[0]
+        return ev
 
     complete = s.on_retraining_complete
 
@@ -341,7 +352,9 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
         assert len(batches) - judged <= 1
         return answers
 
-    s._evaluate, s._judge, s._ahead, s._kept_verdict = checked, counting, walking, looked_up
+    s._evaluate, s._walk, s._judge, s._ahead, s._kept_verdict = (
+        checked, walked, counting, walking, looked_up
+    )
     s.on_retraining_complete = completing
     script, log = _hint_script(steps), []
 
@@ -366,8 +379,18 @@ def _drive(name, hint, r=1.5, parallel_capacity=2, steps=80, **overrides):
     apply([])
     complete_until(float("inf"))
     assert s.quiet()
-    assert not s._kept  # every request was answered, which drops its verdict
+    assert _kept_by(s) == latest[0]
     return log, s.judgements, s.judgements_uncertified, batches, wasted
+
+
+def _walked_ahead(requests, states, state_of):
+    """A walk's inferences as ``{request id: (request, key of the state it expects)}``."""
+    return {r.request_id: (r, states[at][2]) for r, at in zip(requests, state_of)}
+
+
+def _kept_by(s):
+    """The scheduler's kept verdicts as :func:`_walked_ahead` lists a walk."""
+    return {rid: (request, key) for rid, (request, key, _) in s._kept.items()}
 
 
 def _same_state_run(script, i):
@@ -466,7 +489,9 @@ def test_sutp_walks_64_requests_again_after_a_wasted_verdict():
     # its walk, the first miss, took 128 requests. The arrivals until the
     # completion at 6.0 halt; z, the first after it, finds its verdict from
     # x's walk kept under the state before the update: a wasted verdict,
-    # so z's walk takes 64 requests again
+    # so z's walk takes 64 requests again. The next miss lies past z's walk,
+    # which fell short of it: x's stale verdict for it is gone, so the run
+    # doubles, and the last walk takes the 66 requests left
     s = make_sched("SUTP", K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
     x = infer(1, 3, 1.0)
     rest = [infer(2 + j, 100 + j, 1.0 + 0.125 * (j + 1)) for j in range(300)]
@@ -474,7 +499,7 @@ def test_sutp_walks_64_requests_again_after_a_wasted_verdict():
     assert z.arrival == 6.0
     walks = _walk_lengths(s, [unlearn(0, 0, 0.0), x] + rest)
     assert s.uncertification_triggers == 1 and s.retrainings_completed == 1
-    assert walks[:2] == [(x.request_id, 128), (z.request_id, 64)]
+    assert walks == [(x.request_id, 128), (z.request_id, 64), (106, 128), (235, 66)]
 
 
 def test_a_hint_longer_than_the_cap_is_walked_only_to_1024():
@@ -483,6 +508,35 @@ def test_a_hint_longer_than_the_cap_is_walked_only_to_1024():
     script = [infer(i, i, 0.01 * i) for i in range(3500)]
     walks = _walk_lengths(make_sched("DIMP", K=6, C=3, accuracy=0.6, seed=2), script)
     assert walks == [(0, 128), (129, 256), (386, 512), (899, 1024), (1924, 1024), (2949, 550)]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_only_the_latest_walks_verdicts_judged_ahead_are_kept(name):
+    # after every handler call the kept verdicts are exactly those the latest
+    # walk judged ahead, each under the key of the state it expected: an
+    # arrival's own verdict is never kept, nor one judged at a completion
+    s = make_sched(name, K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2,
+                   threshold=0.2)
+    walks, ahead = [{}], s._ahead
+
+    def walking(upcoming):
+        requests, states, state_of = ahead(upcoming)
+        walks.append(_walked_ahead(requests, states, state_of))
+        return requests, states, state_of
+
+    s._ahead = walking
+    script = _hint_script(400)
+    for i, request in enumerate(script):
+        while s.next_completion() is not None and s.next_completion() <= request.arrival:
+            s.on_retraining_complete(s.next_completion())
+            assert _kept_by(s) == walks[-1]
+        if request.kind == "unlearning":
+            s.on_unlearning_arrival(request, request.arrival)
+        else:
+            s.on_inference_arrival(request, request.arrival,
+                                   lambda: HINTS["everything_after"](script, i))
+        assert _kept_by(s) == walks[-1]
+    assert len(walks) > 2 and s.retrainings_completed > 0
 
 
 def _assert_the_exact_hint_holds(name, **overrides):
@@ -595,7 +649,7 @@ def test_each_judged_row_meets_the_state_the_lookahead_assigned_it():
     hint = [infer(2, 12, 1.5), unlearn(3, 2, 1.7), infer(4, 13, 1.8), infer(5, 14, 2.5),
             infer(6, 15, 3.0)]
     walks, batches, kept = [], [], {}
-    evaluate, judge, ahead = s._evaluate, s._judge, s._ahead
+    walk, judge, ahead = s._walk, s._judge, s._ahead
 
     def walking(upcoming):
         requests, states, state_of = ahead(upcoming)
@@ -607,12 +661,12 @@ def test_each_judged_row_meets_the_state_the_lookahead_assigned_it():
         batches.append((list(requests), versions.copy(), impacted.copy(), now))
         return judge(requests, versions, impacted)
 
-    def evaluating(entries, upcoming=None):
-        evals = evaluate(entries, upcoming)
-        kept.update((rid, (request, key)) for rid, (request, key, _) in s._kept.items())
-        return evals
+    def walked(request, upcoming):
+        ev = walk(request, upcoming)
+        kept.update(_kept_by(s))
+        return ev
 
-    s._evaluate, s._judge, s._ahead = evaluating, judging, walking
+    s._walk, s._judge, s._ahead = walked, judging, walking
     arriving = infer(1, 11, 1.0)
     s.on_inference_arrival(arriving, 1.0, lambda: hint)
     ((requests, states, state_of),) = walks
@@ -623,7 +677,8 @@ def test_each_judged_row_meets_the_state_the_lookahead_assigned_it():
     assert versions.shape == impacted.shape == (5, 4)
     for row, (v, mask, key) in enumerate(expected):
         assert versions[row].tolist() == v.tolist() and impacted[row].tolist() == mask.tolist()
-        assert kept[judged[row].request_id] == (judged[row], key)
+        # the walk keeps the rows it judged ahead, not the arrival's own
+        assert kept.get(judged[row].request_id) == (None if row == 0 else (judged[row], key))
     assert versions.tolist() == [[0, 0, 0, 0]] * 3 + [[0, 1, 0, 0]] * 2
     assert impacted.astype(int).tolist() == [
         [0, 1, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 1, 0],
@@ -689,12 +744,17 @@ def test_each_count_of_a_request_that_waits_through_a_trigger(name):
     s = make_sched(name, K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
     x, y = infer(1, 6, 1.0), infer(3, 11, 3.0)
     owner, phase, counts = {}, [None], {}
-    evaluate, tally = s._evaluate, s._tally
+    evaluate, walk, tally = s._evaluate, s._walk, s._tally
 
-    def evaluating(entries, upcoming=None):
-        evals = evaluate(entries, upcoming)
+    def evaluating(entries):
+        evals = evaluate(entries)
         owner.update((id(ev), (ev, e.request.request_id)) for e, ev in zip(entries, evals))
         return evals
+
+    def walked(request, upcoming):
+        ev = walk(request, upcoming)
+        owner[id(ev)] = (ev, request.request_id)
+        return ev
 
     def tallying(ev):
         counts.setdefault((owner[id(ev)][1], phase[0]), []).append(ev.verdict)
@@ -706,7 +766,7 @@ def test_each_count_of_a_request_that_waits_through_a_trigger(name):
             return method(*args)
         return wrapped
 
-    s._evaluate, s._tally = evaluating, tallying
+    s._evaluate, s._walk, s._tally = evaluating, walked, tallying
     s.on_inference_arrival = entering("arrival", s.on_inference_arrival)
     s.on_retraining_complete = entering("re-check", s.on_retraining_complete)
     s._drain = entering("control pass", s._drain)
