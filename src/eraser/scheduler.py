@@ -29,9 +29,13 @@ seeded hashes shared with the oracle. It alone owns its retraining jobs:
 a heap of the jobs in flight, ordered by completion time and then job id,
 and a FIFO queue of jobs waiting for a slot. The simulator reads
 :meth:`Scheduler.next_completion` and calls
-:meth:`Scheduler.on_retraining_complete` at that time. Every handler
-returns only the answers it gives, each the :class:`RequestRecord` of its
-request, answered at the handler's ``now`` plus the inference service time.
+:meth:`Scheduler.on_retraining_complete` at that time, once per job. It
+hands each run of inference arrivals between two other events to
+:meth:`Scheduler.on_inference_run` in one call, which returns the answers
+it gives and how many of the arrivals it handled: it stops right after a
+trigger. The other handlers return only the answers they give. Each answer
+is the :class:`RequestRecord` of its request, answered at its event's time
+(the arrival, or the completion) plus the inference service time.
 
 Bookkeeping is split into two planes so that variants differing only in
 Option I make identical retraining decisions and differ in response
@@ -45,7 +49,9 @@ timing alone:
   whole backlog in arrival order under the post-update state. Those
   control verdicts depend only on arrival order and retraining state,
   which single- and double-context twins share. A completion judges the
-  entries it acts on once, in one batch, for both planes.
+  entries it acts on once, in one batch, for both planes; when more jobs
+  complete at the same time, the first completion that judges does so for
+  the states the rest of that burst leaves too.
 
 A request leaves the backlog only once the control plane sees it
 certified, refused, or answered-uncertified. It feeds the threshold
@@ -192,14 +198,14 @@ _TRIGGER = "trigger"
 class _Entry:
     __slots__ = ("request", "responded", "release_after", "hypothetical", "control_counted")
 
-    def __init__(self, request):
+    def __init__(self, request, release_after=0, hypothetical=None):
         self.request = request
         self.responded = False
         # certification-free baseline only: answer once this many
         # retraining jobs have completed (= jobs outstanding at arrival),
         # claiming the hypothetical versions as of arrival
-        self.release_after = 0
-        self.hypothetical = None
+        self.release_after = release_after
+        self.hypothetical = hypothetical
         # threshold variants: this request already fed the window counters;
         # later drains reprocess it for response only, never re-counting it
         self.control_counted = False
@@ -243,6 +249,7 @@ class Scheduler:
         self._versions_tuple = tuple(self.versions.tolist())
         self._hypo_cache: tuple | None = None
         self._kept: dict = {}  # the latest walk's: request id -> (request, state key, verdict)
+        self._burst: dict = {}  # the current burst's: (request id, state key) -> (request, verdict)
         self._run = _RUN_FLOOR  # requests the lookahead walks, set by _walk
         self._state_changed()
         self.prefixes = SamplePrefixes(oracle_cfg)  # filled lazily unless the simulator sets one
@@ -286,10 +293,11 @@ class Scheduler:
 
     def _evaluate(self, entries) -> list[_Eval]:
         """The entries' verdicts under the current state: a verdict kept for
-        the same request under the current state key is reused, the rest are
-        judged in one batch and kept nowhere. Counting the judgements is left
-        to the caller's per-entry loop (:meth:`_tally`), which may stop before
-        the last entry.
+        the same request under the current state key, by the latest walk or
+        for the current burst of completions (:meth:`_judge_burst`), is
+        reused; the rest are judged in one batch and kept nowhere. Counting
+        the judgements is left to the caller's per-entry loop
+        (:meth:`_tally`), which may stop before the last entry.
         """
         evals = [self._kept_verdict(entry.request) for entry in entries]
         todo = [i for i, ev in enumerate(evals) if ev is None]
@@ -321,10 +329,15 @@ class Scheduler:
         return ev
 
     def _kept_verdict(self, request: Request) -> _Eval | None:
-        """The verdict kept for this request object under the current state key."""
+        """The verdict kept for this request object under the current state
+        key, by the latest walk or for the current burst of completions."""
         hit = self._kept.get(request.request_id)
         if hit is not None and hit[0] is request and hit[1] == self._key:
             return hit[2]
+        if self._burst:
+            hit = self._burst.get((request.request_id, self._key))
+            if hit is not None and hit[0] is request:
+                return hit[1]
         return None
 
     def _judge(self, requests, versions, impacted) -> list[_Eval]:
@@ -385,10 +398,7 @@ class Scheduler:
         stops at a target shard out of range. A trigger it cannot see only
         wastes verdicts, each used only under its own key.
         """
-        fork = object.__new__(type(self))  # copy.copy(self), at a quarter of its cost
-        fork.__dict__.update(self.__dict__)
-        for name in ("versions", "pending", "covered", "jobs_scheduled", "inflight", "queue"):
-            setattr(fork, name, getattr(self, name).copy())
+        fork = self._fork()
         single = self.option_i == SINGLE_CONTEXT
         ahead, states, state_of, moved = [], [], [], True
         for request in islice(upcoming(), self._run):
@@ -410,6 +420,47 @@ class Scheduler:
             fork._unlearn(shard, request.arrival)
             moved = True
         return ahead, states, state_of
+
+    def _fork(self) -> Scheduler:
+        """A copy of the scheduler, at a quarter of ``copy.copy``'s cost, with
+        its own copies of the fields the transitions change in place."""
+        fork = object.__new__(type(self))
+        fork.__dict__.update(self.__dict__)
+        for name in ("versions", "pending", "covered", "jobs_scheduled", "inflight", "queue"):
+            setattr(fork, name, getattr(self, name).copy())
+        return fork
+
+    def _judge_burst(self, entries, now: float) -> None:
+        """At a completion that acts on ``entries`` while more of its burst is
+        due at ``now``: unless a verdict is kept for each under the current
+        state key, judge them in one batch under the current state and under
+        each state the rest of the burst leaves, found by running
+        :meth:`_complete` on a fork, and keep the verdicts until the burst's
+        last completion. The state the last completion leaves is judged for
+        the whole backlog if the scheduler will be idle then, since its control
+        pass reads every entry. The batch stops short of a state whose rows
+        would take it past ``_RUN_CAP``."""
+        requests = [e.request for e in entries if self._kept_verdict(e.request) is None]
+        if not requests:
+            return
+        fork, at = self._fork(), [0] * len(requests)
+        states = [(self.versions, self._impacted, self._key)]
+        while fork.inflight and fork.inflight[0][0] == now:
+            fork._complete(now)
+            rows = [e.request for e in (entries if fork.busy() else self.backlog)]
+            if len(requests) + len(rows) > _RUN_CAP:
+                break
+            mask = fork.pending > 0
+            states.append((fork.versions.copy(), mask, self._state_key(fork.versions, mask)))
+            requests += rows
+            at += [len(states) - 1] * len(rows)
+        if len(states) == 1:
+            return  # no later state fits: the completion judges its own entries
+        versions, impacted, keys = zip(*states)
+        take = np.array(at, dtype=np.intp)
+        fresh = self._judge(requests, np.array(versions).take(take, 0),
+                            np.array(impacted).take(take, 0))
+        self._burst = {(r.request_id, keys[j]): (r, ev) for r, j, ev in zip(requests, at, fresh)}
 
     def _tally(self, ev: _Eval) -> None:
         """Count one judgement the control or response plane acted on."""
@@ -526,52 +577,101 @@ class Scheduler:
 
     def on_inference_arrival(self, request: Request, now: float,
                              upcoming=tuple) -> list[RequestRecord]:
-        """Handle one inference arrival. ``upcoming``, a hint, returns an iterable
-        of the requests expected next, unlearning ones included, which may run to
-        the end of the workload. An arrival with no verdict kept under the
-        current state key walks them (:meth:`_walk`): the inferences among the
-        first ``_run`` are judged in one batch with this one, each under the
-        state it is expected to meet, and kept with that state's key until the
-        next walk; a kept verdict is used only under its own key, so the hint
-        never changes a decision."""
+        """Handle one inference arrival at ``now``, its arrival time: the run
+        of one (:meth:`on_inference_run`). ``upcoming``, a hint, returns an
+        iterable of the requests expected next, unlearning ones included, which
+        may run to the end of the workload; a miss walks them."""
         if request.kind != INFERENCE:
             raise ValueError(f"expected an inference request, got {request.kind}")
-        entry, busy = _Entry(request), self.busy()
+        if now != request.arrival:
+            raise ValueError(f"request {request.request_id} arrives at {request.arrival}, not {now}")
+        return self.on_inference_run((request,), 0, 1, lambda i: upcoming())[0]
+
+    def on_inference_run(self, requests, start: int, stop: int, upcoming=None):
+        """Handle the inference arrivals ``requests[start:stop]``, each at its
+        own arrival time, between which no retraining completes and no
+        unlearning request arrives. Returns the answers and how many arrivals
+        were handled: all of them, or those up to and including the first that
+        triggers an update, since a trigger changes the state.
+
+        A busy single-context run halts in one step. Otherwise each arrival
+        takes the verdict kept for it under the current state key, or walks
+        (:meth:`_walk`) ``upcoming(i)``, by default the requests after it in
+        ``requests``: the inferences among the first ``_run`` are judged in one
+        batch with it, each under the state it is expected to meet, and kept
+        with that state's key until the next walk. A kept verdict is used only
+        under its own key, so the hint never changes a decision. A certified
+        verdict (``plain`` when not certifying) is counted and answered on the
+        spot; the rest take the response plane mid-update in double context
+        (:meth:`_respond`), and the control step (:meth:`_control`) otherwise.
+        """
+        if upcoming is None:
+            def upcoming(i):
+                return map(requests.__getitem__, range(i + 1, len(requests)))
+        busy = self.busy()
         if busy and self.option_i == SINGLE_CONTEXT:
             # halt. A certifying variant answers once a re-judgement passes;
             # SISA certifies nothing, so only release_after tells it when its
             # answer is sound: it is unlearning-request-first, waits for every
             # retraining that predates this request, not later ones, and
             # claims to have forgotten exactly what arrived before it
-            if not self.certified:
-                entry.release_after = self.jobs_created
-                entry.hypothetical = self._hypothetical_versions()
-            self.backlog.append(entry)
-            return []
-        ev = self._kept_verdict(request)
-        if ev is None:
-            ev = self._walk(request, upcoming)
-        if busy and self.option_ii != IMMEDIATE:
-            # mid-update: answer what we soundly can; counting waits for
-            # the control pass at update completion
-            self.backlog.append(entry)
-            actions = self._respond([entry], [ev], now)
-            self.postponed += not actions
-            return actions
-        self._tally(ev)
-        step = self._control(entry, ev)
-        if step == _ANSWER:
-            return self._answer(entry, ev, now)
-        self.backlog.append(entry)
-        self.postponed += 1
-        if step == _TRIGGER:
-            self.trigger_update(now, request)
-        return []
+            if self.certified:
+                self.backlog += map(_Entry, requests[start:stop])
+            else:
+                release, hypothetical = self.jobs_created, self._hypothetical_versions()
+                self.backlog += (_Entry(r, release, hypothetical) for r in requests[start:stop])
+            return [], stop - start
+        # mid-update: answer what we soundly can; counting waits for the
+        # control pass at update completion
+        respond = busy and self.option_ii != IMMEDIATE
+        window = self.option_ii == THRESHOLD_TRIGGERED and not respond
+        good = "certified" if self.certifying else "plain"
+        versions, hypothetical = self._versions_tuple, self._hypothetical_versions()
+        service, backlog, records = self.service_time, self.backlog, []
+        for i in range(start, stop):
+            request = requests[i]
+            ev = self._kept_verdict(request)
+            if ev is None:
+                ev = self._walk(request, lambda: upcoming(i))
+            if ev.verdict == good:  # counted, and answered from the current state
+                if self.certifying:
+                    self.judgements += 1
+                if respond:
+                    entry = _Entry(request)
+                    entry.responded = True
+                    backlog.append(entry)
+                elif window:
+                    self.window_inferences += 1
+                response = request.arrival + service
+                records.append(RequestRecord(
+                    request.request_id, request.arrival, response, response - request.arrival,
+                    good, ev.label, request.sample, request.is_noise, versions, hypothetical))
+                continue
+            entry = _Entry(request)
+            if respond:
+                backlog.append(entry)
+                answers = self._respond([entry], [ev], request.arrival)
+                records += answers
+                self.postponed += not answers
+                continue
+            self._tally(ev)
+            step = self._control(entry, ev)
+            if step == _ANSWER:
+                records += self._answer(entry, ev, request.arrival)
+                continue
+            backlog.append(entry)
+            self.postponed += 1
+            if step == _TRIGGER:
+                self.trigger_update(request.arrival, request)
+                return records, i + 1 - start
+        return records, stop - start
 
     # -- retraining completion -----------------------------------------------
 
     def on_retraining_complete(self, now: float) -> list[RequestRecord]:
-        """Run the completion due at ``now`` (:meth:`_complete`), then act on the backlog."""
+        """Run the one completion due at ``now`` (:meth:`_complete`), then act
+        on the backlog. While more of its burst is due at ``now``, the entries
+        are judged for the rest of the burst as well (:meth:`_judge_burst`)."""
         if self.next_completion() != now:
             raise RuntimeError(f"no retraining job completes at {now}")
         self._complete(now)
@@ -590,7 +690,11 @@ class Scheduler:
         # one judgement of the entries this completion acts on: the response
         # plane's re-check, then the control pass once the update is over
         entries = self.backlog if idle else [e for e in self.backlog if not e.responded]
+        if self.next_completion() == now:
+            self._judge_burst(entries, now)
         evals = self._evaluate(entries)
+        if self._burst and self.next_completion() != now:
+            self._burst = {}  # the burst's last completion has read its verdicts
         actions = self._respond(entries, evals, now) if self.option_i == DOUBLE_CONTEXT else []
         if idle:
             self.window_inferences = 0

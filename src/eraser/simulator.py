@@ -7,18 +7,25 @@ emits them; the scheduler owns its retraining jobs, and the loop
 compares the time it reports for its next completion with the next
 arrival. At equal timestamps retraining completions are processed first,
 then unlearning arrivals, then inference arrivals, which keeps
-hand-traces unambiguous and maximizes certified responses. Every handler
-returns only the answers it gives, each already the
-:class:`~eraser.scheduler.RequestRecord` the run reports (re-exported
-here); the loop appends them in answer order and checks them in one pass
-after quiescence: one answer per inference, none before its arrival.
+hand-traces unambiguous and maximizes certified responses. The loop calls
+the scheduler once per completion and per unlearning arrival, and once per
+run of inference arrivals: the arrivals before the next unlearning arrival
+and before the next completion. The validating pass over the workload
+records the arrival times and the unlearning positions that bound a run.
+The scheduler returns the run's answers and how many arrivals it handled,
+fewer than the run if one of them triggered an update; the loop resumes
+after the last. Every handler returns only the answers it gives, each
+already the :class:`~eraser.scheduler.RequestRecord` the run reports
+(re-exported here); the loop appends them in answer order and checks them
+in one pass after quiescence: one answer per inference, none before its
+arrival.
 
-An inference arrival offers the scheduler every request that follows it,
-unlearning ones included, across retraining completions, as a lazy
-iterator. The scheduler sizes its own walk over them: a fork of the
-scheduler runs its own transitions through as many as its last batches'
-verdicts were used for, so one batch judges the run's inferences, each
-under the state it is expected to meet.
+An inference arrival with no verdict kept for it walks every request that
+follows it in the sorted stream, unlearning ones included, across
+retraining completions, lazily. The scheduler sizes its own walk over
+them: a fork of the scheduler runs its own transitions through as many as
+its last batches' verdicts were used for, so one batch judges the coming
+inferences, each under the state it is expected to meet.
 Before the first event, the scheduler's table of prediction prefixes is
 built in one array pass from the workload's inference samples and flags.
 
@@ -34,6 +41,7 @@ full toward the average waiting time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -84,11 +92,17 @@ class SimulationError(RuntimeError):
     """Internal consistency failure of the engine (a bug, not bad input)."""
 
 
-def _validate_workload(workload, horizon) -> bool:
+def _validate_workload(workload, horizon, times=None, unlearning=None) -> bool:
     """Check that arrivals are sorted and inside [0, horizon]; return whether
-    the stream is in engine order too, unlearning ahead of inference at a tie."""
-    last, previous, ordered = -1.0, None, True
-    for r in workload:
+    the stream is in engine order too, unlearning ahead of inference at a
+    tie. The same pass appends the arrival times, which sorting into that
+    order keeps, to ``times`` and the positions of the unlearning requests in
+    that order, then the stream's length, to ``unlearning``."""
+    times = [] if times is None else times
+    unlearning = [] if unlearning is None else unlearning
+    last, ordered = -1.0, True
+    tie_start = unlearning_at_tie = 0  # the current run of equal arrivals
+    for i, r in enumerate(workload):
         if r.arrival < last:
             raise ValueError(
                 f"workload not sorted by arrival at request {r.request_id}"
@@ -97,16 +111,26 @@ def _validate_workload(workload, horizon) -> bool:
             raise ValueError(
                 f"request {r.request_id} arrives at {r.arrival}, outside [0, {horizon}]"
             )
-        if r.arrival == last and r.kind == UNLEARNING and previous.kind != UNLEARNING:
-            ordered = False
-        last, previous = r.arrival, r
+        if r.arrival != last:
+            tie_start, unlearning_at_tie = i, 0
+        if r.kind == UNLEARNING:
+            # after the tie's earlier unlearning requests, ahead of its inferences
+            position = tie_start + unlearning_at_tie
+            ordered = ordered and position == i
+            unlearning.append(position)
+            unlearning_at_tie += 1
+        times.append(r.arrival)
+        last = r.arrival
+    unlearning.append(len(workload))
     return ordered
 
 
 def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
         collect_log: bool = True) -> Metrics:
     """Simulate one variant over one workload to quiescence."""
-    ordered = _validate_workload(workload, params.horizon)
+    times: list[float] = []
+    unlearning: list[int] = []
+    ordered = _validate_workload(workload, params.horizon, times, unlearning)
     sched = Scheduler(variant, oracle_cfg, params.retrain_duration, params.inference_service_time)
     inferences = [r for r in workload if r.kind == INFERENCE]
     samples, noise = [r.sample for r in inferences], [r.is_noise for r in inferences]
@@ -118,27 +142,32 @@ def run(workload, variant: VariantConfig, oracle_cfg, params: SimParams,
     records: list[RequestRecord] = []  # in answer order
     now = 0.0
 
-    def upcoming():
-        return map(requests.__getitem__, range(nxt + 1, len(requests)))
-
     def drain_events():
         nonlocal now, nxt
         n, next_completion = len(requests), sched.next_completion
         while True:
             due = next_completion()
-            if due is not None and (nxt == n or due <= requests[nxt].arrival):
+            if due is not None and (nxt == n or due <= times[nxt]):
                 now = due
                 records.extend(sched.on_retraining_complete(now))
                 continue
             if nxt == n:
                 return
             r = requests[nxt]
-            now = r.arrival
             if r.kind == UNLEARNING:
+                now = r.arrival
                 records.extend(sched.on_unlearning_arrival(r, now))
-            else:
-                records.extend(sched.on_inference_arrival(r, now, upcoming))
-            nxt += 1
+                nxt += 1
+                continue
+            # the run of inference arrivals before the next unlearning arrival
+            # and before the next completion, which goes first at a tie
+            stop = unlearning[bisect_left(unlearning, nxt)]
+            if due is not None:
+                stop = bisect_left(times, due, nxt, stop)
+            answers, taken = sched.on_inference_run(requests, nxt, stop)
+            records.extend(answers)
+            nxt += taken
+            now = times[nxt - 1]
 
     drain_events()
     sched.finalize(max(now, params.horizon))

@@ -812,3 +812,124 @@ def test_sisa_releases_a_foreseen_halt_without_judging_it_again():
     assert log == plain_log
     assert rows == [3] and judged == 1
     assert plain_rows == [1, 2]
+
+
+def _state(s):
+    """What one handler call leaves: the postponed and judgement counts, the
+    backlog's request ids and the jobs in flight."""
+    return (s.postponed, s.judgements, s.judgements_uncertified,
+            [e.request.request_id for e in s.backlog], sorted(s.inflight))
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_a_run_of_arrivals_in_one_call_matches_them_one_at_a_time(name):
+    # one scheduler takes each run of inference arrivals, cut at unlearning
+    # arrivals and completions, in one call; its twin takes the same arrivals
+    # one by one, each offered every later request as its hint
+    script = _hint_script(400)
+    kw = dict(K=6, C=3, accuracy=0.6, seed=2, r=1.5, parallel_capacity=2, threshold=0.2)
+    one, runs = make_sched(name, **kw), make_sched(name, **kw)
+    i, calls, cut_by_a_trigger = 0, 0, 0
+    while i < len(script):
+        request = script[i]
+        while runs.next_completion() is not None and runs.next_completion() <= request.arrival:
+            assert one.next_completion() == runs.next_completion()
+            t = runs.next_completion()
+            assert one.on_retraining_complete(t) == runs.on_retraining_complete(t)
+            assert _state(one) == _state(runs)
+        if request.kind == "unlearning":
+            one.on_unlearning_arrival(request, request.arrival)
+            runs.on_unlearning_arrival(request, request.arrival)
+            i += 1
+            continue
+        stop, due = i + 1, runs.next_completion()
+        while (stop < len(script) and script[stop].kind == "inference"
+               and (due is None or script[stop].arrival < due)):
+            stop += 1
+        answers, taken = runs.on_inference_run(script, i, stop)
+        calls += 1
+        expected, triggered = [], []
+        for j in range(i, i + taken):
+            before = one.uncertification_triggers
+            expected += one.on_inference_arrival(
+                script[j], script[j].arrival, lambda: map(script.__getitem__, range(j + 1, len(script)))
+            )
+            triggered.append(one.uncertification_triggers > before)
+        assert answers == expected
+        assert _state(one) == _state(runs)
+        # the call stops right after a trigger, and only there
+        assert not any(triggered[:-1])
+        if taken < stop - i:
+            assert triggered[-1]
+            cut_by_a_trigger += 1
+        i += taken
+    assert calls < sum(r.kind == "inference" for r in script)
+    if name in ("SUTP", "DUTP"):  # a trigger fell mid-run
+        assert cut_by_a_trigger > 0
+
+
+@pytest.mark.parametrize("busy", [False, True])
+@pytest.mark.parametrize("name", sorted(VARIANT_TABLE))
+def test_each_wait_is_the_response_minus_the_arrival(name, busy):
+    # 0.1 + 0.3 - 0.1 and 0.7 + 0.3 - 0.7 both differ from 0.3 in the last bit
+    cfg = VariantConfig(name, parallel_capacity=4)
+    s = Scheduler(cfg, OracleConfig(10, 4, 0.9, seed=3), 5.0, inference_service_time=0.3)
+    s.on_unlearning_arrival(unlearn(0, 1, 0.0), 0.0)
+    if busy:
+        s.finalize(0.0)  # the variants that batch start their update
+    assert s.busy() == (busy or name in ("DIMP", "SISA"))
+    halts = s.busy() and name[0] == "S"  # single context
+    # sample 6 passes the check while shard 1 is impacted, 5 and noisy 7 fail it
+    run = [infer(1, 6, 0.1), infer(2, 5, 0.7), infer(3, 7, 0.7, noise=True)]
+    answers, i = [], 0
+    while i < len(run):  # a trigger ends a call
+        more, taken = s.on_inference_run(run, i, len(run))
+        answers, i = answers + more, i + taken
+    while s.busy():
+        answers += s.on_retraining_complete(s.next_completion())
+    s.finalize(10.0)
+    while s.busy():
+        answers += s.on_retraining_complete(s.next_completion())
+    assert sorted(a.request_id for a in answers) == [1, 2, 3]
+    for a in answers:
+        assert a.wait == a.response - a.arrival
+    early = [a for a in answers if a.response < 1.0 + 1e-9]
+    assert all(a.wait != 0.3 for a in early)
+    assert [a.request_id for a in early] == ([] if halts else [1])
+
+
+@pytest.mark.parametrize("name", ["DUTP", "DTTP"])
+def test_a_burst_of_completions_judges_its_waiting_entries_once(name):
+    # x fails the check while shards 0-2 are impacted and triggers their
+    # update: three jobs, ids 1-3, all due at 6.0. Samples 0, 3 and 4, arriving
+    # mid-update, fail too; sample 0 passes once job 1 has retrained shard 0,
+    # sample 3 once job 2 has retrained shard 1, samples 1 and 4 once job 3 has
+    s = make_sched(name, K=4, C=2, accuracy=0.5, seed=0, parallel_capacity=4, r=5.0)
+    for shard in range(3):
+        s.on_unlearning_arrival(unlearn(shard, shard, 0.0), 0.0)
+    assert s.on_inference_arrival(infer(3, 1, 1.0), 1.0) == []
+    assert [job[:2] for job in sorted(s.inflight)] == [(6.0, 1), (6.0, 2), (6.0, 3)]
+    for rid, sample, t in ((4, 0, 2.0), (5, 3, 3.0), (6, 4, 4.0)):
+        assert s.on_inference_arrival(infer(rid, sample, t), t) == []
+    kept, judge, calls = dict(s._kept), s._judge, []
+
+    def judging(requests, versions, impacted):
+        calls.append(len(requests))
+        return judge(requests, versions, impacted)
+
+    s._judge = judging
+    answered = []
+    for _ in range(3):
+        waiting, entries = sum(not e.responded for e in s.backlog), len(s.backlog)
+        judgements = s.judgements
+        answers = s.on_retraining_complete(6.0)
+        # the response plane re-checks each waiting entry; the control pass
+        # at the completion that leaves the scheduler idle, every entry
+        control = 0 if s.busy() else entries
+        assert s.judgements - judgements == waiting + control
+        answered.append([(a.request_id, a.versions) for a in answers])
+    assert answered == [
+        [(4, (1, 0, 0, 0))], [(5, (1, 1, 0, 0))], [(3, (1, 1, 1, 0)), (6, (1, 1, 1, 0))],
+    ]
+    assert len(calls) == 1 and not s._burst and s._kept == kept
+    assert s.quiet()

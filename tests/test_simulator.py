@@ -372,8 +372,9 @@ def test_records_keep_their_fields_and_compare_by_value():
 
 
 class _AnswersTwice(Scheduler):
-    def on_inference_arrival(self, request, now, upcoming=tuple):
-        return 2 * super().on_inference_arrival(request, now, upcoming)
+    def on_inference_run(self, requests, start, stop, upcoming=None):
+        answers, taken = super().on_inference_run(requests, start, stop, upcoming)
+        return 2 * answers, taken
 
 
 class _AnswersEarly(Scheduler):
